@@ -14,9 +14,15 @@ import time
 
 import numpy as np
 
-from repro.core import NeurocubeConfig, NeurocubeSimulator, compile_inference
+from repro.core import (
+    MemoDir,
+    NeurocubeConfig,
+    NeurocubeSimulator,
+    RunContext,
+    compile_inference,
+)
 from repro.experiments import ext_stream
-from repro.memo import MemoSession
+from repro.memo import MemoStore
 from repro.nn import models
 
 
@@ -27,18 +33,20 @@ def test_persistent_memo_warm_speedup(benchmark, record_sim_rate,
     faster in wall-clock (measured ~9x; the replayed entry skips the
     cycle simulation entirely, so anything near parity means the store
     stopped hitting)."""
-    config = NeurocubeConfig.hmc_15nm().with_(
-        sim_memo_dir=str(tmp_path / "memo"))
+    config = NeurocubeConfig.hmc_15nm()
     net = models.single_conv_layer(24, 24, 3, in_maps=1, out_maps=16,
                                    qformat=None)
     desc = compile_inference(net, config).descriptors[0]
 
     start = time.perf_counter()
-    cold = NeurocubeSimulator(config).run_descriptor(desc)
+    cold = NeurocubeSimulator(
+        config, memo=MemoStore(tmp_path / "memo", config)).run_descriptor(
+            desc)
     cold_seconds = time.perf_counter() - start
     assert cold.memo_stats.stores >= 1
 
-    warm_sim = NeurocubeSimulator(config)
+    warm_sim = NeurocubeSimulator(
+        config, memo=MemoStore(tmp_path / "memo", config))
     warm = benchmark.pedantic(lambda: warm_sim.run_descriptor(desc),
                               rounds=1, iterations=1)
     assert warm.memo_stats.hits >= 1
@@ -72,7 +80,7 @@ def test_streaming_frames_per_second(benchmark, record_memo_counters,
     per_frame_seconds = (time.perf_counter() - start) / len(frames)
 
     def stream_once():
-        with MemoSession(tmp_path / "memo"):
+        with RunContext(memo=MemoDir(tmp_path / "memo")):
             return NeurocubeSimulator(config).run_stream(net, frames)
 
     stream = benchmark.pedantic(stream_once, rounds=1, iterations=1)

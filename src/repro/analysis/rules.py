@@ -22,14 +22,12 @@ _NONDETERMINISTIC_PREFIXES = (
 )
 
 _OBS_ALLOWED_MODULES = frozenset({
-    # The tracer-hook protocol: agents accept an optional Tracer and the
-    # simulator discovers the ambient TraceSession.  repro.obs.live is
-    # the same shape for telemetry — the simulator reads the ambient
-    # LiveTelemetry and bills host phases through opaque timer hooks.
-    # Everything else in repro.obs (counters, exporters, manifests) is
-    # presentation-layer.
+    # The tracer-hook protocol: agents accept an optional Tracer built
+    # from the run context's TraceOptions.  repro.obs.live is the same
+    # shape for telemetry — the context's LiveTelemetry bills host
+    # phases through opaque timer hooks.  Everything else in repro.obs
+    # (counters, exporters, manifests) is presentation-layer.
     "repro.obs.tracer",
-    "repro.obs.session",
     "repro.obs.live",
 })
 
@@ -99,10 +97,10 @@ class ObsLayering(Rule):
     title = "cycle model imports repro.obs only via the tracer protocol"
     rationale = (
         "Observability must stay optional and one-directional: agents "
-        "accept a Tracer (repro.obs.tracer) and the simulator reads the "
-        "ambient session (repro.obs.session).  Importing exporters, "
-        "counters or manifests from the cycle model would invert the "
-        "layering and drag I/O into the hot loop.")
+        "accept a Tracer (repro.obs.tracer) and the run context "
+        "carries live telemetry (repro.obs.live).  Importing "
+        "exporters, counters or manifests from the cycle model would "
+        "invert the layering and drag I/O into the hot loop.")
 
     def check(self, ctx: ModuleContext) -> Iterator[tuple[int, int, str]]:
         for line, col, module in _imported_modules(ctx.tree):
@@ -487,8 +485,8 @@ class NoAdhocPhaseTiming(Rule):
         "the phase_seconds metric, the manifest's phases block, or the "
         "OpenMetrics export, so the breakdown silently under-reports.  "
         "All host timing goes through repro.obs.live phase timers "
-        "(ambient_phase / ambient_timer); only that module may read "
-        "the monotonic clock.")
+        "(RunContext.phase / LiveTelemetry.phase); only that module "
+        "may read the monotonic clock.")
 
     def applies_to(self, ctx: ModuleContext) -> bool:
         # Unlike the NC10x rules this applies to *every* module, not
@@ -513,7 +511,7 @@ class NoAdhocPhaseTiming(Rule):
                     yield (node.lineno, node.col_offset,
                            f"ad-hoc '{name}()' in {ctx.module}; time "
                            f"host phases via repro.obs.live timers "
-                           f"(ambient_phase / LiveTelemetry.phase) "
+                           f"(RunContext.phase / LiveTelemetry.phase) "
                            f"instead")
 
 

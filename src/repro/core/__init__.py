@@ -11,6 +11,7 @@ analytic performance model for paper-scale networks.
 from repro.core.config import NeurocubeConfig
 from repro.core.layerdesc import LayerDescriptor, NeurocubeProgram, Phase
 from repro.core.compiler import compile_inference, compile_training
+from repro.core.context import MemoDir, RunContext, RunRecord
 from repro.core.mac import MACUnit
 from repro.core.png import AddressGenerator, PNGRegisters, NeurosequenceGenerator
 from repro.core.host import (
@@ -53,6 +54,9 @@ __all__ = [
     "Phase",
     "compile_inference",
     "compile_training",
+    "MemoDir",
+    "RunContext",
+    "RunRecord",
     "MACUnit",
     "PNGRegisters",
     "AddressGenerator",

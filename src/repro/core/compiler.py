@@ -19,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 
 from repro.core.config import NeurocubeConfig
+from repro.core.context import wants_validation
 from repro.core.layerdesc import LayerDescriptor, NeurocubeProgram, Phase
 from repro.errors import MappingError
 from repro.memory.layout import conv_layout, fc_layout
@@ -35,30 +36,6 @@ from repro.nn.layers.pool import _Pool2D
 from repro.nn.network import Network
 
 
-#: Process-wide default for the compilers' ``validate=`` hook.  The
-#: experiment runner's ``--validate`` flag flips it so every compile it
-#: triggers — however deep in an experiment — is statically verified.
-_DEFAULT_VALIDATE = False
-
-
-def set_default_validate(enabled: bool) -> None:
-    """Set the default for ``compile_inference(validate=None)`` et al."""
-    global _DEFAULT_VALIDATE
-    _DEFAULT_VALIDATE = bool(enabled)
-
-
-def default_validate() -> bool:
-    """The current process-wide ``validate=`` default.
-
-    Every ``validate=None`` hook resolves through this — the compilers
-    here and the shard partitioner
-    (:func:`repro.core.shard.shard_network`) — so the runner's
-    ``--validate`` flag covers single-cube and sharded compilation
-    alike.
-    """
-    return _DEFAULT_VALIDATE
-
-
 def _maybe_validate(program: NeurocubeProgram, config: NeurocubeConfig,
                     validate: bool | None) -> NeurocubeProgram:
     """Run the static plan verifier over a freshly compiled program.
@@ -67,9 +44,7 @@ def _maybe_validate(program: NeurocubeProgram, config: NeurocubeConfig,
     verifier is imported lazily — :mod:`repro.analysis` depends on the
     core plan types, so a module-level import would be circular.
     """
-    if validate is None:
-        validate = _DEFAULT_VALIDATE
-    if validate:
+    if wants_validation(validate):
         from repro.analysis.nccheck import check_program
 
         check_program(program, config)
@@ -278,8 +253,8 @@ def compile_inference(network: Network, config: NeurocubeConfig,
         validate: statically verify every descriptor's plan with
             :mod:`repro.analysis.nccheck` before returning, raising
             :class:`repro.errors.PlanCheckError` on the first malformed
-            one; None (the default) follows
-            :func:`set_default_validate`.
+            one; None (the default) follows the ambient run context's
+            ``validate`` (:class:`repro.core.context.RunContext`).
     """
     descriptors = []
     for index, layer in enumerate(network.layers):

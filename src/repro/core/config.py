@@ -78,18 +78,6 @@ class NeurocubeConfig:
             are identical either way; it never applies to functional or
             traced runs (nor to runs with active fault injection, where
             structurally identical passes see different fault salts).
-        sim_memo_dir: optional directory of a persistent
-            :class:`repro.memo.MemoStore` — when set (and
-            ``sim_memoize`` applies), memoized pass outcomes are loaded
-            from and stored to disk, surviving across processes and
-            runs.  Entries are partitioned by a version/config
-            fingerprint and re-verified against the key⇒hash invariant
-            on every load, so stale entries are invisible or rejected,
-            never replayed (see docs/memo_store.md).  None keeps
-            memoization in-process only.
-        sim_memo_max_bytes: total on-disk budget for the memo store;
-            least-recently-used entries are evicted past it.  None
-            disables eviction.
         faults: optional :class:`repro.faults.FaultConfig` — when set,
             every pass runs with deterministic fault injection and the
             retry/timeout protocols (see docs/fault_injection.md).
@@ -114,18 +102,12 @@ class NeurocubeConfig:
     sim_workers: int = 1
     sim_skip_ahead: bool = True
     sim_memoize: bool = True
-    sim_memo_dir: str | None = None
-    sim_memo_max_bytes: int | None = None
     faults: FaultConfig | None = None
 
     def __post_init__(self) -> None:
         if self.sim_workers < 1:
             raise ConfigurationError(
                 f"sim_workers must be >= 1, got {self.sim_workers}")
-        if self.sim_memo_max_bytes is not None and self.sim_memo_max_bytes < 1:
-            raise ConfigurationError(
-                f"sim_memo_max_bytes must be >= 1, got "
-                f"{self.sim_memo_max_bytes}")
         if self.n_channels < 1 or self.n_channels > self.memory_spec.max_channels:
             raise ConfigurationError(
                 f"{self.memory_spec.name} supports up to "

@@ -86,7 +86,7 @@ class RunReport:
             stays below :mod:`repro.memo` in the layering.
         attribution: per-layer bottleneck verdicts
             (:class:`repro.obs.attribution.LayerAttribution`) when the
-            run was observed (trace or live session active), else
+            run was observed (tracing or live telemetry on), else
             empty.  Duck-typed (``format``/``to_dict``) for the same
             layering reason as ``memo``.
     """

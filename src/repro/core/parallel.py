@@ -34,6 +34,7 @@ from functools import partial
 import numpy as np
 
 from repro.core.config import NeurocubeConfig
+from repro.core.context import RunContext
 from repro.core.layerdesc import LayerDescriptor
 from repro.faults.rng import pass_salt
 from repro.nn.activations import ActivationLUT
@@ -217,7 +218,7 @@ def snapshot_pass(result) -> PassOutcome:
 
 def run_map_task(config: NeurocubeConfig, desc: LayerDescriptor,
                  lut: ActivationLUT | None, functional: bool,
-                 task: MapTask, trace=None, faults=None, checkpoint=None,
+                 task: MapTask, ctx: RunContext,
                  label_base: str = "") -> MapOutcome:
     """Run one map's sub-pass chain to completion (worker entry point).
 
@@ -226,17 +227,12 @@ def run_map_task(config: NeurocubeConfig, desc: LayerDescriptor,
     sub-pass goes through the activation LUT — exactly the serial
     simulator's schedule, so outputs and statistics match bit for bit.
 
-    ``trace`` (a picklable :class:`repro.obs.TraceOptions`, or None)
-    turns on per-pass tracing inside the worker; each pass's trace rides
-    back on its :class:`PassOutcome` with a local clock the parent
-    offsets into the run-global one.
-
-    ``faults``/``checkpoint`` (picklable
-    :class:`repro.faults.FaultConfig` / ``CheckpointSpec``, or None)
-    thread fault injection and checkpointing into every sub-pass.  Both
-    the fault salt and the checkpoint label derive from the task's
-    *logical* identity — ``(label_base, task.index, sub-pass)`` — never
-    from worker identity, so serial, parallel and resumed runs inject
+    ``ctx`` carries the run's hooks into every sub-pass.  Each traced
+    pass's trace rides back on its :class:`PassOutcome` with a local
+    clock the parent offsets into the run-global one.  Both the fault
+    salt and the checkpoint label derive from the task's *logical*
+    identity — ``(label_base, task.index, sub-pass)`` — never from
+    worker identity, so serial, parallel and resumed runs inject
     identical faults and share one checkpoint namespace.
     """
     # Imported here, not at module top: the simulator imports this
@@ -245,7 +241,7 @@ def run_map_task(config: NeurocubeConfig, desc: LayerDescriptor,
     from repro.core.simulator import NeurocubeSimulator
 
     simulator = NeurocubeSimulator(config)
-    degraded_ok = faults is not None and faults.any_rate
+    degraded_ok = ctx.faults is not None and ctx.faults.any_rate
     partial_sums: np.ndarray | None = None
     passes = []
     for j, spec in enumerate(task.sub_passes):
@@ -255,9 +251,7 @@ def run_map_task(config: NeurocubeConfig, desc: LayerDescriptor,
                                spec.kernel, bias,
                                lut if spec.final else None, mode=task.mode)
         result = simulator.run_pass(
-            plan, trace=trace, faults=faults,
-            fault_salt=pass_salt(task.index, j),
-            checkpoint=checkpoint,
+            plan, ctx=ctx, fault_salt=pass_salt(task.index, j),
             pass_label=f"{label_base}.m{task.index}.s{j}")
         passes.append(snapshot_pass(result))
         if functional:
@@ -281,9 +275,9 @@ class ParallelPassExecutor:
 
     def run(self, config: NeurocubeConfig, desc: LayerDescriptor,
             lut: ActivationLUT | None, functional: bool,
-            tasks: list[MapTask], trace=None,
-            memoize: bool = False, faults=None, checkpoint=None,
-            label_base: str = "", memo=None) -> list[MapOutcome]:
+            tasks: list[MapTask], ctx: RunContext | None = None,
+            memoize: bool = False,
+            label_base: str = "") -> list[MapOutcome]:
         """Run all tasks; returns outcomes ordered like ``tasks``.
 
         With ``memoize`` set, tasks are grouped by
@@ -296,8 +290,9 @@ class ParallelPassExecutor:
         out-of-key state.  Fold order is unchanged, so the folded
         statistics are bit-identical to simulating every task.
 
-        ``memo`` (a :class:`repro.memo.MemoStore`, or None) extends the
-        replay across processes: before simulating a representative, the
+        ``ctx`` carries the run's hooks to every task; its ``memo`` (a
+        :class:`repro.memo.MemoStore`, or None) extends the replay
+        across processes: before simulating a representative, the
         store is consulted under its content digest, and every freshly
         simulated representative is written back.  A loaded entry is
         only replayed after its recorded plan hashes pass the NC207
@@ -306,11 +301,13 @@ class ParallelPassExecutor:
         Hit or simulated, the replay/fold path is the same, so results
         stay bit-identical to a cold run.
         """
+        if ctx is None:
+            ctx = RunContext()
+        memo = ctx.memo
         worker = partial(run_map_task, config, desc, lut, functional,
-                         trace=trace, faults=faults, checkpoint=checkpoint,
                          label_base=label_base)
         if not memoize or (memo is None and len(tasks) <= 1):
-            return self._execute(worker, tasks)
+            return self._execute(worker, tasks, ctx)
         keys = [structural_key(task) for task in tasks]
         representatives: dict[tuple, int] = {}
         unique: list[MapTask] = []
@@ -321,7 +318,7 @@ class ParallelPassExecutor:
                 unique.append(task)
                 unique_keys.append(key)
         if memo is None and len(unique) == len(tasks):
-            return self._execute(worker, tasks)
+            return self._execute(worker, tasks, ctx)
         rep_outcomes: list[MapOutcome | None] = [None] * len(unique)
         to_run: list[MapTask] = []
         run_slots: list[int] = []
@@ -343,7 +340,8 @@ class ParallelPassExecutor:
         else:
             to_run = unique
             run_slots = list(range(len(unique)))
-        for slot, outcome in zip(run_slots, self._execute(worker, to_run),
+        for slot, outcome in zip(run_slots,
+                                 self._execute(worker, to_run, ctx),
                                  strict=True):
             rep_outcomes[slot] = outcome
             if memo is not None:
@@ -369,8 +367,19 @@ class ParallelPassExecutor:
         """
         return self._execute(worker, items)
 
-    def _execute(self, worker, tasks: list[MapTask]) -> list[MapOutcome]:
-        if _INLINE_ONLY or self.workers == 1 or len(tasks) <= 1:
+    def _execute(self, worker, tasks: list,
+                 ctx: RunContext | None = None) -> list:
+        """Run ``worker`` over ``tasks`` in order, inline or pooled.
+
+        With ``ctx``, each call also gets ``ctx=``: the context itself
+        in-process, its :meth:`~RunContext.for_worker` form in a pool
+        (memo store and live telemetry are parent-process state).
+        """
+        inline = _INLINE_ONLY or self.workers == 1 or len(tasks) <= 1
+        if ctx is not None:
+            worker = partial(worker,
+                             ctx=ctx if inline else ctx.for_worker())
+        if inline:
             return [worker(task) for task in tasks]
         pool_size = min(self.workers, len(tasks))
         with ProcessPoolExecutor(max_workers=pool_size) as pool:

@@ -38,11 +38,6 @@ CRC/retransmit protocol as mesh links, at frame granularity, salted by
 :func:`repro.faults.rng.pass_salt` of the (exchange, cube) identity —
 never by execution order — so injections stay identical serial vs
 sharded, and rate 0 is pinned bit-identical to no injector at all.
-
-Observability caveat: ambient trace/fault/memo *sessions* are parent-
-process state; with ``workers > 1`` the cube processes cannot see them.
-Pass ``faults``/``checkpoint`` explicitly (or via the cube config) for
-strict session parity between serial and parallel sharded runs.
 """
 
 from __future__ import annotations
@@ -53,8 +48,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.compiler import compile_inference, default_validate
+from repro.core.compiler import compile_inference
 from repro.core.config import NeurocubeConfig
+from repro.core.context import (
+    RunContext,
+    RunRecord,
+    resolve,
+    wants_validation,
+)
 from repro.core.layerdesc import LayerDescriptor
 from repro.core.metrics import LayerStats, RunReport
 from repro.core.multicube import LINK_LATENCY_S, MultiCubeConfig
@@ -64,16 +65,12 @@ from repro.faults.checkpoint import CheckpointSpec
 from repro.faults.config import FaultConfig
 from repro.faults.injector import FaultInjector, FaultStats, _flip_bits
 from repro.faults.rng import pass_salt
-from repro.faults.session import (
-    current_checkpoint_session,
-    current_fault_session,
-)
 from repro.fixedpoint import from_float, quantize_float, to_float
 from repro.memory.layout import conv_layout, fc_layout
 from repro.nn.layers import Dense, Flatten
 from repro.nn.network import Network
 from repro.noc.cubelink import CubeLinkModel, CubeLinkStats
-from repro.obs.live import current_live, intercube_attribution
+from repro.obs.live import intercube_attribution
 
 #: Per-cube link occupancy metric family (see METRIC_FAMILIES).
 LINK_OCCUPANCY_METRIC = "neurocube_intercube_link_occupancy"
@@ -346,14 +343,12 @@ def shard_network(network: Network, config: MultiCubeConfig,
             :mod:`repro.analysis.shardcheck` (checks NC301-NC306)
             before returning, raising
             :class:`repro.errors.PlanCheckError` on any violation; None
-            (the default) follows
-            :func:`repro.core.compiler.set_default_validate` — the same
-            process-wide switch the compile hooks use, so the runner's
-            ``--validate`` flag covers shard plans too.
+            (the default) follows the ambient run context's
+            ``validate`` — the same switch the compile hooks follow, so
+            the runner's ``--validate`` flag covers shard plans too.
     """
     n = config.n_cubes
-    if validate is None:
-        validate = default_validate()
+    validate = wants_validation(validate)
     # The single-cube compile hook runs on the *base* program; when the
     # shard hook is live the whole plan (shards included) is verified
     # below, so let the compiler follow the same resolved setting.
@@ -465,43 +460,41 @@ class CubeJob:
 
 @dataclass(frozen=True)
 class CubeOutcome:
-    """What one cube returns for one layer (picklable)."""
+    """What one cube returns for one layer (picklable).
+
+    ``run`` is the cube's descriptor run as its context recorded it;
+    the parent records it again, into the run's own context, in cube
+    order.
+    """
 
     cube: int
-    cycles: int
     output: np.ndarray | None
-    stats: LayerStats
-    host_seconds: float
-    fault_stats: FaultStats | None
-    degraded: tuple
-    memo_stats: object | None
+    run: RunRecord
 
 
-def run_cube_job(config: NeurocubeConfig, faults: FaultConfig | None,
-                 checkpoint: CheckpointSpec | None,
-                 job: CubeJob) -> CubeOutcome:
+def run_cube_job(config: NeurocubeConfig, job: CubeJob,
+                 ctx: RunContext) -> CubeOutcome:
     """Simulate one cube's shard of one layer (worker entry point).
 
     Builds a fresh single-cube simulator per job — cubes share no
     architectural state — and runs the shard through the unmodified
     :meth:`~repro.core.simulator.NeurocubeSimulator.run_descriptor`
-    path.  Fault salts and checkpoint labels derive from the shard
-    descriptor's name (``....cubeN``), so every cube owns a disjoint
-    checkpoint namespace and serial/parallel runs inject identically.
+    path under ``ctx``, the run's worker-safe context (the same at
+    every worker count).  Fault salts and checkpoint labels derive from
+    the shard descriptor's name (``....cubeN``), so every cube owns a
+    disjoint checkpoint namespace and serial/parallel runs inject
+    identically.
     """
     # Imported here, not at module top: the simulator imports core
     # modules that would otherwise cycle through this one.
     from repro.core.simulator import NeurocubeSimulator
 
-    simulator = NeurocubeSimulator(config, faults=faults,
-                                   checkpoint=checkpoint)
-    run = simulator.run_descriptor(job.descriptor, job.layer,
-                                   job.input_tensor)
-    return CubeOutcome(
-        cube=job.cube, cycles=run.cycles, output=run.output,
-        stats=run.to_stats(), host_seconds=run.host_seconds,
-        fault_stats=run.fault_stats, degraded=run.degraded,
-        memo_stats=run.memo_stats)
+    run = NeurocubeSimulator(config).run_descriptor(
+        job.descriptor, job.layer, job.input_tensor, ctx=ctx)
+    # The record travels back on the outcome instead of staying in the
+    # worker's log; the parent records it into the run's context.
+    return CubeOutcome(cube=job.cube, output=run.output,
+                       run=ctx.runs.pop())
 
 
 @dataclass
@@ -588,8 +581,7 @@ class _RunState:
     report: RunReport
     links: CubeLinkModel
     executor: ParallelPassExecutor
-    faults: FaultConfig | None
-    checkpoint: CheckpointSpec | None
+    ctx: RunContext
     injector: FaultInjector | None
     cube_layers: list = field(default_factory=list)
     exchanges: list = field(default_factory=list)
@@ -621,10 +613,14 @@ class ShardedSimulator:
             ``config.n_cubes``.  ``workers=1`` runs every cube in-process
             through the identical code path (the serial reference the
             equivalence suite pins the parallel mode against).
-        faults: explicit :class:`FaultConfig`; falls back to
-            ``config.cube.faults``, then to the ambient fault session.
-        checkpoint: explicit :class:`CheckpointSpec`; falls back to the
-            ambient checkpoint session.
+        faults: explicit :class:`FaultConfig`; beats
+            ``config.cube.faults`` and the ambient run context.
+        checkpoint: explicit :class:`CheckpointSpec`; beats the ambient
+            run context.
+
+    Each run resolves its context once, on entry, and ships the same
+    worker-safe form of it to every cube job at every worker count; the
+    parent records each cube's run into the context in cube order.
     """
 
     def __init__(self, config: MultiCubeConfig,
@@ -644,22 +640,6 @@ class ShardedSimulator:
         self._cube_config = dataclasses.replace(config.cube,
                                                 sim_workers=1)
 
-    # -- resolution (parent-side, so pool workers see the same state) --
-
-    def _resolve_faults(self) -> FaultConfig | None:
-        if self.faults is not None:
-            return self.faults
-        if self.config.cube.faults is not None:
-            return self.config.cube.faults
-        session = current_fault_session()
-        return session.config if session is not None else None
-
-    def _resolve_checkpoint(self) -> CheckpointSpec | None:
-        if self.checkpoint is not None:
-            return self.checkpoint
-        session = current_checkpoint_session()
-        return session.spec if session is not None else None
-
     # -- run entry points ----------------------------------------------
 
     def run_network(self, network: Network, x: np.ndarray,
@@ -673,11 +653,12 @@ class ShardedSimulator:
         for fc layers, a :class:`~repro.nn.layers.Dense` instance
         (other fc-kind layers are timing-only here too).  ``validate``
         statically verifies the shard plan (NC301-NC306) before any
-        cube process is spawned; None follows the process-wide default.
+        cube process is spawned; None follows the run context.
         """
         # Host wall-clock only; never feeds any simulated result.
         # nclint: allow(NC101) host-side timing
         started = time.perf_counter()
+        ctx = self._resolve()
         plan = shard_network(network, self.config, duplicate,
                              validate=validate)
         by_layer: dict[int, ShardedLayer] = {}
@@ -689,7 +670,7 @@ class ShardedSimulator:
                     f"execution needs one descriptor per layer — use "
                     f"run_timing for timing-only sharding")
             by_layer[entry.layer_index] = entry
-        state = self._begin_run(plan, network.name)
+        state = self._begin_run(plan, network.name, ctx)
         current = quantize_float(np.asarray(x, dtype=np.float64),
                                  self.config.cube.qformat)
         for index, layer in enumerate(network.layers):
@@ -728,9 +709,10 @@ class ShardedSimulator:
         """
         # nclint: allow(NC101) host-side timing
         started = time.perf_counter()
+        ctx = self._resolve()
         plan = shard_network(network, self.config, duplicate,
                              validate=validate)
-        state = self._begin_run(plan, network.name)
+        state = self._begin_run(plan, network.name, ctx)
         for entry in plan.layers:
             exchange_cycles = self._run_exchange(state, entry, None,
                                                  None)
@@ -746,8 +728,13 @@ class ShardedSimulator:
 
     # -- internals ------------------------------------------------------
 
-    def _begin_run(self, plan: ShardPlan, network_name: str) -> _RunState:
-        faults = self._resolve_faults()
+    def _resolve(self) -> RunContext:
+        return resolve(self.config.cube, faults=self.faults,
+                       checkpoint=self.checkpoint)
+
+    def _begin_run(self, plan: ShardPlan, network_name: str,
+                   ctx: RunContext) -> _RunState:
+        faults = ctx.faults
         injector = None
         if faults is not None and faults.intercube_active:
             # One parent-side injector for the whole run: inter-cube
@@ -766,17 +753,18 @@ class ShardedSimulator:
             f_clk_hz=self.config.cube.f_pe_hz)
         return _RunState(plan=plan, report=report, links=links,
                          executor=ParallelPassExecutor(self.workers),
-                         faults=faults,
-                         checkpoint=self._resolve_checkpoint(),
-                         injector=injector)
+                         ctx=ctx, injector=injector)
 
     def _dispatch(self, state: _RunState,
                   jobs: list[CubeJob]) -> list[CubeOutcome]:
         from functools import partial
 
-        worker = partial(run_cube_job, self._cube_config, state.faults,
-                         state.checkpoint)
-        return state.executor.map(worker, jobs)
+        worker = partial(run_cube_job, self._cube_config,
+                         ctx=state.ctx.for_worker())
+        outcomes = state.executor.map(worker, jobs)
+        for outcome in outcomes:
+            state.ctx.record(outcome.run)
+        return outcomes
 
     def _cube_layer(self, entry: ShardedLayer, layer, cube: int):
         """The layer object one cube's job ships (or a Dense slice)."""
@@ -964,15 +952,15 @@ class ShardedSimulator:
         order, exactly as ``parallel`` folds map outcomes.
         """
         base = entry.base
-        compute = max(outcome.cycles for outcome in outcomes)
+        runs = [outcome.run for outcome in outcomes]
+        compute = max(run.cycles for run in runs)
         cycles = exchange_cycles + compute
-        packets = sum(outcome.stats.packets for outcome in outcomes)
+        packets = sum(run.stats.packets for run in runs)
         lateral = sum(
-            round(outcome.stats.packets * outcome.stats.lateral_fraction)
-            for outcome in outcomes)
-        latency = sum(
-            outcome.stats.packets * outcome.stats.mean_packet_latency
-            for outcome in outcomes)
+            round(run.stats.packets * run.stats.lateral_fraction)
+            for run in runs)
+        latency = sum(run.stats.packets * run.stats.mean_packet_latency
+                      for run in runs)
         stats = LayerStats(
             name=base.name, kind=base.kind, phase=base.phase.value,
             duplicate=base.duplicate, neurons=base.neurons,
@@ -986,27 +974,21 @@ class ShardedSimulator:
             duplicated_bytes=sum(d.layout.duplicated_bytes
                                  for d in entry.descriptors),
             mean_packet_latency=latency / packets if packets else 0.0,
-            pe_busy_cycles=sum(o.stats.pe_busy_cycles for o in outcomes),
-            pe_idle_cycles=sum(o.stats.pe_idle_cycles for o in outcomes),
-            search_stall_cycles=sum(o.stats.search_stall_cycles
-                                    for o in outcomes),
-            inject_stall_cycles=sum(o.stats.inject_stall_cycles
-                                    for o in outcomes))
+            pe_busy_cycles=sum(r.stats.pe_busy_cycles for r in runs),
+            pe_idle_cycles=sum(r.stats.pe_idle_cycles for r in runs),
+            search_stall_cycles=sum(r.stats.search_stall_cycles
+                                    for r in runs),
+            inject_stall_cycles=sum(r.stats.inject_stall_cycles
+                                    for r in runs))
         state.report.layers.append(stats)
-        state.cube_layers.append(tuple(o.stats for o in outcomes))
+        state.cube_layers.append(tuple(run.stats for run in runs))
         state.cluster_cycle += cycles
-        for outcome in outcomes:
-            state.report.degraded.extend(outcome.degraded)
-            if outcome.fault_stats is not None:
+        for run in runs:
+            state.report.degraded.extend(run.degraded)
+            if run.fault_stats is not None:
                 if state.fault_stats is None:
                     state.fault_stats = FaultStats()
-                state.fault_stats.merge(outcome.fault_stats)
-            if outcome.memo_stats is not None:
-                if state.report.memo is None:
-                    from repro.memo.store import MemoStats
-
-                    state.report.memo = MemoStats()
-                state.report.memo.merge(outcome.memo_stats)
+                state.fault_stats.merge(run.fault_stats)
         if exchange_cycles >= compute:
             state.report.attribution.append(intercube_attribution(
                 base.name, base.kind, exchange_cycles, compute))
@@ -1021,7 +1003,7 @@ class ShardedSimulator:
             plan=state.plan, report=state.report,
             cube_layers=state.cube_layers, exchanges=state.exchanges,
             fault_stats=state.fault_stats, link=link_stats)
-        live = current_live()
+        live = state.ctx.live
         if live is not None and state.plan.n_cubes > 1:
             total = int(state.report.total_cycles)
             for cube in range(state.plan.n_cubes):

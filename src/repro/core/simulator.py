@@ -28,6 +28,7 @@ simulator on scaled-down layers (see :mod:`repro.core.calibration`).
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass, field
 
@@ -35,6 +36,7 @@ import numpy as np
 
 from repro.core.compiler import compile_inference
 from repro.core.config import NeurocubeConfig
+from repro.core.context import RunContext, RunRecord, resolve
 from repro.core.layerdesc import LayerDescriptor
 from repro.core.metrics import LayerStats, RunReport, StreamReport
 from repro.core.parallel import (
@@ -52,10 +54,6 @@ from repro.errors import ConfigurationError, MappingError, SimulationError
 from repro.faults.checkpoint import CheckpointSpec, CheckpointStore
 from repro.faults.config import FaultConfig
 from repro.faults.injector import FaultInjector, FaultStats
-from repro.faults.session import (
-    current_checkpoint_session,
-    current_fault_session,
-)
 from repro.fixedpoint import to_float
 from repro.memory.vault import VaultChannel
 from repro.nn.activations import ActivationLUT
@@ -63,13 +61,7 @@ from repro.nn.layers import Flatten, MaxPool2D
 from repro.nn.network import Network
 from repro.noc.interconnect import Interconnect
 from repro.noc.topology import FullyConnected, Mesh2D
-from repro.obs.live import (
-    ambient_phase,
-    ambient_timer,
-    attribute_report,
-    current_live,
-)
-from repro.obs.session import current_session
+from repro.obs.live import attribute_report
 from repro.obs.tracer import Trace, TraceOptions, Tracer
 
 
@@ -364,27 +356,25 @@ class _EventHorizonScheduler:
 class NeurocubeSimulator:
     """Flit-accurate simulator for one :class:`NeurocubeConfig`.
 
+    The hook arguments below take precedence over an ambient
+    :class:`~repro.core.context.RunContext`; each run resolves them
+    once, on entry (:func:`repro.core.context.resolve`).
+
     Args:
         config: the architecture to simulate.
         trace: :class:`repro.obs.TraceOptions` to trace every pass of
-            every descriptor run; None (the default) disables tracing —
-            unless an ambient :class:`repro.obs.TraceSession` is active,
-            in which case its options apply and finished runs register
-            with the session.  Tracing never changes simulated results:
-            cycle counts and outputs are bit-identical either way.
+            every descriptor run.  Tracing never changes simulated
+            results: cycle counts and outputs are bit-identical either
+            way.
         faults: :class:`repro.faults.FaultConfig` enabling deterministic
-            fault injection on every pass.  Resolution order:
-            this argument, then ``config.faults``, then an ambient
-            :class:`repro.faults.FaultSession`.  None everywhere runs
-            entirely injector-free (the seed-baseline fast path).
+            fault injection on every pass; beats ``config.faults``.
+            None everywhere runs entirely injector-free (the
+            seed-baseline fast path).
         checkpoint: :class:`repro.faults.CheckpointSpec` enabling
-            periodic per-pass snapshots and/or resume; falls back to an
-            ambient :class:`repro.faults.CheckpointSession`.
+            periodic per-pass snapshots and/or resume.
         memo: :class:`repro.memo.MemoStore` making timing-pass
             memoization persistent — memoized outcomes are loaded from
-            and stored to disk, surviving across runs.  Resolution
-            order: this argument, then ``config.sim_memo_dir``, then an
-            ambient :class:`repro.memo.MemoSession`.  None everywhere
+            and stored to disk, surviving across runs.  None everywhere
             keeps memoization in-process only.  Bit-identity holds
             either way: loaded entries pass the same NC207 key⇒hash
             check the in-run replay is built on, or they are rejected
@@ -401,33 +391,11 @@ class NeurocubeSimulator:
         self.faults = faults
         self.checkpoint = checkpoint
         self.memo = memo
-        self._memo_store = None
 
-    def _resolve_memo(self):
-        """The persistent memo store for this run, or None.
-
-        Explicit argument first, then a store opened (once, cached) at
-        ``config.sim_memo_dir``, then the innermost ambient
-        :class:`repro.memo.MemoSession`.
-        """
-        if self.memo is not None:
-            return self.memo
-        if self.config.sim_memo_dir is not None:
-            if self._memo_store is None:
-                # Imported lazily: repro.memo sits above the core in
-                # the layering (it imports the task/outcome types).
-                from repro.memo.store import MemoStore
-
-                self._memo_store = MemoStore(
-                    self.config.sim_memo_dir, self.config,
-                    max_bytes=self.config.sim_memo_max_bytes)
-            return self._memo_store
-        from repro.memo.session import current_memo_session
-
-        session = current_memo_session()
-        if session is not None:
-            return session.store_for(self.config)
-        return None
+    def _resolve(self) -> RunContext:
+        return resolve(self.config, trace=self.trace_options,
+                       faults=self.faults, checkpoint=self.checkpoint,
+                       memo=self.memo)
 
     def _topology(self):
         if self.config.noc_topology == "fully_connected":
@@ -441,11 +409,9 @@ class NeurocubeSimulator:
     def run_pass(self, plan: PassPlan,
                  max_cycles: int | None = None,
                  stall_limit: int = 1_000_000,
-                 trace: TraceOptions | None = None,
                  validate: bool = False,
-                 faults: FaultConfig | None = None,
+                 ctx: RunContext | None = None,
                  fault_salt: int = 0,
-                 checkpoint: CheckpointSpec | None = None,
                  pass_label: str = "pass") -> PassResult:
         """Run one PNG pass to layer-done.
 
@@ -455,38 +421,42 @@ class NeurocubeSimulator:
                 bound derived from the plan's work).
             stall_limit: cycles without a new write-back before the run
                 is declared deadlocked.
-            trace: per-pass trace options; when set, a fresh
-                :class:`repro.obs.Tracer` is wired into every agent and
-                the frozen trace rides back on the result.  The untraced
-                path stays hook-free: each instrumentation site is one
-                ``is not None`` test.
             validate: statically verify the plan first
                 (:func:`repro.analysis.nccheck.check_plan`); a
                 malformed plan raises
                 :class:`repro.errors.PlanCheckError` before any cycle
                 is simulated instead of deadlocking mid-run.
-            faults: when set, a fresh :class:`repro.faults.FaultInjector`
-                is threaded through every agent — even at all-zero
-                rates, so the rate-0 machinery path can be tested for
-                bit-identity against the injector-free path.
+            ctx: the run's resolved hooks; None runs hook-free.  With
+                ``ctx.trace`` a fresh :class:`repro.obs.Tracer` is wired
+                into every agent and the frozen trace rides back on the
+                result.  With ``ctx.faults`` a fresh
+                :class:`repro.faults.FaultInjector` is threaded through
+                every agent — even at all-zero rates, so the rate-0
+                machinery path can be tested for bit-identity against
+                the injector-free path.  With ``ctx.checkpoint``
+                snapshots are saved every ``every`` cycles under
+                ``pass_label``, and with ``resume`` the newest snapshot
+                is restored before cycling.  The hook-free path stays
+                hook-free: each instrumentation site is one ``is not
+                None`` test.
             fault_salt: pass-identity salt for the injector's transient
                 fault keys (see :func:`repro.faults.pass_salt`).
-            checkpoint: when set, snapshots are saved to its store every
-                ``every`` cycles under ``pass_label``; with ``resume``
-                the newest snapshot is restored before cycling.
             pass_label: stable label for this pass's checkpoints; must
                 identify the pass across execution modes.
         """
         config = self.config
+        if ctx is None:
+            ctx = RunContext()
         if validate:
             # Imported lazily: repro.analysis depends on the core plan
             # types, so a module-level import would be circular.
             from repro.analysis.nccheck import check_plan
 
             check_plan(plan, config, label="pass plan")
-        tracer = Tracer(trace) if trace is not None else None
-        injector = (FaultInjector(faults, salt=fault_salt, tracer=tracer)
-                    if faults is not None else None)
+        tracer = Tracer(ctx.trace) if ctx.trace is not None else None
+        injector = (FaultInjector(ctx.faults, salt=fault_salt,
+                                  tracer=tracer)
+                    if ctx.faults is not None else None)
         interconnect = Interconnect(
             self._topology(), buffer_depth=config.noc_buffer_depth,
             local_rate=config.items_per_word, tracer=tracer,
@@ -555,12 +525,12 @@ class NeurocubeSimulator:
         progress_mark = -1
         store: CheckpointStore | None = None
         every = 0
+        checkpoint = ctx.checkpoint
         if checkpoint is not None:
-            # Phase timing is parent-process only: worker processes have
-            # no ambient live session, so ambient_timer is None there
-            # and the store runs timer-free.
+            # Phase timing is parent-process only: a worker's context
+            # carries no live telemetry, so the store runs timer-free.
             store = CheckpointStore(checkpoint.directory,
-                                    timer=ambient_timer("checkpoint"),
+                                    timer=ctx.phase_factory("checkpoint"),
                                     keep_last=checkpoint.keep_last)
             every = checkpoint.every
             if checkpoint.resume:
@@ -739,7 +709,8 @@ class NeurocubeSimulator:
     # ------------------------------------------------------------------
 
     def run_descriptor(self, desc: LayerDescriptor, layer=None,
-                       input_tensor: np.ndarray | None = None) -> LayerRun:
+                       input_tensor: np.ndarray | None = None,
+                       ctx: RunContext | None = None) -> LayerRun:
         """Simulate all passes of one descriptor.
 
         Conv output maps and pool maps are independent; they are built
@@ -747,46 +718,38 @@ class NeurocubeSimulator:
         executor — in-process when ``config.effective_sim_workers`` is 1,
         over a process pool otherwise.  Outcomes are folded in task
         order, so the parallel path is bit-identical to the serial one.
+        The finished run is recorded in the context's run log.
 
         Args:
             desc: the compiled descriptor (forward phase).
             layer: the source ``repro.nn`` layer (for weights/biases and
                 the activation); None runs timing-only.
             input_tensor: the layer input, unbatched; None -> timing-only.
+            ctx: an already-resolved context, used as is; None resolves
+                this simulator's hooks against the ambient context.
         """
         # Host wall-clock only (LayerRun.host_seconds); never feeds any
         # simulated result.  nclint: allow(NC101) host-side timing
         started = time.perf_counter()
+        if ctx is None:
+            ctx = self._resolve()
         functional = layer is not None and input_tensor is not None
-        session = current_session()
-        trace_options = self.trace_options
-        if trace_options is None and session is not None:
-            trace_options = session.options
-        fault_session = current_fault_session()
-        faults = self.faults if self.faults is not None else self.config.faults
-        if faults is None and fault_session is not None:
-            faults = fault_session.config
-        checkpoint = self.checkpoint
-        if checkpoint is None:
-            checkpoint_session = current_checkpoint_session()
-            if checkpoint_session is not None:
-                checkpoint = checkpoint_session.spec
         # Degraded mode: with nonzero fault rates some neurons may never
         # write back (exhausted retries on their write-back path);
         # assemble_output zero-fills them instead of raising, and the
         # losses show up as DegradedResult records on the run.
-        degraded_ok = faults is not None and faults.any_rate
+        degraded_ok = ctx.faults is not None and ctx.faults.any_rate
         lut = None
         if layer is not None:
             act = layer.activation
             lut = act if isinstance(act, ActivationLUT) else ActivationLUT(act)
-        memo = self._resolve_memo()
+        memo = ctx.memo
         if memo is not None:
-            # Bill the store's disk I/O to the memo_io phase while a
-            # live session is ambient (None clears the hook otherwise).
-            # Parent-side only: the executor calls load/store in this
-            # process, the store object is never shipped to workers.
-            memo.timer = ambient_timer("memo_io")
+            # Bill the store's disk I/O to the memo_io phase (None
+            # clears the hook without live telemetry).  Parent-side
+            # only: the executor calls load/store in this process, the
+            # store object is never shipped to workers.
+            memo.timer = ctx.phase_factory("memo_io")
         memo_before = memo.stats.copy() if memo is not None else None
         accum = _RunAccumulator()
         # Per-pass traces carry local clocks starting at 0; each one is
@@ -796,9 +759,7 @@ class NeurocubeSimulator:
         trace_parts: list[tuple[int, Trace]] = []
         if desc.kind == "fc":
             plan = self._fc_plan(desc, layer, input_tensor, lut)
-            result = self.run_pass(plan, trace=trace_options,
-                                   faults=faults, fault_salt=0,
-                                   checkpoint=checkpoint,
+            result = self.run_pass(plan, ctx=ctx, fault_salt=0,
                                    pass_label=f"{desc.name}.fc")
             if result.trace is not None:
                 trace_parts.append((accum.cycles, result.trace))
@@ -811,11 +772,7 @@ class NeurocubeSimulator:
                 tasks = self._pool_tasks(desc, layer, input_tensor)
             else:
                 tasks = self._conv_tasks(desc, layer, input_tensor)
-            outcomes = self._run_tasks(desc, lut, functional, tasks,
-                                       trace=trace_options,
-                                       faults=faults,
-                                       checkpoint=checkpoint,
-                                       memo=memo)
+            outcomes = self._run_tasks(desc, lut, functional, tasks, ctx)
             for outcome in outcomes:
                 for pass_outcome in outcome.passes:
                     if pass_outcome.trace is not None:
@@ -857,31 +814,16 @@ class NeurocubeSimulator:
             if run.degraded:
                 meta["degraded_results"] = len(run.degraded)
             run.trace.meta.update(meta)
-        if session is not None:
-            session.add_run(desc.name, run.trace, run.cycles,
-                            run.host_seconds, stats=run.to_stats(),
-                            config=self.config, descriptor=desc)
-        live = current_live()
-        if live is not None:
-            live.observe_layer(
-                desc.name, run.cycles, run.host_seconds,
-                n_pe=self.config.n_pe, macs_fired=run.macs_fired,
-                pe_busy_cycles=run.pe_busy_cycles,
-                search_stall_cycles=run.search_stall_cycles,
-                inject_stall_cycles=run.inject_stall_cycles,
-                packets=run.packets, degraded=len(run.degraded),
-                memo_stats=run.memo_stats)
-        if fault_session is not None and run.fault_stats is not None:
-            fault_session.add_run(desc.name, run.fault_stats,
-                                  run.degraded)
+        ctx.record(RunRecord(
+            descriptor=desc, config=self.config, stats=run.to_stats(),
+            host_seconds=run.host_seconds, macs_fired=run.macs_fired,
+            trace=run.trace, fault_stats=run.fault_stats,
+            degraded=run.degraded, memo_stats=run.memo_stats))
         return run
 
     def _run_tasks(self, desc: LayerDescriptor, lut, functional: bool,
                    tasks: list[MapTask],
-                   trace: TraceOptions | None = None,
-                   faults: FaultConfig | None = None,
-                   checkpoint: CheckpointSpec | None = None,
-                   memo=None) -> list[MapOutcome]:
+                   ctx: RunContext) -> list[MapOutcome]:
         executor = ParallelPassExecutor(self.config.effective_sim_workers)
         # Memoization replays one representative outcome per structural
         # equivalence class.  Functional runs carry per-map tensors (the
@@ -891,18 +833,18 @@ class NeurocubeSimulator:
         # identical passes carry different fault salts and therefore see
         # different fault patterns.
         memoize = (self.config.sim_memoize and not functional
-                   and trace is None
-                   and (faults is None or not faults.any_rate))
+                   and ctx.trace is None
+                   and (ctx.faults is None or not ctx.faults.any_rate))
         # The persistent store only ever serves memoizable runs, and
         # never checkpointed ones: a replayed pass writes no snapshots,
         # so a checkpointed run must actually simulate to keep its
         # resume contract.
-        if not memoize or checkpoint is not None:
-            memo = None
+        if ctx.memo is not None and (not memoize
+                                     or ctx.checkpoint is not None):
+            ctx = dataclasses.replace(ctx, memo=None)
         return executor.run(self.config, desc, lut, functional, tasks,
-                            trace=trace, memoize=memoize, faults=faults,
-                            checkpoint=checkpoint, label_base=desc.name,
-                            memo=memo)
+                            ctx=ctx, memoize=memoize,
+                            label_base=desc.name)
 
     def _pool_tasks(self, desc, layer, input_tensor) -> list[MapTask]:
         """One task per pooled map; every map is a single final pass."""
@@ -1004,11 +946,9 @@ class NeurocubeSimulator:
         returned report is the cluster-level fold; the full
         :class:`~repro.core.shard.ShardRunReport` is available through
         :class:`~repro.core.shard.ShardedSimulator` directly.
-        ``validate`` statically verifies the sharded plan
-        (:mod:`repro.analysis.shardcheck`, NC301-NC306) before any cube
-        runs; None follows the process-wide ``--validate`` default
-        (single-cube compiles consult the same switch inside
-        :func:`~repro.core.compiler.compile_inference`).
+        ``validate`` statically verifies the compiled program (or the
+        sharded plan, NC301-NC306, before any cube runs); None follows
+        the run context's ``validate``.
         """
         from repro.fixedpoint import quantize_float
 
@@ -1023,7 +963,8 @@ class NeurocubeSimulator:
                 network, x, duplicate, validate=validate)
             return output, shard_report.report
 
-        with ambient_phase("compile"):
+        ctx = self._resolve()
+        with ctx.phase("compile"):
             program = compile_inference(network, self.config, duplicate,
                                         validate=validate)
         descriptors = {d.layer_index: d for d in program.descriptors}
@@ -1040,13 +981,13 @@ class NeurocubeSimulator:
             if desc is None:
                 raise MappingError(
                     f"layer {layer.name!r} missing from program")
-            run = self.run_descriptor(desc, layer, current)
+            run = self.run_descriptor(desc, layer, current, ctx=ctx)
             report.layers.append(run.to_stats())
             report.host_seconds += run.host_seconds
             report.degraded.extend(run.degraded)
             self._fold_memo_stats(report, run)
             current = run.output
-        if current_session() is not None or current_live() is not None:
+        if ctx.trace is not None or ctx.live is not None:
             # Observed runs get the post-run bottleneck verdicts; the
             # bare path skips the analysis entirely (same guard
             # convention as tracing — results are identical either way,
@@ -1093,7 +1034,8 @@ class NeurocubeSimulator:
         # Host wall-clock phase split only; never feeds any simulated
         # result.  nclint: allow(NC101) host-side timing
         started = time.perf_counter()
-        with ambient_phase("compile"):
+        ctx = self._resolve()
+        with ctx.phase("compile"):
             program = compile_inference(network, self.config, duplicate)
         descriptors = {d.layer_index: d for d in program.descriptors}
         cold = RunReport(network_name=network.name,
@@ -1106,7 +1048,7 @@ class NeurocubeSimulator:
             if desc is None:
                 raise MappingError(
                     f"layer {layer.name!r} missing from program")
-            run = self.run_descriptor(desc)
+            run = self.run_descriptor(desc, ctx=ctx)
             cold.layers.append(run.to_stats())
             cold.host_seconds += run.host_seconds
             self._fold_memo_stats(cold, run)

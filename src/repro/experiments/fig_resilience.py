@@ -8,20 +8,23 @@ the faulted outputs drift from the fault-free run, with and without the
 SECDED ECC model.
 
 Every point is one functional whole-network cycle simulation under a
-:class:`repro.faults.FaultSession`; the injected fault set is a pure
-function of (seed, rate, ecc), so the sweep is exactly reproducible.
+run context carrying that point's fault configuration (and the ambient
+context's other hooks); the injected fault set is a pure function of
+(seed, rate, ecc), so the sweep is exactly reproducible.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core import NeurocubeSimulator
+from repro.core import NeurocubeSimulator, RunContext
 from repro.core.config import NeurocubeConfig
+from repro.core.context import current_context
 from repro.experiments.registry import register
-from repro.faults import ECC_MODES, FaultConfig, FaultSession
+from repro.faults import ECC_MODES, FaultConfig
 from repro.nn import models
 
 #: Per-bit error rates swept (0 is the identity sanity point).
@@ -111,14 +114,16 @@ def run(bit_error_rates=BIT_ERROR_RATES, ecc_modes=ECC_MODES,
     net, image = _workload(workload_seed)
     clean, _ = NeurocubeSimulator(config).run_network(net, image)
     result = ResilienceResult(baseline_output=clean)
+    ambient = current_context() or RunContext()
     for ecc in ecc_modes:
         for ber in bit_error_rates:
             faults = FaultConfig(seed=fault_seed, dram_bitflip_rate=ber,
                                  ecc=ecc)
-            with FaultSession(faults) as session:
+            with dataclasses.replace(ambient, faults=faults) as ctx:
+                first = len(ctx.runs)
                 output, report = NeurocubeSimulator(config).run_network(
                     net, image)
-            stats = session.total_stats()
+            stats = ctx.total_fault_stats(since=first)
             error = np.abs(np.asarray(output) - np.asarray(clean))
             result.points.append(ResiliencePoint(
                 ber=ber, ecc=ecc,

@@ -8,8 +8,11 @@ Usage::
     neurocube-experiments run fig12 --json   # machine-readable output
     neurocube-experiments run fig15a --trace --trace-dir out/
 
-With ``--trace``, each experiment runs inside an ambient
-:class:`repro.obs.TraceSession`: every cycle-simulator descriptor run it
+Each experiment runs inside one ambient
+:class:`repro.core.context.RunContext` built from the flags below; the
+flags are scoped to that ``with`` block and leave nothing behind.
+
+With ``--trace``, every cycle-simulator descriptor run the experiment
 performs is traced, and a ``manifest_<id>.json`` (plus a
 ``trace_<id>.json`` when any runs were captured) lands in the trace
 directory.  Experiments that never touch the cycle simulator still get a
@@ -17,17 +20,15 @@ manifest recording that zero runs were captured.
 
 With ``--faults SPEC`` (``key=value,...`` pairs of
 :class:`repro.faults.FaultConfig` fields, e.g.
-``seed=3,dram_bitflip_rate=1e-4,ecc=secded``), each experiment runs
-inside an ambient :class:`repro.faults.FaultSession`: every cycle-
-simulated descriptor run injects deterministic faults and a summary of
-the fault counters is printed to stderr.  ``--checkpoint-every N``
+``seed=3,dram_bitflip_rate=1e-4,ecc=secded``), every cycle-simulated
+descriptor run injects deterministic faults and a summary of the fault
+counters is printed to stderr.  ``--checkpoint-every N``
 (with ``--checkpoint-dir``) snapshots every pass periodically, and
 ``--resume-from DIR`` resumes each pass from its newest snapshot —
 together they let a long sweep survive a crash and continue
 bit-identically.
 
-With ``--memo-dir DIR``, each experiment runs inside an ambient
-:class:`repro.memo.MemoSession`: memoized timing-pass outcomes are
+With ``--memo-dir DIR``, memoized timing-pass outcomes are
 loaded from and stored to a persistent store under ``DIR``, so a rerun
 replays timing from disk bit-identically.  Counters are printed to
 stderr per experiment (``[memo] ...``) and, with ``--json``, folded
@@ -39,8 +40,8 @@ capable experiments (``ext_shard``) across N cubes, one process per
 cube with conservative link-time sync — bit-identical to the same
 shards run serially (the experiment asserts it).
 
-With ``--heartbeat N``, each experiment runs inside an ambient
-:class:`repro.obs.LiveTelemetry` session: host phases (compile /
+With ``--heartbeat N``, the context carries a
+:class:`repro.obs.LiveTelemetry`: host phases (compile /
 simulate / memo-I/O / checkpoint / trace-export) are timed, a heartbeat
 snapshot is taken every N simulated cycles, and a phase summary is
 printed to stderr.  Combined with ``--trace``, a
@@ -184,93 +185,65 @@ def main(argv: list[str] | None = None) -> int:
         print(generate().to_table())
         return 0
     ids = (sorted(EXPERIMENTS) if args.ids == ["all"] else args.ids)
-    as_json = getattr(args, "json", False)
-    tracing = getattr(args, "trace", False)
-    if getattr(args, "validate", False):
-        from repro.core.compiler import set_default_validate
-
-        set_default_validate(True)
-    faults = None
-    fault_spec = getattr(args, "faults", None)
-    if fault_spec is not None:
-        from repro.faults import FaultConfig
-
-        faults = FaultConfig.from_spec(fault_spec)
-    checkpoint = _checkpoint_spec(args)
-    memo = _memo_settings(args)
-    stream = getattr(args, "stream", None)
-    if stream is not None:
-        from repro.experiments import ext_stream
-
-        ext_stream.set_frame_count(stream)
-    serve_jobs = getattr(args, "serve_jobs", None)
-    if serve_jobs is not None:
-        from repro.experiments import ext_serve
-
-        ext_serve.set_job_count(serve_jobs)
-    cubes = getattr(args, "cubes", None)
-    if cubes is not None:
-        from repro.experiments import ext_shard
-
-        ext_shard.set_cube_count(cubes)
-    heartbeat = getattr(args, "heartbeat", 0)
-    registry = getattr(args, "registry", None)
-    if registry is not None and not tracing:
+    if args.registry is not None and not args.trace:
         print("neurocube-experiments: --registry needs --trace (the "
               "registry records run manifests)", file=sys.stderr)
         return 2
+    faults = None
+    if args.faults is not None:
+        from repro.faults import FaultConfig
+
+        faults = FaultConfig.from_spec(args.faults)
+    checkpoint = _checkpoint_spec(args)
+    if args.stream is not None:
+        from repro.experiments import ext_stream
+
+        ext_stream.set_frame_count(args.stream)
+    if args.serve_jobs is not None:
+        from repro.experiments import ext_serve
+
+        ext_serve.set_job_count(args.serve_jobs)
+    if args.cubes is not None:
+        from repro.experiments import ext_shard
+
+        ext_shard.set_cube_count(args.cubes)
     memo_totals = None
     collected = {}
     try:
         for exp_id in ids:
             experiment = get_experiment(exp_id)
-            if tracing:
-                result, memo_stats = _run_traced(
-                    experiment, args.trace_dir, faults=faults,
-                    checkpoint=checkpoint, memo=memo,
-                    heartbeat=heartbeat, registry=registry)
-            else:
-                result, memo_stats = _run_live(
-                    experiment, faults, checkpoint, memo=memo,
-                    heartbeat=heartbeat)
+            result, memo_stats = _run_experiment(experiment, args, faults,
+                                                 checkpoint)
             if memo_stats is not None:
                 if memo_totals is None:
                     from repro.memo import MemoStats
 
                     memo_totals = MemoStats()
                 memo_totals.merge(memo_stats)
-            if as_json:
+            if args.json:
                 collected[exp_id] = serialize(result)
             else:
                 print(f"=== {experiment.exp_id}: {experiment.title} ===")
                 print(result.to_table())
                 print()
     finally:
-        if stream is not None:
+        if args.stream is not None:
             from repro.experiments import ext_stream
 
             ext_stream.set_frame_count(None)
-        if serve_jobs is not None:
+        if args.serve_jobs is not None:
             from repro.experiments import ext_serve
 
             ext_serve.set_job_count(None)
-        if cubes is not None:
+        if args.cubes is not None:
             from repro.experiments import ext_shard
 
             ext_shard.set_cube_count(None)
-    if as_json:
+    if args.json:
         if memo_totals is not None:
             collected["__memo__"] = memo_totals.as_dict()
         print(json.dumps(collected, indent=2))
     return 0
-
-
-def _memo_settings(args) -> tuple[str, int | None] | None:
-    """(directory, max_bytes) from the CLI flags, or None."""
-    memo_dir = getattr(args, "memo_dir", None)
-    if memo_dir is None:
-        return None
-    return (memo_dir, getattr(args, "memo_max_bytes", None))
 
 
 def _checkpoint_spec(args):
@@ -287,57 +260,59 @@ def _checkpoint_spec(args):
                           resume=resume_from is not None)
 
 
-def _fault_summary(exp_id: str, session) -> None:
-    """Print a fault session's folded counters to stderr."""
-    stats = session.total_stats()
+def _run_experiment(experiment, args, faults, checkpoint):
+    """Run one experiment inside the run context the flags describe.
+
+    Returns ``(result, memo_stats)`` — the second element is the memo
+    directory's folded counters, or None when ``--memo-dir`` is off.
+    Summaries go to stderr and, with ``--trace``, artifacts to the
+    trace directory.
+    """
+    from repro.core.context import MemoDir, RunContext
+    from repro.obs import LiveTelemetry, TraceOptions
+
+    exp_id = experiment.exp_id
+    out_dir = None
+    if args.trace:
+        out_dir = pathlib.Path(args.trace_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+    live = None
+    if args.heartbeat:
+        live = LiveTelemetry(
+            heartbeat_cycles=args.heartbeat,
+            heartbeat_path=(str(out_dir / f"heartbeats_{exp_id}.jsonl")
+                            if out_dir is not None else None))
+    memo = (MemoDir(args.memo_dir, max_bytes=args.memo_max_bytes)
+            if args.memo_dir is not None else None)
+    with RunContext(trace=TraceOptions() if args.trace else None,
+                    faults=faults, checkpoint=checkpoint, memo=memo,
+                    live=live, validate=args.validate) as ctx:
+        result = experiment.run()
+    if faults is not None:
+        _fault_summary(exp_id, ctx)
+    if memo is not None:
+        print(f"[memo] {exp_id}: {memo.total_stats().format()}",
+              file=sys.stderr)
+    if out_dir is not None:
+        _write_artifacts(exp_id, ctx, out_dir, args.registry)
+    elif live is not None:
+        _live_summary(exp_id, live)
+    return result, memo.total_stats() if memo is not None else None
+
+
+def _fault_summary(exp_id: str, ctx) -> None:
+    """Print a run log's folded fault counters to stderr."""
+    stats = ctx.total_fault_stats()
     nonzero = {name: value for name, value in stats.as_dict().items()
                if value}
-    degraded = sum(len(run.degraded) for run in session.runs)
-    print(f"[faults] {exp_id}: {len(session.runs)} runs, "
+    degraded = sum(len(run.degraded) for run in ctx.runs)
+    print(f"[faults] {exp_id}: {len(ctx.runs)} runs, "
           f"counters {nonzero or '{}'}, {degraded} degraded results",
           file=sys.stderr)
 
 
-def _memo_summary(exp_id: str, session) -> None:
-    """Print a memo session's folded counters to stderr."""
-    stats = session.total_stats()
-    print(f"[memo] {exp_id}: {stats.format()}", file=sys.stderr)
-
-
-def _run_sessioned(experiment, faults, checkpoint, memo=None):
-    """Run one experiment inside the ambient sessions.
-
-    Returns ``(result, memo_stats)`` — the second element is the memo
-    session's folded counters, or None when ``--memo-dir`` is off.
-    """
-    import contextlib
-
-    from repro.faults import CheckpointSession, FaultSession
-
-    memo_stats = None
-    with contextlib.ExitStack() as stack:
-        fault_session = None
-        if faults is not None:
-            fault_session = stack.enter_context(FaultSession(faults))
-        if checkpoint is not None:
-            stack.enter_context(CheckpointSession(checkpoint))
-        if memo is not None:
-            from repro.memo import MemoSession
-
-            directory, max_bytes = memo
-            memo_session = stack.enter_context(
-                MemoSession(directory, max_bytes=max_bytes))
-        result = experiment.run()
-        if fault_session is not None:
-            _fault_summary(experiment.exp_id, fault_session)
-        if memo is not None:
-            _memo_summary(experiment.exp_id, memo_session)
-            memo_stats = memo_session.total_stats()
-    return result, memo_stats
-
-
 def _live_summary(exp_id: str, live) -> None:
-    """Print a live session's phase/heartbeat summary to stderr."""
+    """Print a live telemetry's phase/heartbeat summary to stderr."""
     phases = ", ".join(f"{name}={seconds:.3f}s" for name, seconds
                        in live.phase_breakdown().items())
     print(f"[live] {exp_id}: {live.cycles} cycles, "
@@ -345,72 +320,36 @@ def _live_summary(exp_id: str, live) -> None:
           f"phases {phases or 'none'}", file=sys.stderr)
 
 
-def _run_live(experiment, faults, checkpoint, memo=None, heartbeat=0):
-    """Untraced run, optionally inside a live-telemetry session."""
-    if not heartbeat:
-        return _run_sessioned(experiment, faults, checkpoint, memo=memo)
-    from repro.obs import LiveTelemetry
+def _write_artifacts(exp_id: str, ctx, out_dir: pathlib.Path,
+                     registry=None) -> None:
+    """Write a traced experiment's trace, manifest and metrics."""
+    from repro.obs import manifest_from_context, write_manifest, write_trace
 
-    with LiveTelemetry(heartbeat_cycles=heartbeat) as live:
-        result, memo_stats = _run_sessioned(experiment, faults,
-                                            checkpoint, memo=memo)
-    _live_summary(experiment.exp_id, live)
-    return result, memo_stats
-
-
-def _run_traced(experiment, trace_dir: str, faults=None, checkpoint=None,
-                memo=None, heartbeat=0, registry=None):
-    """Run one experiment inside a trace session; write its artifacts."""
-    import contextlib
-
-    from repro.obs import (
-        LiveTelemetry,
-        TraceSession,
-        manifest_from_session,
-        write_manifest,
-        write_trace,
-    )
-
-    out_dir = pathlib.Path(trace_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    live = None
-    if heartbeat:
-        live = LiveTelemetry(
-            heartbeat_cycles=heartbeat,
-            heartbeat_path=str(
-                out_dir / f"heartbeats_{experiment.exp_id}.jsonl"))
-    with contextlib.ExitStack() as stack:
-        if live is not None:
-            stack.enter_context(live)
-        session = stack.enter_context(TraceSession())
-        result, memo_stats = _run_sessioned(experiment, faults,
-                                            checkpoint, memo=memo)
-    if session.runs:
-        trace_path = out_dir / f"trace_{experiment.exp_id}.json"
-        with (live.phase("trace_export") if live is not None
-              else contextlib.nullcontext()):
-            write_trace(session.merged_trace(), str(trace_path))
+    live = ctx.live
+    if ctx.runs:
+        trace_path = out_dir / f"trace_{exp_id}.json"
+        with ctx.phase("trace_export"):
+            write_trace(ctx.merged_trace(), str(trace_path))
         print(f"[trace] wrote {trace_path} "
-              f"({session.total_cycles} cycles, "
-              f"{len(session.runs)} runs)", file=sys.stderr)
-    manifest = manifest_from_session(
-        experiment.exp_id, session,
+              f"({ctx.total_cycles} cycles, "
+              f"{len(ctx.runs)} runs)", file=sys.stderr)
+    manifest = manifest_from_context(
+        exp_id, ctx,
         phases=live.phase_breakdown() if live is not None else None)
-    manifest_path = out_dir / f"manifest_{experiment.exp_id}.json"
+    manifest_path = out_dir / f"manifest_{exp_id}.json"
     write_manifest(manifest, str(manifest_path))
     print(f"[trace] wrote {manifest_path}", file=sys.stderr)
     if live is not None:
-        metrics_path = out_dir / f"metrics_{experiment.exp_id}.txt"
+        metrics_path = out_dir / f"metrics_{exp_id}.txt"
         live.write_openmetrics(str(metrics_path))
-        _live_summary(experiment.exp_id, live)
+        _live_summary(exp_id, live)
     if registry is not None:
         from repro.obs import RunRegistry
 
         record_path = RunRegistry(registry).record_run(
             manifest, attribution=manifest.get("attribution") or (),
-            label=experiment.exp_id)
+            label=exp_id)
         print(f"[registry] recorded {record_path}", file=sys.stderr)
-    return result, memo_stats
 
 
 if __name__ == "__main__":

@@ -21,28 +21,18 @@ from repro.faults.injector import (
     LostPacket,
 )
 from repro.faults.rng import DeterministicRNG, pass_salt, splitmix64
-from repro.faults.session import (
-    CheckpointSession,
-    FaultSession,
-    current_checkpoint_session,
-    current_fault_session,
-)
 
 __all__ = [
     "CHECKPOINT_VERSION",
     "ECC_MODES",
-    "CheckpointSession",
     "CheckpointSpec",
     "CheckpointStore",
     "DegradedResult",
     "DeterministicRNG",
     "FaultConfig",
     "FaultInjector",
-    "FaultSession",
     "FaultStats",
     "LostPacket",
-    "current_checkpoint_session",
-    "current_fault_session",
     "pass_salt",
     "splitmix64",
 ]

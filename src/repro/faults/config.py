@@ -3,7 +3,7 @@
 One frozen :class:`FaultConfig` describes every fault model and
 resilience-protocol knob of a run.  It hangs off
 ``NeurocubeConfig.faults`` (or rides ambiently on a
-:class:`repro.faults.session.FaultSession`), travels pickled to
+:class:`repro.core.context.RunContext`), travels pickled to
 process-pool workers, and — together with the seed — fully determines
 every injected fault: same config + same seed => same fault sites,
 whatever the execution mode.

@@ -2,14 +2,13 @@
 
 ``repro.memo`` turns PR 3's in-run structural memoization into a
 durable, content-addressed on-disk cache shared across runs and CI
-jobs: :class:`~repro.memo.store.MemoStore` holds the entries,
-:class:`~repro.memo.session.MemoSession` makes a store directory
-ambient for the experiment runner, and ``python -m repro.memo`` exposes
+jobs: :class:`~repro.memo.store.MemoStore` holds the entries (a run
+context's :class:`~repro.core.context.MemoDir` opens one per config
+for the experiment runner), and ``python -m repro.memo`` exposes
 the fingerprint and counters for CI cache keys.  See
 ``docs/memo_store.md`` for the on-disk format and invalidation rules.
 """
 
-from repro.memo.session import MemoSession, current_memo_session
 from repro.memo.store import (
     MEMO_VERSION,
     MemoStats,
@@ -20,10 +19,8 @@ from repro.memo.store import (
 
 __all__ = [
     "MEMO_VERSION",
-    "MemoSession",
     "MemoStats",
     "MemoStore",
-    "current_memo_session",
     "entry_digest",
     "memo_fingerprint",
 ]

@@ -64,12 +64,11 @@ from repro.errors import ConfigurationError
 #: invisible rather than wrong.
 MEMO_VERSION = 1
 
-#: Config fields that never influence simulated results — worker counts,
-#: scheduler/memoization toggles (both proven bit-identical) and the
-#: memo store's own location/size.  Everything else is fingerprinted.
+#: Config fields that never influence simulated results — worker counts
+#: and scheduler/memoization toggles (both proven bit-identical).
+#: Everything else is fingerprinted.
 _HOST_ONLY_FIELDS = frozenset({
     "sim_workers", "sim_skip_ahead", "sim_memoize",
-    "sim_memo_dir", "sim_memo_max_bytes",
 })
 
 #: Descriptor fields excluded from the entry digest: pure labels that
@@ -162,7 +161,7 @@ class _StoredHash:
 
 @dataclass
 class MemoStats:
-    """Hit/miss/reject/store/evict counters of one store (or session).
+    """Hit/miss/reject/store/evict counters of one store (or several).
 
     Attributes:
         hits: entries replayed instead of simulated.

@@ -11,10 +11,10 @@ how to open traces in Perfetto.
 The package has three entry points:
 
 * explicit — ``NeurocubeSimulator(config, trace=TraceOptions())``;
-* ambient — ``with TraceSession() as session: ...`` captures every
-  descriptor run in the block (how the runner's ``--trace`` works);
-  ``with LiveTelemetry(...)`` likewise activates phase timers and
-  heartbeats for the block;
+* ambient — ``with RunContext(trace=TraceOptions()) as ctx: ...``
+  (:mod:`repro.core.context`) traces and records every descriptor run
+  in the block (how the runner's ``--trace`` works); its ``live=``
+  hook takes a :class:`LiveTelemetry` for phase timers and heartbeats;
 * CLI — ``tools/ncprof.py record | summary | export | diff |
   attribute`` and ``tools/ncbench.py record | timeline | regress |
   export``.
@@ -38,8 +38,6 @@ from repro.obs.live import (
     PHASES,
     LiveTelemetry,
     MetricsRegistry,
-    ambient_phase,
-    current_live,
 )
 from repro.obs.manifest import (
     MANIFEST_VERSION,
@@ -49,11 +47,10 @@ from repro.obs.manifest import (
     diff_manifests,
     git_revision,
     load_manifest,
-    manifest_from_session,
+    manifest_from_context,
     write_manifest,
 )
 from repro.obs.registry import RunRegistry
-from repro.obs.session import CapturedRun, TraceSession, current_session
 from repro.obs.tracer import (
     ALL_KINDS,
     CACHE_EVICT,
@@ -74,7 +71,6 @@ __all__ = [
     "ALL_KINDS",
     "CACHE_EVICT",
     "CACHE_PARK",
-    "CapturedRun",
     "CounterSeries",
     "LatencyHistogram",
     "LiveTelemetry",
@@ -92,19 +88,15 @@ __all__ = [
     "SUPPORTED_MANIFEST_VERSIONS",
     "Trace",
     "TraceOptions",
-    "TraceSession",
     "Tracer",
     "VAULT_READ",
-    "ambient_phase",
     "build_manifest",
     "config_digest",
-    "current_live",
-    "current_session",
     "diff_manifests",
     "git_revision",
     "load_manifest",
     "load_trace",
-    "manifest_from_session",
+    "manifest_from_context",
     "to_chrome_trace",
     "write_chrome_trace",
     "write_counters_csv",

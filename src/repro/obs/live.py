@@ -15,13 +15,12 @@ export two ways:
   appended to ``heartbeat_path``) — one JSON object per heartbeat, for
   offline trend analysis without a scrape target.
 
-Activation mirrors :class:`repro.obs.session.TraceSession`: a
-:class:`LiveTelemetry` is a context manager; while one is active the
-simulator feeds it (compile/simulate phases, per-layer counters,
-heartbeat cycle advance) through ``is not None`` guards.  With no
-session active — the default — every hook is a single pointer
-comparison and simulated results are bit-identical (the PR-2/PR-5 guard
-convention, pinned by ``tests/obs/test_live.py``).
+A :class:`LiveTelemetry` rides on a :class:`repro.core.context.RunContext`
+(its ``live`` hook); the simulator feeds it compile/simulate phases,
+per-layer counters and the heartbeat cycle advance through ``is not
+None`` guards.  Without one — the default — every hook is a single
+pointer comparison and simulated results are bit-identical (the
+PR-2/PR-5 guard convention, pinned by ``tests/obs/test_live.py``).
 
 This module is the **only** sanctioned home for wall-clock phase timing
 (``time.monotonic``): nclint's NC110 bans direct monotonic reads
@@ -268,56 +267,8 @@ class _PhaseTimer:
                            phase=self._phase)
 
 
-class _NullTimer:
-    """No-op stand-in so call sites need no ambient-session branching."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> _NullTimer:
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        pass
-
-
-_NULL_TIMER = _NullTimer()
-
-_ACTIVE: list["LiveTelemetry"] = []
-
-
-def current_live() -> LiveTelemetry | None:
-    """The innermost active live-telemetry session, or None."""
-    return _ACTIVE[-1] if _ACTIVE else None
-
-
-def ambient_phase(name: str):
-    """Phase timer on the ambient session; a no-op with none active.
-
-    The cycle model calls this for its compile/simulate spans so the
-    telemetry-off path stays one list probe plus one ``is None`` test.
-    """
-    live = current_live()
-    if live is None:
-        return _NULL_TIMER
-    return live.phase(name)
-
-
-def ambient_timer(name: str) -> Callable | None:
-    """A zero-arg phase-timer factory bound to the ambient session.
-
-    Returns None with no session active — the shape the optional
-    ``timer=`` hooks on :class:`repro.memo.store.MemoStore` and
-    :class:`repro.faults.checkpoint.CheckpointStore` expect, so the
-    stores stay free of any observability import.
-    """
-    live = current_live()
-    if live is None:
-        return None
-    return live.phase_factory(name)
-
-
 class LiveTelemetry:
-    """Ambient live-telemetry session: registry + heartbeat policy.
+    """Live telemetry for a run context: registry + heartbeat policy.
 
     Args:
         heartbeat_cycles: emit one heartbeat snapshot whenever the
@@ -344,15 +295,6 @@ class LiveTelemetry:
         self.heartbeats: list[dict] = []
         self._cycles = 0
         self._seq = 0
-
-    # -- ambient stack --------------------------------------------------
-
-    def __enter__(self) -> LiveTelemetry:
-        _ACTIVE.append(self)
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        _ACTIVE.remove(self)
 
     # -- phase timing ---------------------------------------------------
 
@@ -383,41 +325,38 @@ class LiveTelemetry:
 
     @property
     def cycles(self) -> int:
-        """Simulated cycles advanced through this session."""
+        """Simulated cycles advanced through this telemetry."""
         return self._cycles
 
-    def observe_layer(self, name: str, cycles: int,
-                      host_seconds: float, *, n_pe: int = 1,
-                      macs_fired: int = 0, pe_busy_cycles: int = 0,
-                      search_stall_cycles: int = 0,
-                      inject_stall_cycles: int = 0, packets: int = 0,
-                      degraded: int = 0,
-                      memo_stats=None) -> None:
-        """Fold one finished descriptor run into the registry.
+    def observe_layer(self, run) -> None:
+        """Fold one recorded descriptor run into the registry.
 
-        Called by :meth:`repro.core.NeurocubeSimulator.run_descriptor`
-        behind an ``is not None`` guard; also advances the heartbeat
+        ``run`` is a :class:`repro.core.context.RunRecord`; its context
+        calls this when recording the run.  Also advances the heartbeat
         clock by the run's cycles.
         """
         reg = self.registry
+        name, cycles, stats = run.label, run.cycles, run.stats
+        n_pe = run.config.n_pe
         reg.inc("neurocube_layer_runs", 1, layer=name)
-        reg.inc("neurocube_phase_seconds", max(0.0, host_seconds),
+        reg.inc("neurocube_phase_seconds", max(0.0, run.host_seconds),
                 phase="simulate")
-        reg.inc("neurocube_macs_fired", macs_fired)
-        reg.inc("neurocube_packets_delivered", packets)
-        reg.inc("neurocube_stall_cycles", search_stall_cycles,
+        reg.inc("neurocube_macs_fired", run.macs_fired)
+        reg.inc("neurocube_packets_delivered", stats.packets)
+        reg.inc("neurocube_stall_cycles", stats.search_stall_cycles,
                 kind="search")
-        reg.inc("neurocube_stall_cycles", inject_stall_cycles,
+        reg.inc("neurocube_stall_cycles", stats.inject_stall_cycles,
                 kind="inject")
-        if degraded:
-            reg.inc("neurocube_degraded_results", degraded)
+        if run.degraded:
+            reg.inc("neurocube_degraded_results", len(run.degraded))
         if cycles > 0 and n_pe > 0:
             reg.set_gauge("neurocube_pe_mac_utilization",
-                          pe_busy_cycles / (cycles * n_pe), layer=name)
+                          stats.pe_busy_cycles / (cycles * n_pe),
+                          layer=name)
         reg.observe("neurocube_layer_cycles", cycles)
-        if memo_stats is not None:
+        if run.memo_stats is not None:
             for outcome in ("hits", "misses", "rejects"):
-                count = getattr(memo_stats, outcome, 0)
+                count = getattr(run.memo_stats, outcome, 0)
                 if count:
                     reg.inc("neurocube_memo_lookups", count,
                             outcome=outcome)

@@ -141,27 +141,27 @@ def build_manifest(label: str, *, config=None, layers=(), seed=None,
     return manifest
 
 
-def manifest_from_session(label: str, session, extra=None,
+def manifest_from_context(label: str, ctx, extra=None,
                           phases: dict | None = None) -> dict:
-    """Build a manifest from a finished :class:`TraceSession`.
+    """Build a manifest from a finished run context's run log.
 
-    When the session captured descriptors alongside its stats (and a
-    config), per-layer bottleneck attribution is computed and embedded
-    — the manifest carries the verdicts that explain its own numbers.
+    ``ctx`` is a :class:`repro.core.context.RunContext`.  When it
+    recorded any runs, per-layer bottleneck attribution is computed and
+    embedded — the manifest carries the verdicts that explain its own
+    numbers.
     """
-    layers = [run.stats for run in session.runs if run.stats is not None]
-    trace = session.merged_trace() if session.runs else None
+    layers = [run.stats for run in ctx.runs]
+    trace = ctx.merged_trace() if ctx.runs else None
     attribution = ()
-    descriptors = getattr(session, "descriptors", [])
-    if session.config is not None and descriptors and layers:
+    if layers:
         # Imported lazily: attribution builds on repro.core.analytic,
         # which sits above this module in the layering.
         from repro.obs.attribution import attribute_layers
 
-        attribution = attribute_layers(layers, descriptors,
-                                       session.config)
-    return build_manifest(label, config=session.config, layers=layers,
-                          host_seconds=session.total_host_seconds,
+        attribution = attribute_layers(
+            layers, [run.descriptor for run in ctx.runs], ctx.config)
+    return build_manifest(label, config=ctx.config, layers=layers,
+                          host_seconds=ctx.total_host_seconds,
                           trace=trace, extra=extra,
                           attribution=attribution, phases=phases)
 

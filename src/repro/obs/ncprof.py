@@ -32,11 +32,10 @@ from repro.errors import SchemaMismatch
 from repro.obs import (
     Trace,
     TraceOptions,
-    TraceSession,
     diff_manifests,
     load_manifest,
     load_trace,
-    manifest_from_session,
+    manifest_from_context,
     write_chrome_trace,
     write_counters_csv,
     write_events_csv,
@@ -51,7 +50,7 @@ def cmd_record(args: argparse.Namespace) -> int:
 
     import numpy as np
 
-    from repro.core import NeurocubeConfig, NeurocubeSimulator
+    from repro.core import NeurocubeConfig, NeurocubeSimulator, RunContext
     from repro.nn import models
 
     from repro.obs.live import LiveTelemetry
@@ -70,18 +69,18 @@ def cmd_record(args: argparse.Namespace) -> int:
         heartbeat_cycles=args.heartbeat,
         heartbeat_path=(str(heartbeat_path)
                         if heartbeat_path is not None else None))
-    with live, TraceSession(options=options) as session:
+    with RunContext(trace=options, live=live) as ctx:
         NeurocubeSimulator(config).run_network(
             net, np.zeros((1, args.size, args.size)))
     trace_path = out_dir / f"trace_{args.label}.json"
     manifest_path = out_dir / f"manifest_{args.label}.json"
     with live.phase("trace_export"):
-        write_trace(session.merged_trace(), str(trace_path))
-    manifest = manifest_from_session(args.label, session,
+        write_trace(ctx.merged_trace(), str(trace_path))
+    manifest = manifest_from_context(args.label, ctx,
                                      phases=live.phase_breakdown())
     write_manifest(manifest, str(manifest_path))
-    print(f"ncprof: recorded {session.total_cycles} cycles over "
-          f"{len(session.runs)} layer run(s)")
+    print(f"ncprof: recorded {ctx.total_cycles} cycles over "
+          f"{len(ctx.runs)} layer run(s)")
     print(f"ncprof: wrote {trace_path}")
     print(f"ncprof: wrote {manifest_path}")
     if args.heartbeat:
@@ -198,8 +197,8 @@ def cmd_attribute(args: argparse.Namespace) -> int:
     rows = manifest.get("attribution", [])
     if not rows:
         print(f"ncprof: {args.path} carries no attribution block "
-              f"(schema v{manifest.get('version')}; record with a "
-              f"trace session on a current checkout to embed verdicts)")
+              f"(schema v{manifest.get('version')}; record with "
+              f"tracing on a current checkout to embed verdicts)")
         return 1
     if args.json:
         json.dump(rows, sys.stdout, indent=2)

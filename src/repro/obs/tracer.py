@@ -106,7 +106,7 @@ class Trace:
         self.cycles = cycles
         self.dropped_events = dropped_events
         # Run-level annotations (memo/fault/degradation counters) merged
-        # in by the session; rides into exports so a trace file is
+        # in by the simulator; rides into exports so a trace file is
         # self-describing without its manifest.
         self.meta: dict = meta if meta is not None else {}
 

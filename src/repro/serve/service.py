@@ -26,8 +26,9 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 
+from repro.core.context import current_context
 from repro.errors import ConfigurationError
-from repro.obs.live import MetricsRegistry, current_live
+from repro.obs.live import MetricsRegistry
 from repro.serve.chaos import ChaosController
 from repro.serve.jobs import (JobRecord, JobResult, JobSpec, JobState,
                               Overloaded, ServicePolicy, next_seq)
@@ -53,8 +54,9 @@ class SimulationService:
         policy: the :class:`ServicePolicy` in force.
         chaos: optional :class:`~repro.serve.chaos.ChaosController` —
             tests only; production passes None and no chaos code runs.
-        registry: metrics sink; defaults to the ambient live-telemetry
-            registry when one is active, else a private one.
+        registry: metrics sink; defaults to the registry of the
+            ambient run context's live telemetry when there is one,
+            else a private one.
     """
 
     def __init__(self, policy: ServicePolicy | None = None,
@@ -63,7 +65,8 @@ class SimulationService:
         self.policy = policy or ServicePolicy()
         self.chaos = chaos
         if registry is None:
-            live = current_live()
+            ctx = current_context()
+            live = ctx.live if ctx is not None else None
             registry = live.registry if live is not None else (
                 MetricsRegistry())
         self.metrics = registry

@@ -301,23 +301,20 @@ def test_shard_network_validate_hook_fires(monkeypatch):
     shard_network(_network(), cluster)
 
 
-def test_shard_network_follows_default_validate(monkeypatch):
-    from repro.core import compiler
+def test_shard_network_follows_context_validate(monkeypatch):
+    from repro.core import RunContext
 
     calls = []
     monkeypatch.setattr(shardcheck, "check_shard_plan",
                         lambda plan, config, label="": calls.append(1))
     cluster = MultiCubeConfig(cube=NeurocubeConfig.hmc_15nm(),
                               n_cubes=2)
-    compiler.set_default_validate(True)
-    try:
+    with RunContext(validate=True):
         shard_network(_network(), cluster)
         assert calls, "default-on validate hook did not run"
         calls.clear()
         shard_network(_network(), cluster, validate=False)
         assert not calls
-    finally:
-        compiler.set_default_validate(False)
 
 
 def test_report_distinguishes_skipped_from_passed(plan, cluster):

@@ -16,6 +16,7 @@ import pytest
 from repro.analysis import nccheck
 from repro.core import compiler
 from repro.core.config import NeurocubeConfig
+from repro.core.context import RunContext
 from repro.core.scheduler import PassPlan
 from repro.core.simulator import NeurocubeSimulator
 from repro.errors import ConfigurationError, PlanCheckError
@@ -130,23 +131,33 @@ def test_validate_hook_propagates_failure(small_config, small_network,
     compiler.compile_inference(small_network, small_config)
 
 
-def test_set_default_validate_toggles_hook(small_config, small_network,
-                                           monkeypatch):
+def test_context_validate_toggles_hook(small_config, small_network,
+                                       monkeypatch):
     calls = []
     monkeypatch.setattr(
         nccheck, "check_program",
         lambda program, config, max_stream_items=0: calls.append(1))
-    compiler.set_default_validate(True)
-    try:
+    with RunContext(validate=True):
         compiler.compile_inference(small_network, small_config)
         assert calls, "default-on validate hook did not run"
-        # An explicit validate=False overrides the session default.
+        # An explicit validate=False overrides the context default.
         calls.clear()
         compiler.compile_inference(small_network, small_config,
                                    validate=False)
         assert not calls
-    finally:
-        compiler.set_default_validate(False)
+
+
+def test_runner_validate_does_not_outlive_main(small_config,
+                                               small_network,
+                                               monkeypatch, capsys):
+    assert runner.main(["run", "table1", "--validate"]) == 0
+    capsys.readouterr()
+    calls = []
+    monkeypatch.setattr(
+        nccheck, "check_program",
+        lambda program, config, max_stream_items=0: calls.append(1))
+    compiler.compile_inference(small_network, small_config)
+    assert not calls
 
 
 def test_runner_exposes_validate_flag():

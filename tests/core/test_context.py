@@ -1,0 +1,111 @@
+"""RunContext: hook precedence, the ambient stack, worker-safe contexts."""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.core import (
+    MemoDir,
+    MultiCubeConfig,
+    NeurocubeConfig,
+    RunContext,
+)
+from repro.core.context import current_context, resolve
+from repro.core.shard import ShardedSimulator
+from repro.faults import CheckpointSpec, FaultConfig
+from repro.memo import MemoStore
+from repro.obs import LiveTelemetry, TraceOptions
+
+from tests.core.test_shard_equivalence import conv_input, conv_network
+
+ARG = "argument"
+CONFIG_FIELD = "config"
+CONTEXT = "context"
+
+FAULTS = {ARG: FaultConfig(seed=1), CONFIG_FIELD: FaultConfig(seed=2),
+          CONTEXT: FaultConfig(seed=3)}
+TRACES = {ARG: TraceOptions(sample_interval=8),
+          CONTEXT: TraceOptions(sample_interval=16)}
+CHECKPOINTS = {ARG: CheckpointSpec(directory="arg", every=10),
+               CONTEXT: CheckpointSpec(directory="ctx", every=20)}
+
+
+@pytest.mark.parametrize("hook, given, winner", [
+    ("faults", (ARG, CONFIG_FIELD, CONTEXT), ARG),
+    ("faults", (CONFIG_FIELD, CONTEXT), CONFIG_FIELD),
+    ("faults", (CONTEXT,), CONTEXT),
+    ("faults", (), None),
+    ("trace", (ARG, CONTEXT), ARG),
+    ("trace", (CONTEXT,), CONTEXT),
+    ("checkpoint", (ARG, CONTEXT), ARG),
+    ("checkpoint", (CONTEXT,), CONTEXT),
+    ("memo", (ARG, CONTEXT), ARG),
+    ("memo", (CONTEXT,), CONTEXT),
+    ("memo", (), None),
+])
+def test_resolve_precedence(tmp_path, hook, given, winner):
+    """Simulator argument, then ``config.faults``, then the context."""
+    config = NeurocubeConfig.hmc_15nm()
+    values = {"faults": FAULTS, "trace": TRACES,
+              "checkpoint": CHECKPOINTS,
+              "memo": {ARG: MemoStore(tmp_path / "arg", config),
+                       CONTEXT: MemoDir(tmp_path / "ctx")}}[hook]
+    if CONFIG_FIELD in given:
+        config = config.with_(faults=values[CONFIG_FIELD])
+    ambient = RunContext(**{hook: values[CONTEXT]}
+                         if CONTEXT in given else {})
+    explicit = {hook: values[ARG]} if ARG in given else {}
+    with ambient:
+        resolved = getattr(resolve(config, **explicit), hook)
+    if winner is None:
+        assert resolved is None
+    elif hook == "memo" and winner == CONTEXT:
+        assert resolved is values[CONTEXT].store_for(config)
+    else:
+        assert resolved is values[winner]
+
+
+def test_resolved_context_shares_the_ambient_log():
+    with RunContext() as ambient:
+        resolved = resolve(NeurocubeConfig.hmc_15nm())
+    assert resolved.runs is ambient.runs
+
+
+def test_equal_nested_contexts_pop_by_identity():
+    with RunContext() as outer:
+        with RunContext() as inner:
+            assert inner == outer and inner is not outer
+            assert current_context() is inner
+        assert current_context() is outer
+    assert current_context() is None
+
+
+def test_worker_form_strips_parent_state(tmp_path):
+    ctx = RunContext(trace=TraceOptions(), faults=FaultConfig(seed=4),
+                     memo=MemoDir(tmp_path), live=LiveTelemetry(),
+                     validate=True)
+    ctx.runs.append(object())
+    worker = ctx.for_worker()
+    assert worker.memo is None and worker.live is None
+    assert worker.runs == []
+    assert (worker.trace, worker.faults, worker.validate) == (
+        ctx.trace, ctx.faults, ctx.validate)
+
+
+def test_sharded_run_log_is_worker_count_independent():
+    """Cube jobs see the same context at every worker count, and the
+    parent records their runs in cube order."""
+    cluster = MultiCubeConfig(cube=NeurocubeConfig(), n_cubes=2)
+    logs = []
+    for workers in (1, 2):
+        with RunContext(trace=TraceOptions()) as ctx:
+            ShardedSimulator(cluster, workers=workers).run_network(
+                conv_network(), conv_input())
+        logs.append(ctx)
+    serial, parallel = logs
+    assert len(serial.runs) == 6
+    assert serial.total_cycles == 4_834
+    assert ([(run.label, run.stats) for run in serial.runs]
+            == [(run.label, run.stats) for run in parallel.runs])
+    assert (serial.merged_trace().to_dict()
+            == parallel.merged_trace().to_dict())

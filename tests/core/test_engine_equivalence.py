@@ -172,11 +172,9 @@ class TestMemoizationEquivalence:
         simulated = []
         real = parallel_mod.run_map_task
 
-        def counting(config_, desc, lut, functional, task, trace=None,
-                     **kwargs):
+        def counting(config_, desc, lut, functional, task, **kwargs):
             simulated.append(task.index)
-            return real(config_, desc, lut, functional, task, trace=trace,
-                        **kwargs)
+            return real(config_, desc, lut, functional, task, **kwargs)
 
         monkeypatch.setattr(parallel_mod, "run_map_task", counting)
         run = self._timing_run(config, out_maps=4)
@@ -194,11 +192,9 @@ class TestMemoizationEquivalence:
         simulated = []
         real = parallel_mod.run_map_task
 
-        def counting(config_, desc, lut, functional, task, trace=None,
-                     **kwargs):
+        def counting(config_, desc, lut, functional, task, **kwargs):
             simulated.append(task.index)
-            return real(config_, desc, lut, functional, task, trace=trace,
-                        **kwargs)
+            return real(config_, desc, lut, functional, task, **kwargs)
 
         monkeypatch.setattr(parallel_mod, "run_map_task", counting)
         net = models.single_conv_layer(10, 10, 3, out_maps=4,
@@ -216,11 +212,9 @@ class TestMemoizationEquivalence:
         simulated = []
         real = parallel_mod.run_map_task
 
-        def counting(config_, desc, lut, functional, task, trace=None,
-                     **kwargs):
+        def counting(config_, desc, lut, functional, task, **kwargs):
             simulated.append(task.index)
-            return real(config_, desc, lut, functional, task, trace=trace,
-                        **kwargs)
+            return real(config_, desc, lut, functional, task, **kwargs)
 
         monkeypatch.setattr(parallel_mod, "run_map_task", counting)
         self._timing_run(dataclasses.replace(config, sim_memoize=False),

@@ -45,7 +45,7 @@ class TestRegistry:
         assert "HMC-Int" in capsys.readouterr().out
 
     def test_runner_faults_flag(self, capsys):
-        """--faults wraps the run in an ambient FaultSession and prints
+        """--faults puts a FaultConfig on the run context and prints
         a counter summary to stderr (zero runs for a non-simulating
         experiment — the plumbing is what's under test here)."""
         assert runner_main(["run", "table1", "--faults",

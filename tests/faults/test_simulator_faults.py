@@ -23,10 +23,10 @@ import pathlib
 import numpy as np
 import pytest
 
-from repro.core import NeurocubeSimulator, compile_inference
+from repro.core import NeurocubeSimulator, RunContext, compile_inference
 from repro.core.config import NeurocubeConfig
 from repro.errors import SimulationError
-from repro.faults import CheckpointSpec, FaultConfig, FaultSession
+from repro.faults import CheckpointSpec, FaultConfig
 from repro.fixedpoint import quantize_float
 from repro.nn import models
 
@@ -297,19 +297,19 @@ class TestCheckpointResume:
 class TestAmbientSession:
     def test_session_config_applies_and_captures(self, config,
                                                  lateral_case):
-        with FaultSession(LOSSY) as session:
+        with RunContext(faults=LOSSY) as session:
             run = run_case(config, lateral_case)
         assert nonzero(run.fault_stats) == LOSSY_COUNTERS
         assert len(session.runs) == 1
-        assert nonzero(session.total_stats()) == LOSSY_COUNTERS
+        assert nonzero(session.total_fault_stats()) == LOSSY_COUNTERS
         assert len(session.runs[0].degraded) == LOSSY_DEGRADED
 
     def test_explicit_config_beats_ambient(self, config, lateral_case):
-        with FaultSession(LOSSY) as session:
+        with RunContext(faults=LOSSY) as session:
             run = run_case(config, lateral_case, faults=FaultConfig())
         assert not run.fault_stats.any_injected
         assert len(session.runs) == 1
-        assert not session.total_stats().any_injected
+        assert not session.total_fault_stats().any_injected
 
     def test_no_session_no_faults(self, config, lateral_case):
         assert run_case(config, lateral_case).fault_stats is None

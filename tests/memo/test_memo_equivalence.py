@@ -5,8 +5,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import NeurocubeConfig, NeurocubeSimulator, compile_inference
-from repro.memo import MemoSession, MemoStore, current_memo_session
+from repro.core import (
+    MemoDir,
+    NeurocubeConfig,
+    NeurocubeSimulator,
+    RunContext,
+    compile_inference,
+)
+from repro.core.context import current_context
+from repro.memo import MemoStore
 from repro.nn import models
 
 CONFIG = NeurocubeConfig.hmc_15nm()
@@ -39,11 +46,11 @@ def assert_runs_identical(a, b):
 class TestWarmColdEquivalence:
     def test_warm_run_bit_identical_with_hits(self, tmp_path):
         desc = conv_descriptor()
-        config = CONFIG.with_(sim_memo_dir=str(tmp_path))
-        cold = timing_run(config, desc)
-        assert cold.memo_stats.stores == 1
-        assert cold.memo_stats.hits == 0
-        warm = timing_run(config, desc)
+        with RunContext(memo=MemoDir(tmp_path)):
+            cold = timing_run(CONFIG, desc)
+            assert cold.memo_stats.stores == 1
+            assert cold.memo_stats.hits == 0
+            warm = timing_run(CONFIG, desc)
         assert warm.memo_stats.hits == 1
         assert warm.memo_stats.misses == 0
         assert warm.memo_stats.rejects == 0
@@ -61,19 +68,19 @@ class TestWarmColdEquivalence:
 
     def test_ambient_session_serves_runs(self, tmp_path):
         desc = conv_descriptor()
-        assert current_memo_session() is None
-        with MemoSession(tmp_path) as session:
-            assert current_memo_session() is session
+        assert current_context() is None
+        with RunContext(memo=MemoDir(tmp_path)) as session:
+            assert current_context() is session
             cold = timing_run(CONFIG, desc)
             warm = timing_run(CONFIG, desc)
-            assert session.total_stats().hits >= 1
-        assert current_memo_session() is None
+            assert session.memo.total_stats().hits >= 1
+        assert current_context() is None
         assert_runs_identical(cold, warm)
 
     def test_distinct_shapes_never_cross_hit(self, tmp_path):
-        config = CONFIG.with_(sim_memo_dir=str(tmp_path))
-        small = timing_run(config, conv_descriptor(height=10))
-        big = timing_run(config, conv_descriptor(height=14))
+        with RunContext(memo=MemoDir(tmp_path)):
+            small = timing_run(CONFIG, conv_descriptor(height=10))
+            big = timing_run(CONFIG, conv_descriptor(height=14))
         assert small.memo_stats.hits == 0
         assert big.memo_stats.hits == 0
         assert small.cycles != big.cycles
@@ -89,9 +96,9 @@ class TestWarmColdEquivalence:
                        qformat=None)],
             input_shape=(1, 12, 12), name="other_net", seed=9)
         other_desc = compile_inference(other, CONFIG, True).descriptors[0]
-        config = CONFIG.with_(sim_memo_dir=str(tmp_path))
-        first = timing_run(config, conv_descriptor(seed=1))
-        second = timing_run(config, other_desc)
+        with RunContext(memo=MemoDir(tmp_path)):
+            first = timing_run(CONFIG, conv_descriptor(seed=1))
+            second = timing_run(CONFIG, other_desc)
         assert second.descriptor.name != first.descriptor.name
         assert second.memo_stats.hits == 1
         assert_runs_identical(first, second)
@@ -99,11 +106,11 @@ class TestWarmColdEquivalence:
     def test_functional_runs_bypass_the_store(self, tmp_path):
         net = models.single_conv_layer(10, 10, 3, out_maps=2, seed=5)
         desc = compile_inference(net, CONFIG, True).descriptors[0]
-        config = CONFIG.with_(sim_memo_dir=str(tmp_path))
         rng = np.random.default_rng(5)
         x = rng.uniform(-1, 1, (1, 10, 10))
-        sim = NeurocubeSimulator(config)
-        run = sim.run_descriptor(desc, net.layers[0], x)
+        sim = NeurocubeSimulator(CONFIG)
+        with RunContext(memo=MemoDir(tmp_path)):
+            run = sim.run_descriptor(desc, net.layers[0], x)
         assert run.output is not None
         assert not run.memo_stats.any
 
@@ -111,10 +118,10 @@ class TestWarmColdEquivalence:
         from repro.faults import CheckpointSpec
 
         desc = conv_descriptor()
-        config = CONFIG.with_(sim_memo_dir=str(tmp_path / "memo"))
         spec = CheckpointSpec(directory=str(tmp_path / "ckpt"), every=200)
-        sim = NeurocubeSimulator(config, checkpoint=spec)
-        run = sim.run_descriptor(desc)
+        sim = NeurocubeSimulator(CONFIG, checkpoint=spec)
+        with RunContext(memo=MemoDir(tmp_path / "memo")):
+            run = sim.run_descriptor(desc)
         assert not run.memo_stats.any
 
     def test_no_store_resolved_leaves_stats_none(self):
@@ -123,11 +130,12 @@ class TestWarmColdEquivalence:
 
     def test_corrupted_entry_resimulates_identically(self, tmp_path):
         desc = conv_descriptor()
-        config = CONFIG.with_(sim_memo_dir=str(tmp_path))
-        cold = timing_run(config, desc)
+        with RunContext(memo=MemoDir(tmp_path)):
+            cold = timing_run(CONFIG, desc)
         for path in list(tmp_path.glob("*/*.pkl")):
             path.write_bytes(b"corrupted beyond recognition")
-        warm = timing_run(config, desc)
+        with RunContext(memo=MemoDir(tmp_path)):
+            warm = timing_run(CONFIG, desc)
         assert warm.memo_stats.rejects == 1
         assert warm.memo_stats.hits == 0
         assert_runs_identical(cold, warm)
@@ -137,20 +145,20 @@ class TestRunNetworkReport:
     def test_report_carries_folded_memo_counters(self, tmp_path):
         net = models.single_conv_layer(10, 10, 3, out_maps=2,
                                        qformat=None, seed=5)
-        config = CONFIG.with_(sim_memo_dir=str(tmp_path))
-        sim = NeurocubeSimulator(config)
+        sim = NeurocubeSimulator(CONFIG)
 
         # Timing-only network run: descriptors have no layer/input, so
         # feed run_descriptor directly and fold via a stream-style loop.
-        desc = compile_inference(net, config, True).descriptors[0]
-        sim.run_descriptor(desc)
-        warm = sim.run_descriptor(desc)
+        desc = compile_inference(net, CONFIG, True).descriptors[0]
+        with RunContext(memo=MemoDir(tmp_path)):
+            sim.run_descriptor(desc)
+            warm = sim.run_descriptor(desc)
         assert warm.memo_stats.hits == 1
 
     def test_memo_line_in_stream_table(self, tmp_path):
         from repro.experiments import ext_stream
 
-        with MemoSession(tmp_path):
+        with RunContext(memo=MemoDir(tmp_path)):
             report = ext_stream.run(frames=2)
         assert report.memo is not None
         table = report.to_table()
@@ -162,9 +170,9 @@ class TestMemoizeGates:
     @pytest.mark.parametrize("flag", [True, False])
     def test_sim_memoize_off_disables_persistence(self, tmp_path, flag):
         desc = conv_descriptor()
-        config = CONFIG.with_(sim_memo_dir=str(tmp_path),
-                              sim_memoize=flag)
-        run = timing_run(config, desc)
+        config = CONFIG.with_(sim_memoize=flag)
+        with RunContext(memo=MemoDir(tmp_path)):
+            run = timing_run(config, desc)
         if flag:
             assert run.memo_stats.stores == 1
         else:

@@ -134,8 +134,6 @@ class TestInvisibility:
         base = memo_fingerprint(CONFIG)
         assert memo_fingerprint(CONFIG.with_(sim_workers=8)) == base
         assert memo_fingerprint(CONFIG.with_(sim_skip_ahead=False)) == base
-        assert memo_fingerprint(
-            CONFIG.with_(sim_memo_dir="/elsewhere")) == base
 
     def test_timing_fields_change_the_fingerprint(self):
         base = memo_fingerprint(CONFIG)

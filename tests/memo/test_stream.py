@@ -7,11 +7,16 @@ import json
 import numpy as np
 import pytest
 
-from repro.core import NeurocubeConfig, NeurocubeSimulator, StreamReport
+from repro.core import (
+    MemoDir,
+    NeurocubeConfig,
+    NeurocubeSimulator,
+    RunContext,
+    StreamReport,
+)
 from repro.errors import ConfigurationError
 from repro.experiments import ext_stream
 from repro.experiments.runner import main as runner_main
-from repro.memo import MemoSession
 
 CONFIG = NeurocubeConfig.hmc_15nm()
 
@@ -44,7 +49,7 @@ class TestRunStream:
     def test_second_stream_hits_the_store(self, tmp_path):
         net = ext_stream.stream_network(CONFIG)
         frames = ext_stream.frame_stream(2)
-        with MemoSession(tmp_path):
+        with RunContext(memo=MemoDir(tmp_path)):
             cold = NeurocubeSimulator(CONFIG).run_stream(net, frames)
             warm = NeurocubeSimulator(CONFIG).run_stream(net, frames)
         assert cold.memo.stores >= 1

@@ -9,15 +9,14 @@ import json
 import numpy as np
 import pytest
 
-from repro.core import NeurocubeSimulator, compile_inference
+from repro.core import NeurocubeSimulator, RunContext, compile_inference
 from repro.errors import SchemaMismatch
 from repro.nn import models
 from repro.obs import (
     TraceOptions,
-    TraceSession,
     diff_manifests,
     load_manifest,
-    manifest_from_session,
+    manifest_from_context,
     write_manifest,
 )
 from repro.obs.attribution import (
@@ -37,7 +36,7 @@ def traced(tmp_path_factory):
     config = NeurocubeConfig.hmc_15nm()
     net = models.single_conv_layer(12, 12, 3, qformat=None)
     program = compile_inference(net, config)
-    with TraceSession(options=TraceOptions(sample_interval=32)) as sess:
+    with RunContext(trace=TraceOptions(sample_interval=32)) as sess:
         NeurocubeSimulator(config).run_descriptor(
             program.descriptors[0])
     stats = [run.stats for run in sess.runs]
@@ -89,7 +88,7 @@ class TestReportRendering:
     def test_run_network_attributes_under_session(self, config):
         net = models.single_conv_layer(10, 10, 3, seed=41)
         x = np.zeros((1, 10, 10))
-        with TraceSession():
+        with RunContext(trace=TraceOptions()):
             _, report = NeurocubeSimulator(config).run_network(net, x)
         assert report.attribution
         assert report.attribution[0].verdict in VERDICTS
@@ -108,14 +107,14 @@ class TestReportRendering:
 class TestManifestSchema:
     def test_v2_manifest_embeds_attribution(self, traced):
         _, session, _, _ = traced
-        manifest = manifest_from_session("t", session)
+        manifest = manifest_from_context("t", session)
         assert manifest["version"] == 2
         assert manifest["attribution"][0]["name"] == "conv"
         assert manifest["attribution"][0]["verdict"] in VERDICTS
 
     def test_load_rejects_unsupported_version(self, traced, tmp_path):
         _, session, _, _ = traced
-        manifest = manifest_from_session("t", session)
+        manifest = manifest_from_context("t", session)
         manifest["version"] = 99
         path = tmp_path / "future.json"
         write_manifest(manifest, str(path))
@@ -124,7 +123,7 @@ class TestManifestSchema:
 
     def test_v1_manifest_still_loads(self, traced, tmp_path):
         _, session, _, _ = traced
-        manifest = manifest_from_session("t", session)
+        manifest = manifest_from_context("t", session)
         manifest["version"] = 1
         manifest.pop("attribution", None)
         path = tmp_path / "old.json"
@@ -133,7 +132,7 @@ class TestManifestSchema:
 
     def test_diff_tolerates_cross_version(self, traced):
         _, session, _, _ = traced
-        new = manifest_from_session("new", session)
+        new = manifest_from_context("new", session)
         old = json.loads(json.dumps(new))
         old["version"] = 1
         old.pop("attribution", None)
@@ -148,7 +147,7 @@ class TestNcprofAttribute:
     def manifest_path(self, traced, tmp_path_factory):
         _, session, _, _ = traced
         path = tmp_path_factory.mktemp("attr") / "manifest.json"
-        write_manifest(manifest_from_session("t", session), str(path))
+        write_manifest(manifest_from_context("t", session), str(path))
         return path
 
     def test_prints_verdicts(self, manifest_path, capsys):

@@ -3,29 +3,27 @@ phase timers, and the simulator feed's bit-identity guarantee."""
 
 from __future__ import annotations
 
-import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from repro.core import NeurocubeSimulator, compile_inference
+from repro.core import (
+    MemoDir,
+    NeurocubeSimulator,
+    RunContext,
+    compile_inference,
+)
+from repro.core.context import current_context
 from repro.errors import ConfigurationError
 from repro.faults import CheckpointSpec
 from repro.fixedpoint import quantize_float
 from repro.nn import models
-from repro.obs import (
-    PHASES,
-    LiveTelemetry,
-    MetricsRegistry,
-    ambient_phase,
-    current_live,
-)
-from repro.obs.live import ambient_timer
+from repro.obs import PHASES, LiveTelemetry, MetricsRegistry
 
 
 def run_conv(config, live=None, size=12, seed=31, **sim_kwargs):
-    """One functional conv-layer run, optionally under a live session."""
+    """One functional conv-layer run, optionally with live telemetry."""
     net = models.single_conv_layer(size, size, 3, seed=seed)
     rng = np.random.default_rng(99)
     x = rng.standard_normal((1, size, size))
@@ -35,7 +33,7 @@ def run_conv(config, live=None, size=12, seed=31, **sim_kwargs):
     simulator = NeurocubeSimulator(config, **sim_kwargs)
     if live is None:
         return simulator.run_descriptor(desc, net.layers[0], quantised)
-    with live:
+    with RunContext(live=live):
         return simulator.run_descriptor(desc, net.layers[0], quantised)
 
 
@@ -146,30 +144,30 @@ class TestPhaseTimers:
                                                 "trace_export"]
         assert set(live.phase_breakdown()) <= set(PHASES)
 
-    def test_ambient_phase_without_session_is_noop(self):
-        assert current_live() is None
-        with ambient_phase("compile"):
+    def test_context_phase_without_live_is_noop(self):
+        assert current_context() is None
+        with RunContext().phase("compile"):
             pass  # must not raise nor record anywhere
 
-    def test_ambient_timer_without_session_is_none(self):
-        assert ambient_timer("memo_io") is None
+    def test_context_timer_without_live_is_none(self):
+        assert RunContext().phase_factory("memo_io") is None
 
-    def test_ambient_timer_bills_the_active_session(self):
-        with LiveTelemetry() as live:
-            factory = ambient_timer("checkpoint")
-            with factory():
-                pass
+    def test_context_timer_bills_its_live(self):
+        live = LiveTelemetry()
+        factory = RunContext(live=live).phase_factory("checkpoint")
+        with factory():
+            pass
         assert live.phase_seconds("checkpoint") >= 0.0
         assert "checkpoint" not in live.phase_breakdown() or (
             live.phase_breakdown()["checkpoint"] > 0.0)
 
     def test_sessions_nest_innermost_wins(self):
-        with LiveTelemetry() as outer:
-            assert current_live() is outer
-            with LiveTelemetry() as inner:
-                assert current_live() is inner
-            assert current_live() is outer
-        assert current_live() is None
+        with RunContext(live=LiveTelemetry()) as outer:
+            assert current_context() is outer
+            with RunContext(live=LiveTelemetry()) as inner:
+                assert current_context() is inner
+            assert current_context() is outer
+        assert current_context() is None
 
 
 class TestHeartbeats:
@@ -243,7 +241,8 @@ class TestSimulatorFeed:
     def test_run_network_times_compile_phase(self, config):
         net = models.single_conv_layer(10, 10, 3, seed=32)
         x = np.zeros((1, 10, 10))
-        with LiveTelemetry() as live:
+        live = LiveTelemetry()
+        with RunContext(live=live):
             _, report = NeurocubeSimulator(config).run_network(net, x)
         assert live.phase_seconds("compile") > 0.0
         assert report.layers
@@ -258,17 +257,16 @@ class TestSimulatorFeed:
     def test_memo_io_phase_billed(self, config, tmp_path):
         # The persistent store serves timing runs only, so run the
         # descriptor without an input tensor (no functional pass).
-        memo_config = dataclasses.replace(config,
-                                          sim_memo_dir=str(tmp_path))
+        memo = MemoDir(tmp_path)
         net = models.single_conv_layer(10, 10, 3, qformat=None)
-        desc = compile_inference(net, memo_config).descriptors[0]
+        desc = compile_inference(net, config).descriptors[0]
         live = LiveTelemetry()
-        with live:
-            NeurocubeSimulator(memo_config).run_descriptor(desc)  # miss
+        with RunContext(live=live, memo=memo):
+            NeurocubeSimulator(config).run_descriptor(desc)  # miss
         stored = live.phase_seconds("memo_io")
         assert stored > 0.0
-        with live:
-            NeurocubeSimulator(memo_config).run_descriptor(desc)  # hit
+        with RunContext(live=live, memo=memo):
+            NeurocubeSimulator(config).run_descriptor(desc)  # hit
         assert live.phase_seconds("memo_io") > stored
         assert live.registry.value("neurocube_memo_lookups",
                                    outcome="hits") > 0

@@ -8,19 +8,23 @@ import json
 
 import pytest
 
-from repro.core import NeurocubeConfig, NeurocubeSimulator, compile_inference
+from repro.core import (
+    NeurocubeConfig,
+    NeurocubeSimulator,
+    RunContext,
+    compile_inference,
+)
 from repro.nn import models
 from repro.obs import (
     SPAN_KINDS,
     TraceOptions,
-    TraceSession,
     build_manifest,
     config_digest,
     diff_manifests,
     git_revision,
     load_manifest,
     load_trace,
-    manifest_from_session,
+    manifest_from_context,
     to_chrome_trace,
     write_chrome_trace,
     write_counters_csv,
@@ -32,11 +36,11 @@ from repro.obs import (
 
 @pytest.fixture(scope="module")
 def session():
-    """One ambient session capturing a small traced conv run."""
+    """One ambient run context capturing a small traced conv run."""
     config = NeurocubeConfig.hmc_15nm()
     net = models.single_conv_layer(12, 12, 3, qformat=None)
     desc = compile_inference(net, config).descriptors[0]
-    with TraceSession(options=TraceOptions(sample_interval=32)) as sess:
+    with RunContext(trace=TraceOptions(sample_interval=32)) as sess:
         NeurocubeSimulator(config).run_descriptor(desc)
     return sess
 
@@ -60,7 +64,7 @@ class TestConfigDigest:
 
 class TestManifest:
     def test_session_manifest_totals(self, session):
-        manifest = manifest_from_session("t", session)
+        manifest = manifest_from_context("t", session)
         assert manifest["kind"] == "neurocube-manifest"
         assert manifest["totals"]["layers"] == 1
         assert manifest["totals"]["cycles"] == session.total_cycles
@@ -69,7 +73,7 @@ class TestManifest:
         assert manifest["trace_summary"]["events"]
 
     def test_roundtrip(self, session, tmp_path):
-        manifest = manifest_from_session("t", session)
+        manifest = manifest_from_context("t", session)
         path = tmp_path / "manifest.json"
         write_manifest(manifest, str(path))
         assert load_manifest(str(path)) == json.loads(path.read_text())
@@ -81,13 +85,13 @@ class TestManifest:
             load_manifest(str(path))
 
     def test_diff_flags_config_mismatch(self, session):
-        a = manifest_from_session("a", session)
+        a = manifest_from_context("a", session)
         b = dict(a, label="b", config_hash="deadbeefdeadbeef")
         text = diff_manifests(a, b)
         assert "CONFIG MISMATCH" in text
 
     def test_diff_reports_cycle_delta(self, session):
-        a = manifest_from_session("a", session)
+        a = manifest_from_context("a", session)
         b = json.loads(json.dumps(a))
         b["layers"][0]["cycles"] += 100
         b["totals"]["cycles"] += 100
