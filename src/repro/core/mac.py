@@ -7,11 +7,17 @@ neuron is complete.  The wide accumulator is modelled with float64 (a
 float64 represents the exact sums of Q1.7.8 products); the result is
 quantised back to the storage format on read-out, exactly where the
 hardware rounds.
+
+The per-operation arithmetic runs in Python floats: ``raw / scale`` is
+exact (a small integer over a power of two) and the product and sum are
+the same IEEE-754 double operations numpy performs, so results are
+bit-identical to :func:`repro.fixedpoint.to_float` — without building a
+0-d array per operand — and the accumulator is always a plain ``float``.
 """
 
 from __future__ import annotations
 
-from repro.fixedpoint import QFormat, Q_1_7_8, from_float, to_float
+from repro.fixedpoint import QFormat, Q_1_7_8, from_float
 
 
 class MACUnit:
@@ -25,6 +31,7 @@ class MACUnit:
     def __init__(self, fmt: QFormat = Q_1_7_8, mac_id: int = 0) -> None:
         self.fmt = fmt
         self.mac_id = mac_id
+        self._scale = fmt.scale
         self._acc = 0.0
         self.operations = 0
 
@@ -35,13 +42,14 @@ class MACUnit:
 
     def accumulate_raw(self, weight_raw: int, state_raw: int) -> None:
         """One MAC step on raw 16-bit operands."""
-        self._acc += (to_float(weight_raw, self.fmt)
-                      * to_float(state_raw, self.fmt))
+        scale = self._scale
+        self._acc = float(self._acc
+                          + (weight_raw / scale) * (state_raw / scale))
         self.operations += 1
 
     def max_raw(self, state_raw: int) -> None:
         """Max-reduction step (used when emulating max pooling)."""
-        self._acc = max(self._acc, float(to_float(state_raw, self.fmt)))
+        self._acc = max(self._acc, float(state_raw / self._scale))
         self.operations += 1
 
     @property
@@ -59,7 +67,7 @@ class MACUnit:
         return {"acc": self._acc, "operations": self.operations}
 
     def load_state(self, state: dict) -> None:
-        self._acc = state["acc"]
+        self._acc = float(state["acc"])  # older checkpoints hold np.float64
         self.operations = state["operations"]
 
     def __repr__(self) -> str:

@@ -128,11 +128,21 @@ class ProcessingElement:
         self._writebacks: deque[Packet] = deque()
         self._cache: list[list[Packet]] = [
             [] for _ in range(config.cache_subbanks)]
+        # Running total of packets parked across the sub-banks, and the
+        # OP-counter value.  Both are read every cycle (``done``, the
+        # emission horizon, packet placement), so they are kept up to
+        # date where they change — _place, _preload_from_cache,
+        # _advance_op, program and load_state — instead of re-derived.
+        self._parked = 0
+        self._op = 0
         self._weight_slots: dict[int, int] = {}
         self._state_slots: dict[int, int] = {}
         self._shared_state: int | None = None
-        # Bound once: the router output this PE drains every cycle.
-        self._rx_buffer = interconnect.routers[pe_id].outputs[Port.PE]
+        # Bound once: the router output this PE drains every cycle and
+        # the router input its write-backs enter through.
+        router = interconnect.routers[pe_id]
+        self._rx_buffer = router.outputs[Port.PE]
+        self._tx_buffer = router.inputs[Port.PE]
         self.stats = PEStats()
 
     # ------------------------------------------------------------------
@@ -147,6 +157,7 @@ class ProcessingElement:
         self._groups = list(groups)
         self._group_idx = 0
         self._conn = 0
+        self._sync_op()
         self._busy = 0
         self._advance_pending = False
         self._clear_operand_buffers()
@@ -159,21 +170,27 @@ class ProcessingElement:
         """All groups complete and all write-backs injected."""
         return (self._group_idx >= len(self._groups)
                 and not self._writebacks
-                and all(not bank for bank in self._cache))
+                and not self._parked)
 
     @property
     def cache_fill(self) -> int:
         """Packets currently parked across all cache sub-banks."""
-        return sum(len(bank) for bank in self._cache)
+        return self._parked
 
     @property
     def op_counter(self) -> int:
         """The global operation counter (OP-counter of Fig. 11)."""
+        return self._op
+
+    def _sync_op(self) -> None:
+        """Recompute the OP-counter after the group or connection moved."""
         if self._group_idx >= len(self._groups):
-            return self._group_idx * (self._groups[-1].n_connections
-                                      if self._groups else 1)
-        return (self._group_idx * self._groups[self._group_idx].n_connections
-                + self._conn)
+            self._op = self._group_idx * (self._groups[-1].n_connections
+                                          if self._groups else 1)
+        else:
+            self._op = (self._group_idx
+                        * self._groups[self._group_idx].n_connections
+                        + self._conn)
 
     # ------------------------------------------------------------------
     # simulation
@@ -258,22 +275,23 @@ class ProcessingElement:
 
     def _receive_packets(self) -> None:
         buffer = self._rx_buffer
+        interconnect = self.interconnect
         taken = 0
-        while taken < self.interconnect.local_rate and not buffer.empty:
+        while taken < interconnect.local_rate and not buffer.empty:
             packet = buffer.peek()
             if (self._injector is not None
-                    and packet.op_id < self.op_counter):
+                    and packet.op_id < self._op):
                 # Under fault injection a packet can arrive after the
                 # watchdog already force-fired its operation (it sat out
                 # link backoffs).  Protocol order is otherwise intact;
                 # discard it instead of treating it as a plan bug.
-                self.interconnect.eject(self.pe_id, Port.PE, limit=1)
+                interconnect.record_delivery(self.pe_id, buffer.pop())
                 self._injector.stats.late_packets += 1
                 taken += 1
                 continue
             if not self._placeable(packet):
                 return  # backpressure: leave it in the router
-            self.interconnect.eject(self.pe_id, Port.PE, limit=1)
+            interconnect.record_delivery(self.pe_id, buffer.pop())
             self._place(packet)
             taken += 1
             self.stats.packets_received += 1
@@ -282,7 +300,7 @@ class ProcessingElement:
         return self._cache[op_id % self.config.cache_subbanks]
 
     def _placeable(self, packet: Packet) -> bool:
-        if packet.op_id == self.op_counter:
+        if packet.op_id == self._op:
             return True
         bank = self._subbank(packet.op_id)
         return len(bank) < self.config.cache_entries_per_subbank
@@ -291,16 +309,17 @@ class ProcessingElement:
         if packet.kind not in (PacketKind.WEIGHT, PacketKind.STATE):
             raise ProtocolError(f"PE {self.pe_id} received {packet}")
         self._waiting_cycles = 0
-        if packet.op_id < self.op_counter:
+        if packet.op_id < self._op:
             raise ProtocolError(
                 f"PE {self.pe_id} received stale {packet} at op "
-                f"{self.op_counter}")
-        if packet.op_id == self.op_counter:
+                f"{self._op}")
+        if packet.op_id == self._op:
             self._to_temporal_buffer(packet)
         else:
             bank = self._subbank(packet.op_id)
             bank.append(packet)
-            occupancy = sum(len(b) for b in self._cache)
+            self._parked += 1
+            occupancy = self._parked
             if occupancy > self.stats.cache_peak:
                 self.stats.cache_peak = occupancy
             if self._tracer is not None:
@@ -409,9 +428,11 @@ class ProcessingElement:
             self._emit_writebacks(group)
             self._conn = 0
             self._group_idx += 1
+            self._sync_op()
             if self._group_idx < len(self._groups):
                 self._start_group()
         else:
+            self._sync_op()
             self._preload_from_cache()
 
     def _start_group(self) -> None:
@@ -433,7 +454,8 @@ class ProcessingElement:
         but overlaps the MAC computation (itself ``n_mac`` cycles), so
         only the excess stalls the PE.
         """
-        bank = self._subbank(self.op_counter)
+        op = self._op
+        bank = self._subbank(op)
         if not bank:
             return
         search = min(64, max(self.config.n_mac, len(bank)))
@@ -442,13 +464,14 @@ class ProcessingElement:
         self.stats.search_stall_cycles += extra
         kept: list[Packet] = []
         for packet in bank:
-            if packet.op_id == self.op_counter:
+            if packet.op_id == op:
                 self._to_temporal_buffer(packet)
             else:
                 kept.append(packet)
         if self._tracer is not None:
             self._tracer.cache_evict(self.interconnect.cycle, self.pe_id,
                                      len(bank) - len(kept), extra)
+        self._parked -= len(bank) - len(kept)
         bank[:] = kept
 
     def _clear_operand_buffers(self) -> None:
@@ -477,12 +500,13 @@ class ProcessingElement:
                 inject_cycle=self.interconnect.cycle, crc=crc))
 
     def _inject_writebacks(self) -> None:
+        buffer = self._tx_buffer
         sent = 0
         while self._writebacks and sent < self.interconnect.local_rate:
-            if not self.interconnect.can_inject(self.pe_id, Port.PE):
+            if not buffer.has_space:
                 return
-            self.interconnect.inject(self.pe_id, self._writebacks.popleft(),
-                                     Port.PE)
+            buffer.push(self._writebacks.popleft())
+            self.interconnect.stats.injected += 1
             sent += 1
 
     # ------------------------------------------------------------------
@@ -515,10 +539,12 @@ class ProcessingElement:
             mac.load_state(payload)
         self._group_idx = state["group_idx"]
         self._conn = state["conn"]
+        self._sync_op()
         self._busy = state["busy"]
         self._advance_pending = state["advance_pending"]
         self._writebacks = deque(state["writebacks"])
         self._cache = [list(bank) for bank in state["cache"]]
+        self._parked = sum(len(bank) for bank in self._cache)
         self._weight_slots = dict(state["weight_slots"])
         self._state_slots = dict(state["state_slots"])
         self._shared_state = state["shared_state"]

@@ -240,8 +240,11 @@ class NeurosequenceGenerator:
         # within their 64-entry sub-banks.
         self._horizon = horizon
         # Bound once: the router output this PNG drains write-backs from
-        # every cycle (mirrors ProcessingElement._rx_buffer).
-        self._rx_buffer = interconnect.routers[node].outputs[Port.MEM]
+        # every cycle and the router input it injects into (mirrors
+        # ProcessingElement._rx_buffer / _tx_buffer).
+        router = interconnect.routers[node]
+        self._rx_buffer = router.outputs[Port.MEM]
+        self._tx_buffer = router.inputs[Port.MEM]
         self._held: EmissionRecord | None = None
         self._emissions: Iterator[EmissionRecord] | None = None
         self._emissions_exhausted = True
@@ -374,7 +377,8 @@ class NeurosequenceGenerator:
         for read in self.vault.step():
             self._packetise(read)
         self._inject_ready()
-        self._drain_writebacks()
+        if not self._rx_buffer.empty:
+            self._drain_writebacks()
         if self._injector is not None and self._injector.has_losses:
             self._forgive_lost_writebacks()
 
@@ -453,14 +457,16 @@ class NeurosequenceGenerator:
                 inject_cycle=self.interconnect.cycle, crc=crc))
 
     def _inject_ready(self) -> None:
+        buffer = self._tx_buffer
         rate = self.interconnect.local_rate
         injected = 0
         while self._ready and injected < rate:
-            if not self.interconnect.can_inject(self.node, Port.MEM):
+            if not buffer.has_space:
                 self.stats.inject_stall_cycles += 1
                 return
             packet = self._ready.popleft()
-            self.interconnect.inject(self.node, packet, Port.MEM)
+            buffer.push(packet)
+            self.interconnect.stats.injected += 1
             injected += 1
             self.stats.packets_injected += 1
             if self._tracer is not None:

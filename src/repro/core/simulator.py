@@ -485,15 +485,22 @@ class NeurocubeSimulator:
         # config (one definition) because nccheck's static sub-bank
         # occupancy bound (NC203) enforces the same window.
         window = config.emission_window
+        # Lock-step bound: no PNG emits ops more than ``window`` ahead of
+        # the slowest PE (the hardware equivalent is that all PNGs walk
+        # the same FSM schedule).  PE op counters and done flags change
+        # only inside ProcessingElement.step/program/load_state, and
+        # every cycle runs its PNG phase before its PE phase, so the
+        # bound is computed once per cycle — after programming or
+        # resume, then after each PE phase — and every PNG call in a
+        # cycle reads that exact value.
+        bound = [float("inf")]
+
+        def refresh_horizon() -> None:
+            active = [pe.op_counter for pe in pes if not pe.done]
+            bound[0] = min(active) + window if active else float("inf")
 
         def horizon() -> float:
-            """Lock-step bound: no PNG emits ops more than ``window``
-            ahead of the slowest PE (the hardware equivalent is that all
-            PNGs walk the same FSM schedule)."""
-            active = [pe.op_counter for pe in pes if not pe.done]
-            if not active:
-                return float("inf")
-            return min(active) + window
+            return bound[0]
 
         pngs = []
         for v in range(config.n_channels):
@@ -544,6 +551,7 @@ class NeurocubeSimulator:
                     progress_mark = state["progress_mark"]
                     if tracer is not None:
                         tracer.sim_checkpoint(cycles, "resume", pass_label)
+        refresh_horizon()
         while True:
             if all(png.done for png in pngs) and all(pe.done for pe in pes):
                 break
@@ -594,6 +602,7 @@ class NeurocubeSimulator:
                 interconnect.step()
                 for pe in pes:
                     pe.step()
+            refresh_horizon()
             cycles += 1
             if tracer is not None:
                 tracer.on_cycle(cycles)

@@ -120,7 +120,7 @@ class VaultChannel:
             chunk = np.concatenate(
                 [chunk, np.zeros(self.items_per_word - len(chunk),
                                  dtype=np.int64)])
-        return tuple(int(v) for v in chunk)
+        return tuple(chunk.tolist())
 
     def can_issue_soon(self) -> bool:
         """True when the next :meth:`step` call would issue a request."""
@@ -138,13 +138,13 @@ class VaultChannel:
         and the returned delta the vault only counts down, which is what
         lets the simulator skip those cycles wholesale.
         """
-        deltas = []
+        delta = None
         if self._in_flight:
-            deltas.append(max(1, self._in_flight[0].completed_cycle
-                              - self.cycle))
+            delta = max(1, self._in_flight[0].completed_cycle - self.cycle)
+        issue = None
         if self._queue:
             if self._gap_remaining > 0:
-                deltas.append(self._gap_remaining)
+                issue = self._gap_remaining
             else:
                 # Credit accrues words_per_cycle per step; issue happens
                 # on the first step where the accumulated credit >= 1.
@@ -157,10 +157,10 @@ class VaultChannel:
                     while credit < 1.0:
                         credit = min(2.0, credit + rate)
                         steps += 1
-                    deltas.append(max(1, steps))
-        if not deltas:
-            return None
-        return min(deltas)
+                    issue = max(1, steps)
+        if delta is None or (issue is not None and issue < delta):
+            return issue
+        return delta
 
     def skip(self, cycles: int) -> None:
         """Fast-forward ``cycles`` event-free cycles.

@@ -65,26 +65,36 @@ class RotatingPriorityArbiter:
             requests: either an iterable of requesting input indices, or a
                 boolean mask of length ``n_inputs``.
         """
-        mask = self._as_mask(requests)
-        for offset in range(self.n_inputs):
-            candidate = (self._head + offset) % self.n_inputs
-            if mask[candidate]:
-                self.grants += 1
-                return candidate
-        return None
-
-    def _as_mask(self, requests) -> list[bool]:
         requests = list(requests)
         if requests and all(isinstance(r, bool) for r in requests):
             if len(requests) != self.n_inputs:
                 raise ConfigurationError(
                     f"mask length {len(requests)} != n_inputs "
                     f"{self.n_inputs}")
-            return requests
-        mask = [False] * self.n_inputs
+            requests = [index for index, wants in enumerate(requests)
+                        if wants]
         for index in requests:
             if not 0 <= index < self.n_inputs:
                 raise ConfigurationError(
-                    f"request index {index} out of range 0..{self.n_inputs - 1}")
-            mask[index] = True
-        return mask
+                    f"request index {index} out of range "
+                    f"0..{self.n_inputs - 1}")
+        return self.grant_sorted(sorted(set(requests)))
+
+    def grant_sorted(self, requesters: list[int]) -> int | None:
+        """:meth:`grant` for distinct, in-range, ascending indices.
+
+        The router's switch stage builds its requester lists in input
+        order, so it calls this directly.  Walking the daisy chain from
+        the head wraps once: the winner is the first requester at or
+        after the head, else the lowest-numbered one.
+        """
+        if not requesters:
+            return None
+        head = self._head
+        for index in requesters:
+            if index >= head:
+                break
+        else:
+            index = requesters[0]
+        self.grants += 1
+        return index

@@ -9,12 +9,17 @@ modelling the switch+link pipeline.
 
 Injection: the vault-side PNG pushes packets into its router's MEM input
 buffer; a PE pushes write-backs into the PE input buffer.  Ejection is the
-mirror image from the output buffers.
+mirror image from the output buffers.  The PNG and PE hold their local
+buffers directly (bound once at construction), counting each push into
+``stats.injected`` and each pop through :meth:`Interconnect.record_delivery`;
+:meth:`Interconnect.inject` and :meth:`Interconnect.eject` are the same
+operations addressed by node and port.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.noc.buffer import DEFAULT_DEPTH
@@ -80,9 +85,11 @@ class Interconnect:
         self._links_faulted = (injector is not None
                                and injector.noc_active)
         self.stats = NocStats()
+        # Each router fills its route table from the topology's routing
+        # function (the one definition nccheck's NC205 walk also uses).
         self.routers = [
             Router(node, topology.link_ports(node),
-                   self._route_fn(node), buffer_depth,
+                   partial(topology.next_port, node), buffer_depth,
                    local_rate=local_rate)
             for node in range(topology.n_nodes)
         ]
@@ -106,9 +113,6 @@ class Interconnect:
         # cycle its next transmission attempt is allowed (backoff).
         self._link_retries = [0] * len(self._links)
         self._link_blocked_until = [0] * len(self._links)
-
-    def _route_fn(self, node: int):
-        return lambda packet: self.topology.next_port(node, packet)
 
     # ------------------------------------------------------------------
     # edge interfaces
@@ -143,15 +147,24 @@ class Interconnect:
         while not buffer.empty and (limit is None or len(out) < limit):
             packet = buffer.pop()
             out.append(packet)
-            self.stats.delivered += 1
-            if packet.src != node:
-                self.stats.lateral += 1
-            latency = self.cycle - packet.inject_cycle
-            self.stats.total_latency += latency
-            if self.tracer is not None:
-                self.tracer.packet_delivered(self.cycle, node, latency,
-                                             packet)
+            self.record_delivery(node, packet)
         return out
+
+    def record_delivery(self, node: int, packet: Packet) -> None:
+        """Account one packet just popped from ``node``'s local output.
+
+        :meth:`eject` calls this per packet; a PE that pops its own
+        bound output buffer calls it directly, so every delivery is
+        counted in one place.
+        """
+        stats = self.stats
+        stats.delivered += 1
+        if packet.src != node:
+            stats.lateral += 1
+        latency = self.cycle - packet.inject_cycle
+        stats.total_latency += latency
+        if self.tracer is not None:
+            self.tracer.packet_delivered(self.cycle, node, latency, packet)
 
     # ------------------------------------------------------------------
     # simulation
@@ -297,10 +310,12 @@ class Interconnect:
     def in_fabric(self) -> int:
         """Packets currently inside the fabric, O(1).
 
-        Every packet enters through :meth:`inject` and leaves through
-        :meth:`eject` — or, under fault injection, is removed as lost —
-        so the counter difference is the live population (equal to
-        :attr:`occupancy`, without walking buffers).
+        Every packet entering a local input is counted in
+        ``stats.injected`` and every packet leaving a local output in
+        ``stats.delivered`` (:meth:`record_delivery`) — or, under fault
+        injection, in ``stats.dropped`` when lost — so the counter
+        difference is the live population (equal to :attr:`occupancy`,
+        without walking buffers).
         """
         return (self.stats.injected - self.stats.delivered
                 - self.stats.dropped)

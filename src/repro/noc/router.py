@@ -16,8 +16,10 @@ from collections.abc import Callable
 from repro.errors import ConfigurationError, SimulationError
 from repro.noc.arbiter import RotatingPriorityArbiter
 from repro.noc.buffer import DEFAULT_DEPTH, CreditedBuffer
-from repro.noc.packet import Packet
+from repro.noc.packet import Packet, PacketKind
 from repro.noc.routing import LOCAL_PORTS, PortKey
+
+_WRITEBACK = PacketKind.WRITEBACK
 
 
 class Router:
@@ -27,13 +29,22 @@ class Router:
         node_id: this router's node number (== PE id == vault id).
         link_ports: directional ports wired to other routers.
         route: function ``(packet) -> PortKey`` giving the output port a
-            packet must take *from this router*.
+            packet must take *from this router*.  Its answer may depend
+            only on the packet's destination and on whether the packet
+            is a write-back (the one kind distinction routing makes,
+            :func:`repro.noc.routing.local_delivery_port`): the router
+            asks once per such pair and keeps the output port's index in
+            its route table.
         buffer_depth: per-channel packet buffer depth (16 in the paper).
         local_rate: packets per cycle the local (PE/MEM) channels can
             move through the switch.  Mesh links are one 36-bit flit per
             cycle, but the vault pushes a whole 32-bit word — two packets
             — per cycle into the PNG (Fig. 11a), so the local channels are
             provisioned at the word rate.
+
+    ``inputs``, ``outputs`` and ``state_dict`` are keyed by port; the
+    switch stage itself works on port indices (position in
+    :attr:`ports`) held in lists, so no per-packet step hashes a port.
     """
 
     def __init__(self, node_id: int, link_ports: list[PortKey],
@@ -49,9 +60,6 @@ class Router:
             raise ConfigurationError(
                 f"router {node_id}: duplicate ports {self.ports}")
         self.local_rate = local_rate
-        self._port_rate = {
-            port: (local_rate if port in LOCAL_PORTS else 1)
-            for port in self.ports}
         self.route = route
         self.inputs: dict[PortKey, CreditedBuffer] = {
             port: CreditedBuffer(buffer_depth, f"r{node_id}.in.{port}")
@@ -62,14 +70,22 @@ class Router:
         self._arbiters: dict[PortKey, RotatingPriorityArbiter] = {
             port: RotatingPriorityArbiter(len(self.ports))
             for port in self.ports}
+        # The switch stage's view: everything indexed by port position.
+        self._port_index = {port: i for i, port in enumerate(self.ports)}
+        self._input_list = list(self.inputs.values())
+        self._output_list = list(self.outputs.values())
+        self._arbiter_list = list(self._arbiters.values())
+        self._rates = [local_rate if port in LOCAL_PORTS else 1
+                       for port in self.ports]
+        self._max_port_rate = max(self._rates)
+        # Route table: destination -> output port index, one dict for
+        # data packets and one for write-backs, filled from ``route``.
+        self._routes: tuple[dict[int, int], dict[int, int]] = ({}, {})
         # Arbiter heads rotate every cycle even when the router is idle
         # (§III-C).  Idle rotations are batched into this counter and
         # flushed lazily before the next real arbitration, which keeps
         # the per-cycle cost of an empty router at one integer add.
         self._pending_rotations = 0
-        self._input_buffers = list(self.inputs.values())
-        # Hoisted out of switch(): the arbitration round count per cycle.
-        self._max_port_rate = max(self._port_rate.values())
         self.switched_packets = 0
 
     def advance_idle(self, cycles: int) -> None:
@@ -78,9 +94,21 @@ class Router:
 
     def _flush_rotations(self) -> None:
         if self._pending_rotations:
-            for arbiter in self._arbiters.values():
+            for arbiter in self._arbiter_list:
                 arbiter.advance(self._pending_rotations)
             self._pending_rotations = 0
+
+    def _fill_route(self, packet: Packet) -> int:
+        """Route-table miss: ask ``route`` once, check the answer names a
+        port of this router, and keep its index for the destination."""
+        port = self.route(packet)
+        index = self._port_index.get(port)
+        if index is None:
+            raise SimulationError(
+                f"router {self.node_id}: route returned unknown "
+                f"port {port} for {packet}")
+        self._routes[packet.kind is _WRITEBACK][packet.dst] = index
+        return index
 
     def switch(self) -> int:
         """One switch-stage cycle: input buffers -> output buffers.
@@ -91,45 +119,53 @@ class Router:
         one packet per cycle; local ports up to ``local_rate``, realised
         as repeated arbitration rounds.
         """
-        if all(buffer.empty for buffer in self._input_buffers):
+        inputs = self._input_list
+        # Only inputs holding a packet now can request this cycle: the
+        # switch pops inputs but never fills them.
+        active = [index for index, buffer in enumerate(inputs)
+                  if not buffer.empty]
+        if not active:
             self._pending_rotations += 1
             return 0
         self._flush_rotations()
+        outputs = self._output_list
+        arbiters = self._arbiter_list
+        rates = self._rates
+        routes = self._routes
+        supplied = [0] * len(inputs)
+        accepted = [0] * len(inputs)
         moved = 0
-        supplied = {port: 0 for port in self.ports}
-        accepted = {port: 0 for port in self.ports}
         for _ in range(self._max_port_rate):
-            # Gather, per output port, the inputs whose head wants it.
-            wants: dict[PortKey, list[int]] = {}
-            for index, port in enumerate(self.ports):
-                buffer = self.inputs[port]
-                if supplied[port] >= self._port_rate[port] or buffer.empty:
+            # Gather, per output port, the inputs whose head wants it;
+            # each list is ascending, as grant_sorted needs.
+            wants: dict[int, list[int]] = {}
+            for index in active:
+                buffer = inputs[index]
+                if buffer.empty or supplied[index] >= rates[index]:
                     continue
-                out_port = self.route(buffer.peek())
-                if out_port not in self.outputs:
-                    raise SimulationError(
-                        f"router {self.node_id}: route returned unknown "
-                        f"port {out_port} for {buffer.peek()}")
-                wants.setdefault(out_port, []).append(index)
+                packet = buffer.peek()
+                out = routes[packet.kind is _WRITEBACK].get(packet.dst)
+                if out is None:
+                    out = self._fill_route(packet)
+                requesters = wants.get(out)
+                if requesters is None:
+                    wants[out] = [index]
+                else:
+                    requesters.append(index)
             any_move = False
-            for out_port, requesters in wants.items():
-                output = self.outputs[out_port]
-                if accepted[out_port] >= self._port_rate[out_port]:
+            for out, requesters in wants.items():
+                output = outputs[out]
+                if accepted[out] >= rates[out] or not output.has_space:
                     continue
-                if not output.has_space:
-                    continue
-                winner = self._arbiters[out_port].grant(requesters)
-                if winner is None:
-                    continue
-                in_port = self.ports[winner]
-                output.push(self.inputs[in_port].pop())
-                supplied[in_port] += 1
-                accepted[out_port] += 1
+                winner = arbiters[out].grant_sorted(requesters)
+                output.push(inputs[winner].pop())
+                supplied[winner] += 1
+                accepted[out] += 1
                 moved += 1
                 any_move = True
             if not any_move:
                 break
-        for arbiter in self._arbiters.values():
+        for arbiter in arbiters:
             arbiter.rotate()
         self.switched_packets += moved
         return moved

@@ -1,0 +1,154 @@
+"""Simulated statistics pinned across commits.
+
+``test_engine_equivalence.py`` proves lock-step and skip-ahead agree
+with each other, but both share the router, PE and MAC code, so a
+behaviour change there moves both modes together and passes.  These
+pins compare against fixed numbers instead: any change to what the
+cycle engine simulates — not just to how fast — fails here.
+
+The smoke layers never cross a mesh link (lateral fraction 0.0), so the
+fabric also gets a seeded all-to-all traffic pin on both topologies,
+with two-deep buffers so arbitration and backpressure are exercised.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import random
+
+import pytest
+
+from repro.core import NeurocubeConfig, NeurocubeSimulator, compile_inference
+from repro.nn import models
+from repro.noc import FullyConnected, Interconnect, Mesh2D, Packet, PacketKind
+from repro.noc.routing import Port
+
+#: The smoke conv layer's folded statistics, identical on both
+#: topologies and both engine modes.
+SMOKE_PIN = {
+    "cycles": 581,
+    "packets": 4840,
+    "mean_packet_latency": 1.415702479338843,
+    "macs_fired": 4356,
+    "pe_busy_cycles": 5184,
+    "pe_idle_cycles": 2320,
+    "cache_peak": 42,
+    "lateral_fraction": 0.0,
+}
+
+#: ``mnist_mlp(16)`` cycles per descriptor (hidden, output).
+MLP_PIN = (12685, 397)
+
+#: Seeded all-to-all traffic: sha256 of the ejection sequence, the
+#: folded NocStats, per-router switched packets and arbiter grants.
+#: Every grant moves one packet, so ``grants`` equals ``switched``.
+TRAFFIC_PIN = {
+    "mesh": {
+        "ejections": ("6a80060532afa62111a03db3d29967146259d00c063f75b2"
+                      "5728b07b9eff845e"),
+        "stats": {"injected": 2850, "delivered": 2850, "lateral": 2690,
+                  "link_traversals": 7187, "total_latency": 17144,
+                  "rejected_injections": 49, "dropped": 0},
+        "switched": [443, 617, 638, 450, 614, 796, 826, 631,
+                     618, 794, 814, 630, 447, 627, 644, 448],
+        "grants": [443, 617, 638, 450, 614, 796, 826, 631,
+                   618, 794, 814, 630, 447, 627, 644, 448],
+    },
+    "fully_connected": {
+        "ejections": ("4e96cf61647e5e0ecf3ad5f80749b0a4f12fcdab5d3d69c5"
+                      "26000a860a8196f3"),
+        "stats": {"injected": 2894, "delivered": 2894, "lateral": 2727,
+                  "link_traversals": 2727, "total_latency": 8230,
+                  "rejected_injections": 5, "dropped": 0},
+        "switched": [351, 349, 367, 359, 347, 351, 352, 354,
+                     352, 339, 333, 348, 356, 346, 368, 349],
+        "grants": [351, 349, 367, 359, 347, 351, 352, 354,
+                   352, 339, 333, 348, 356, 346, 368, 349],
+    },
+}
+
+
+def _config(topology: str, skip_ahead: bool) -> NeurocubeConfig:
+    return NeurocubeConfig.hmc_15nm(sim_workers=1, noc_topology=topology,
+                                    sim_skip_ahead=skip_ahead)
+
+
+ENGINE_MODES = [(topology, skip)
+                for topology in ("mesh", "fully_connected")
+                for skip in (True, False)]
+
+
+@pytest.mark.parametrize(("topology", "skip_ahead"), ENGINE_MODES)
+def test_smoke_conv_pin(topology, skip_ahead):
+    config = _config(topology, skip_ahead)
+    network = models.single_conv_layer(24, 24, 3, qformat=None)
+    descriptor = compile_inference(network, config).descriptors[0]
+    run = NeurocubeSimulator(config).run_descriptor(descriptor)
+    assert {name: getattr(run, name) for name in SMOKE_PIN} == SMOKE_PIN
+
+
+@pytest.mark.parametrize(("topology", "skip_ahead"), ENGINE_MODES)
+def test_mnist_mlp_pin(topology, skip_ahead):
+    config = _config(topology, skip_ahead)
+    program = compile_inference(models.mnist_mlp(16), config)
+    simulator = NeurocubeSimulator(config)
+    cycles = tuple(simulator.run_descriptor(descriptor).cycles
+                   for descriptor in program.descriptors)
+    assert cycles == MLP_PIN
+
+
+def _random_traffic(topology, cycles: int = 300, seed: int = 7) -> dict:
+    """Drive seeded all-to-all traffic through a fresh fabric.
+
+    Every cycle each node offers a packet with probability 0.6 (data
+    into the MEM input, write-backs into the PE input, as the PNG and PE
+    inject them), the fabric steps, and each local output is drained by
+    a random 0-2 packets so full buffers back up into the routers.
+    After ``cycles`` the fabric drains completely.
+    """
+    rng = random.Random(seed)
+    fabric = Interconnect(topology, buffer_depth=2)
+    n = topology.n_nodes
+    kinds = (PacketKind.WEIGHT, PacketKind.STATE, PacketKind.WRITEBACK)
+    digest = hashlib.sha256()
+    op_id = 0
+    for cycle in range(cycles * 4):
+        offering = cycle < cycles
+        if not offering and not fabric.in_fabric:
+            break
+        for node in range(n):
+            if offering and rng.random() < 0.6:
+                kind = rng.choice(kinds)
+                packet = Packet(src=node, dst=rng.randrange(n),
+                                mac_id=rng.randrange(16), op_id=op_id,
+                                kind=kind, inject_cycle=fabric.cycle)
+                op_id += 1
+                port = Port.PE if kind is PacketKind.WRITEBACK else Port.MEM
+                fabric.inject(node, packet, port)
+        fabric.step()
+        for node in range(n):
+            for port in (Port.PE, Port.MEM):
+                limit = rng.randrange(3) if offering else None
+                for packet in fabric.eject(node, port, limit=limit):
+                    digest.update(
+                        f"{fabric.cycle}:{node}:{port.value}:{packet.src}:"
+                        f"{packet.dst}:{packet.mac_id}:{packet.op_id}:"
+                        f"{packet.kind.value};".encode())
+    assert not fabric.in_fabric, "fabric did not drain"
+    stats = dataclasses.asdict(fabric.stats)
+    stats.pop("_cycle")
+    return {
+        "ejections": digest.hexdigest(),
+        "stats": stats,
+        "switched": [router.switched_packets for router in fabric.routers],
+        "grants": [sum(arbiter["grants"]
+                       for arbiter in router.state_dict()["arbiters"].values())
+                   for router in fabric.routers],
+    }
+
+
+@pytest.mark.parametrize("name", ["mesh", "fully_connected"])
+def test_random_traffic_pin(name):
+    topology = Mesh2D(4, 4) if name == "mesh" else FullyConnected(16)
+    assert _random_traffic(topology) == TRAFFIC_PIN[name]

@@ -1,12 +1,13 @@
 """Tests for the MAC unit and the processing element's state machine."""
 
+import numpy as np
 import pytest
 
 from repro.core import NeurocubeConfig
 from repro.core.mac import MACUnit
 from repro.core.pe import GroupPlan, GroupSlot, ProcessingElement
 from repro.errors import ConfigurationError, ProtocolError
-from repro.fixedpoint import Q_1_7_8, from_float
+from repro.fixedpoint import Q_1_7_8, QFormat, from_float, to_float
 from repro.noc import Interconnect, Mesh2D, Packet, PacketKind, Port
 
 
@@ -49,6 +50,34 @@ class TestMACUnit:
         mac.accumulate_raw(0, 0)
         mac.max_raw(0)
         assert mac.operations == 2
+
+    def test_accumulator_is_a_python_float(self):
+        """Documented as ``float``; a numpy scalar would also leak into
+        every checkpoint through ``state_dict``."""
+        mac = MACUnit()
+        mac.accumulate_raw(3, -7)
+        mac.accumulate_raw(from_float(1.5), from_float(2.0))
+        assert type(mac.accumulator) is float
+        assert type(mac.state_dict()["acc"]) is float
+        mac.max_raw(from_float(9.0))
+        assert type(mac.accumulator) is float
+
+    @pytest.mark.parametrize("fmt", [Q_1_7_8, QFormat(3, 12)], ids=str)
+    def test_bit_identical_to_numpy_products(self, fmt):
+        """Python-float MAC steps equal the numpy ``to_float`` products
+        bit for bit, over the whole raw operand range."""
+        rng = np.random.default_rng(2016)
+        for _ in range(50):
+            bias = float(rng.normal())
+            mac = MACUnit(fmt)
+            mac.reset(bias=bias)
+            reference = bias
+            for weight, state in rng.integers(fmt.min_raw, fmt.max_raw + 1,
+                                              size=(64, 2)).tolist():
+                mac.accumulate_raw(weight, state)
+                reference += to_float(weight, fmt) * to_float(state, fmt)
+            assert mac.accumulator == reference
+            assert mac.result_raw == int(from_float(reference, fmt))
 
 
 def make_pe(groups, config=None):

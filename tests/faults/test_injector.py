@@ -276,6 +276,7 @@ class TestFaultStats:
 
 class _StubRouter:
     def __init__(self):
+        self.inputs = {Port.MEM: None}
         self.outputs = {Port.MEM: None}
 
 

@@ -1,0 +1,62 @@
+"""Schema of the committed performance history, BENCH_trajectory.json.
+
+One row per PR: the parent's and the change's neurobench medians for
+every workload and every end-to-end metric BENCHMARK.json declares, so
+a reader can follow each number across PRs without re-running history.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TRAJECTORY = json.loads((ROOT / "BENCH_trajectory.json").read_text())
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+
+WORKLOADS = [workload["name"] for workload in BENCHMARK["workloads"]]
+METRICS = [metric["name"] for metric in BENCHMARK["end_to_end"]]
+AGENTS = ("png", "noc.router", "pe", "vault", "engine")
+
+
+def test_rows_are_ordered_and_unique():
+    prs = [row["pr"] for row in TRAJECTORY["rows"]]
+    assert prs == sorted(set(prs))
+    assert prs[:3] == [11, 12, 13]
+
+
+def test_every_row_has_every_workload_and_metric():
+    for row in TRAJECTORY["rows"]:
+        for side in ("parent", "change"):
+            medians = row[side]
+            assert sorted(medians) == sorted(WORKLOADS), (row["pr"], side)
+            for workload in WORKLOADS:
+                values = medians[workload]
+                assert sorted(values) == sorted(METRICS), (
+                    row["pr"], side, workload)
+                for metric in METRICS:
+                    value = values[metric]
+                    assert isinstance(value, (int, float)), (
+                        row["pr"], side, workload, metric)
+                    assert math.isfinite(value) and value > 0
+
+
+def test_trace_shares_cover_the_engine_agents():
+    for row in TRAJECTORY["rows"]:
+        shares = row.get("trace_shares", {})
+        assert set(shares) <= {"parent", "change"}
+        for by_workload in shares.values():
+            for workload, by_agent in by_workload.items():
+                assert workload in WORKLOADS
+                assert sorted(by_agent) == sorted(AGENTS)
+                assert all(0.0 <= share <= 1.0
+                           for share in by_agent.values())
+                assert sum(by_agent.values()) <= 1.0 + 1e-9
+
+
+def test_pr13_row_carries_trace_shares():
+    row = next(row for row in TRAJECTORY["rows"] if row["pr"] == 13)
+    assert set(row["trace_shares"]) == {"parent", "change"}
+    for by_workload in row["trace_shares"].values():
+        assert sorted(by_workload) == sorted(WORKLOADS)
