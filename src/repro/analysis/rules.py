@@ -594,81 +594,6 @@ class NoUnorderedFolds(Rule):
                                f"hash seed — sort first")
 
 
-#: Dotted call names that block the event loop when awaited-around in
-#: service coroutines.  ``asyncio`` has a native replacement for each:
-#: asyncio.sleep, asyncio.create_subprocess_exec, loop.run_in_executor.
-_BLOCKING_ASYNC_CALLS = (
-    "time.sleep",
-    "subprocess.run",
-    "subprocess.call",
-    "subprocess.check_call",
-    "subprocess.check_output",
-    "subprocess.Popen",
-    "os.system",
-    "os.popen",
-)
-
-
-def _async_body_nodes(func: ast.AsyncFunctionDef) -> Iterator[ast.AST]:
-    """Nodes in the coroutine's own body, skipping nested ``def``s.
-
-    A nested (sync) helper may block legitimately — it runs wherever
-    it is *called* from, and a nested ``async def`` is visited on its
-    own by the outer walk.
-    """
-    stack: list[ast.AST] = list(func.body)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        yield node
-        stack.extend(ast.iter_child_nodes(node))
-
-
-@register
-class NoBlockingInAsync(Rule):
-    """NC112: no blocking calls inside ``async def`` bodies of the
-    service."""
-
-    code = "NC112"
-    title = "no blocking calls in async service coroutines"
-    rationale = (
-        "The service runs admission, liveness and deadline sweeps on "
-        "one event loop; a single time.sleep, synchronous subprocess "
-        "call or un-awaited file open() inside a coroutine freezes "
-        "every tenant at once — heartbeats go unread, deadlines fire "
-        "late, and the liveness detector can mistake its own stalled "
-        "loop for a dead worker.  Coroutines in repro.serve must use "
-        "asyncio.sleep / create_subprocess_exec / run_in_executor "
-        "(or hand blocking work to the worker pool).")
-
-    def applies_to(self, ctx: ModuleContext) -> bool:
-        return ctx.in_package("repro.serve")
-
-    def check(self, ctx: ModuleContext) -> Iterator[tuple[int, int, str]]:
-        for func in ast.walk(ctx.tree):
-            if not isinstance(func, ast.AsyncFunctionDef):
-                continue
-            for node in _async_body_nodes(func):
-                if not isinstance(node, ast.Call):
-                    continue
-                name = _dotted_name(node.func)
-                if name in _BLOCKING_ASYNC_CALLS:
-                    yield (node.lineno, node.col_offset,
-                           f"blocking '{name}()' inside async def "
-                           f"{func.name} in {ctx.module}; this stalls "
-                           f"the whole service event loop — use the "
-                           f"asyncio equivalent")
-                elif (isinstance(node.func, ast.Name)
-                        and node.func.id == "open"):
-                    yield (node.lineno, node.col_offset,
-                           f"blocking file open() inside async def "
-                           f"{func.name} in {ctx.module}; file I/O "
-                           f"blocks the event loop — use "
-                           f"run_in_executor or do it before/after "
-                           f"the coroutine runs")
-
-
 #: Seeded one-violation sources per rule, keyed by code: the
 #: ``nclint --self-test`` corpus.  Each fixture is the smallest module
 #: (name, source) on which the rule must fire; the self-test also
@@ -707,8 +632,4 @@ SELF_TEST_FIXTURES: dict[str, tuple[str, str]] = {
     "NC111": ("repro.core.selftest",
               "def fold(states):\n"
               "    return sum({1, 2, 3})\n"),
-    "NC112": ("repro.serve.selftest",
-              "import time\n\n"
-              "async def tick():\n"
-              "    time.sleep(0.1)\n"),
 }

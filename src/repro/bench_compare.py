@@ -132,29 +132,6 @@ def _stream_note(base_extra: dict, cur_extra: dict) -> str:
     return f"  [{rate:,.0f} warm frames/s]"
 
 
-def _serve_note(cur_extra: dict) -> str:
-    """Informational serving-layer note for one benchmark line.
-
-    Service benchmarks attach ``serve_p50_ms`` / ``serve_p99_ms``
-    (terminal-job latency percentiles of an in-process service pass)
-    and ``serve_warm_hit_pct`` (plan-cache hit share) to
-    ``extra_info``.  Printed for the human reading the log, never
-    gated on: the hard gates (3x warm speedup, bit-identity) are
-    asserts inside the benchmarks themselves.
-    """
-    p50 = cur_extra.get("serve_p50_ms")
-    if p50 is None:
-        return ""
-    parts = [f"p50 {p50:,.0f}ms"]
-    p99 = cur_extra.get("serve_p99_ms")
-    if p99 is not None:
-        parts.append(f"p99 {p99:,.0f}ms")
-    hit_pct = cur_extra.get("serve_warm_hit_pct")
-    if hit_pct is not None:
-        parts.append(f"warm-hit {hit_pct:.0f}%")
-    return f"  [serve: {', '.join(parts)}]"
-
-
 def _cubes_note(cur_extra: dict) -> str:
     """Format multi-cube sharding counters when a benchmark attached any.
 
@@ -237,7 +214,6 @@ def compare(baseline: dict[str, dict], current: dict[str, dict],
         note += _memo_note(current[name]["extra_info"])
         note += _stream_note(baseline[name]["extra_info"],
                              current[name]["extra_info"])
-        note += _serve_note(current[name]["extra_info"])
         note += _cubes_note(current[name]["extra_info"])
         print(f"  {name}: {metric} {base_value:.6g}s -> {cur_value:.6g}s "
               f"({base_value / cur_value:.2f}x speedup)  {marker}{note}")

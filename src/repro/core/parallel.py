@@ -40,26 +40,6 @@ from repro.faults.rng import pass_salt
 from repro.nn.activations import ActivationLUT
 
 
-#: When True, every executor in this process runs its tasks inline
-#: regardless of its configured worker count.  Service workers
-#: (:mod:`repro.serve`) set this so a job that asks for parallel passes
-#: cannot fork a nested process pool inside an already-supervised
-#: worker; results are bit-identical either way (the inline path is the
-#: same code path a ``workers=1`` executor takes).
-_INLINE_ONLY = False
-
-
-def set_inline_only(flag: bool) -> None:
-    """Force all executors in this process to run tasks inline."""
-    global _INLINE_ONLY
-    _INLINE_ONLY = bool(flag)
-
-
-def inline_only() -> bool:
-    """True when nested process pools are disabled in this process."""
-    return _INLINE_ONLY
-
-
 @dataclass(frozen=True)
 class SubPassSpec:
     """One sub-pass of a (possibly input-map-blocked) pass chain.
@@ -375,7 +355,7 @@ class ParallelPassExecutor:
         in-process, its :meth:`~RunContext.for_worker` form in a pool
         (memo store and live telemetry are parent-process state).
         """
-        inline = _INLINE_ONLY or self.workers == 1 or len(tasks) <= 1
+        inline = self.workers == 1 or len(tasks) <= 1
         if ctx is not None:
             worker = partial(worker,
                              ctx=ctx if inline else ctx.for_worker())

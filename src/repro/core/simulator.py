@@ -965,11 +965,15 @@ class NeurocubeSimulator:
             from repro.core.multicube import MultiCubeConfig
             from repro.core.shard import ShardedSimulator
 
+            # This simulator's own hooks become the ambient context of
+            # the sharded run.  Faults stay explicit: the cluster would
+            # otherwise prefer ``config.faults`` over them.
             sharded = ShardedSimulator(
                 MultiCubeConfig(cube=self.config, n_cubes=cubes),
-                faults=self.faults, checkpoint=self.checkpoint)
-            output, shard_report = sharded.run_network(
-                network, x, duplicate, validate=validate)
+                faults=self.faults)
+            with self._resolve():
+                output, shard_report = sharded.run_network(
+                    network, x, duplicate, validate=validate)
             return output, shard_report.report
 
         ctx = self._resolve()

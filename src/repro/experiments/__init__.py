@@ -15,7 +15,6 @@ from repro.experiments.registry import EXPERIMENTS, get_experiment, register
 from repro.experiments import (  # noqa: E402  (registration imports)
     ext_lstm,
     ext_scaling,
-    ext_serve,
     ext_shard,
     ext_stream,
     fig01_memory_capacity,
@@ -37,7 +36,6 @@ __all__ = [
     "get_experiment",
     "ext_lstm",
     "ext_scaling",
-    "ext_serve",
     "ext_shard",
     "ext_stream",
     "fig01_memory_capacity",

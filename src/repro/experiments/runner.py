@@ -123,11 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
              "shape, then N frames replay it through the functional "
              "fast path")
     run_parser.add_argument(
-        "--serve-jobs", type=int, default=None, metavar="N",
-        help="serve N mixed jobs in service-capable experiments "
-             "(ext_serve): inference/streaming/training round-robin "
-             "through the supervised worker pool")
-    run_parser.add_argument(
         "--cubes", type=int, default=None, metavar="N",
         help="shard multi-cube-capable experiments (ext_shard) across "
              "N cubes: one process per cube with conservative link-time "
@@ -199,10 +194,6 @@ def main(argv: list[str] | None = None) -> int:
         from repro.experiments import ext_stream
 
         ext_stream.set_frame_count(args.stream)
-    if args.serve_jobs is not None:
-        from repro.experiments import ext_serve
-
-        ext_serve.set_job_count(args.serve_jobs)
     if args.cubes is not None:
         from repro.experiments import ext_shard
 
@@ -231,10 +222,6 @@ def main(argv: list[str] | None = None) -> int:
             from repro.experiments import ext_stream
 
             ext_stream.set_frame_count(None)
-        if args.serve_jobs is not None:
-            from repro.experiments import ext_serve
-
-            ext_serve.set_job_count(None)
         if args.cubes is not None:
             from repro.experiments import ext_shard
 

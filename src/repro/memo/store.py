@@ -5,8 +5,8 @@ PR 3's structural memoization simulates one representative per
 its outcome for the duplicates — but only within one process.  This
 module makes the replay durable: a directory of pickled
 :class:`~repro.core.parallel.MapOutcome` snapshots keyed by a content
-digest of everything the outcome is a function of, shared across runs,
-CI jobs and (eventually) service workers.
+digest of everything the outcome is a function of, shared across runs
+and CI jobs.
 
 Safety rests on three independent guards, in order of bluntness:
 

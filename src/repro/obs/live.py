@@ -7,10 +7,10 @@ wall timers (compile / simulate / memo-I/O / checkpoint / trace-export),
 snapshotted on a cycle-period heartbeat during long runs.  Snapshots
 export two ways:
 
-* **OpenMetrics text** (:meth:`MetricsRegistry.to_openmetrics`) — the
-  ``/metrics`` payload a future ``repro.serve`` front-end will expose to
-  a Prometheus scraper.  The metric names below are a *stable contract*
-  (see ``docs/observability.md``); renaming one is a breaking change.
+* **OpenMetrics text** (:meth:`MetricsRegistry.to_openmetrics`) — a
+  ``/metrics`` payload any Prometheus-compatible scraper can read.  The
+  metric names below are a *stable contract* (see
+  ``docs/observability.md``); renaming one is a breaking change.
 * **JSONL heartbeat records** (:attr:`LiveTelemetry.heartbeats`, or
   appended to ``heartbeat_path``) — one JSON object per heartbeat, for
   offline trend analysis without a scrape target.
@@ -47,7 +47,7 @@ PHASES = ("compile", "simulate", "memo_io", "checkpoint", "trace_export")
 
 #: The stable OpenMetrics families this package emits, with types and
 #: help strings.  ``docs/observability.md`` documents these as the
-#: ``repro.serve`` scrape contract; add freely, never rename.
+#: scrape contract; add freely, never rename.
 METRIC_FAMILIES: dict[str, tuple[str, str]] = {
     "neurocube_phase_seconds": (
         "counter", "host wall-clock seconds per phase"),
@@ -73,21 +73,6 @@ METRIC_FAMILIES: dict[str, tuple[str, str]] = {
         "gauge", "per-cube SerDes link busy fraction of a sharded run"),
     "neurocube_layer_cycles": (
         "histogram", "per-layer simulated cycle distribution"),
-    # -- repro.serve service families ----------------------------------
-    "neurocube_serve_queue_depth": (
-        "gauge", "jobs waiting in the admission queue"),
-    "neurocube_serve_admission_rejects": (
-        "counter", "submissions rejected by reason"),
-    "neurocube_serve_jobs": (
-        "counter", "jobs reaching a terminal state, by state"),
-    "neurocube_serve_job_retries": (
-        "counter", "job attempts restarted after a worker failure"),
-    "neurocube_serve_worker_restarts": (
-        "counter", "supervised workers respawned, by cause"),
-    "neurocube_serve_plan_cache": (
-        "counter", "plan-cache lookups by outcome"),
-    "neurocube_serve_job_latency_ms": (
-        "histogram", "submit-to-terminal job latency by tenant"),
 }
 
 _NAME_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")

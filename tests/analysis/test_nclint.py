@@ -386,89 +386,6 @@ def test_clean_tree():
     assert violations == [], "\n".join(v.format() for v in violations)
 
 
-# -- NC112: no blocking calls in async service coroutines ------------------
-
-SERVE_MODULE = "repro.serve.service"
-
-
-def test_nc112_fires_on_time_sleep_in_async_def():
-    assert "NC112" in codes("""
-        import time
-
-        async def tick():
-            time.sleep(0.1)
-        """, module=SERVE_MODULE)
-
-
-def test_nc112_fires_on_sync_subprocess_in_async_def():
-    assert "NC112" in codes("""
-        import subprocess
-
-        async def run():
-            subprocess.check_output(["true"])
-        """, module=SERVE_MODULE)
-
-
-def test_nc112_fires_on_open_in_async_def():
-    assert "NC112" in codes("""
-        async def touch(path):
-            open(path, "w").close()
-        """, module=SERVE_MODULE)
-
-
-def test_nc112_silent_on_asyncio_sleep():
-    assert "NC112" not in codes("""
-        import asyncio
-
-        async def tick():
-            await asyncio.sleep(0.1)
-        """, module=SERVE_MODULE)
-
-
-def test_nc112_silent_in_sync_def():
-    assert "NC112" not in codes("""
-        import time
-
-        def wait():
-            time.sleep(0.1)
-        """, module=SERVE_MODULE)
-
-
-def test_nc112_silent_in_nested_sync_helper():
-    # A nested def runs wherever it is *called*; only the coroutine's
-    # own body is the event loop's time.
-    assert "NC112" not in codes("""
-        import time
-
-        async def outer():
-            def helper():
-                time.sleep(0.1)
-            return helper
-        """, module=SERVE_MODULE)
-
-
-def test_nc112_silent_outside_repro_serve():
-    assert "NC112" not in codes("""
-        import time
-
-        async def tick():
-            time.sleep(0.1)
-        """, module="repro.obs.exporters")
-
-
-def test_nc112_pragma_waives_with_reason():
-    assert "NC112" not in codes("""
-        async def touch(path):
-            # nclint: allow(NC112) startup barrier, pre-traffic
-            open(path, "w").close()
-        """, module=SERVE_MODULE)
-
-
-def test_registry_includes_nc112():
-    got = {entry["code"] for entry in nclint.rule_catalogue()}
-    assert "NC112" in got
-
-
 # -- self-test corpus ------------------------------------------------------
 
 def test_self_test_passes():

@@ -19,6 +19,7 @@ from repro.core import (
     MultiCubeConfig,
     NeurocubeConfig,
     NeurocubeSimulator,
+    RunContext,
 )
 from repro.core.shard import ShardedSimulator, shard_network
 from repro.errors import MappingError
@@ -27,6 +28,7 @@ from repro.nn.activations import Sigmoid, Tanh
 from repro.nn.layers import Conv2D, Dense, Flatten, MaxPool2D
 from repro.nn.models import fully_connected_classifier, small_lstm
 from repro.nn.network import Network
+from repro.obs import TraceOptions
 
 LOCK_STEP = NeurocubeConfig(sim_skip_ahead=False)
 SKIP_AHEAD = NeurocubeConfig(sim_skip_ahead=True)
@@ -135,6 +137,27 @@ class TestFunctionalEquivalence:
         assert report.source == "cycle"
         assert [layer.name for layer in report.layers] == [
             "conv", "pool", "fc"]
+
+    def test_simulator_cubes_flag_keeps_its_own_trace(self):
+        net, x = conv_network(), conv_input()
+        with RunContext() as ctx:
+            NeurocubeSimulator(SKIP_AHEAD, trace=TraceOptions()).run_network(
+                net, x, cubes=2)
+        assert ctx.runs
+        assert all(run.trace is not None for run in ctx.runs)
+
+    def test_simulator_cubes_flag_keeps_explicit_faults_first(self):
+        # Explicit faults beat config.faults on the sharded path too.
+        net, x = conv_network(), conv_input()
+        jittery = NeurocubeConfig(
+            sim_skip_ahead=True,
+            faults=FaultConfig(seed=1, vault_jitter_rate=0.5))
+        _, bare = NeurocubeSimulator(SKIP_AHEAD).run_network(
+            net, x, cubes=2)
+        _, explicit = NeurocubeSimulator(
+            jittery, faults=FaultConfig(seed=1)).run_network(
+            net, x, cubes=2)
+        assert explicit.total_cycles == bare.total_cycles
 
 
 class TestTimingEquivalence:

@@ -27,8 +27,7 @@ class TestRegistry:
                                     "fig14", "fig15", "fig17", "table1",
                                     "table2", "table3", "ext_scaling",
                                     "ext_lstm", "ext_resilience",
-                                    "ext_serve", "ext_shard",
-                                    "ext_stream"}
+                                    "ext_shard", "ext_stream"}
 
     def test_lookup(self):
         assert get_experiment("fig12").exp_id == "fig12"
