@@ -25,7 +25,6 @@ speedup gate would measure pool startup, not the executor.
 """
 
 import dataclasses
-import os
 import time
 
 import numpy as np
@@ -57,7 +56,7 @@ def _workload() -> nn.Network:
                       name="bench_shard", seed=5)
 
 
-def test_multicube_sharded_speedup(benchmark):
+def test_multicube_sharded_speedup(benchmark, speedup_gate):
     """4-cube sharded run of an over-capacity workload (gates above)."""
     config = NeurocubeConfig.hmc_15nm()
     network = _workload()
@@ -110,5 +109,4 @@ def test_multicube_sharded_speedup(benchmark):
     benchmark.extra_info["cubes"] = CUBES
     benchmark.extra_info["intercube_comm_cycles"] = parallel.comm_cycles
     benchmark.extra_info["sharded_speedup"] = round(speedup, 3)
-    if len(os.sched_getaffinity(0)) >= 4:
-        assert speedup >= 2.0
+    speedup_gate(benchmark, speedup)

@@ -8,7 +8,6 @@ in the infrastructure show up here.
 
 import dataclasses
 import json
-import os
 import pathlib
 import time
 
@@ -92,7 +91,7 @@ def test_analytic_model_latency(benchmark):
     assert report.throughput_gops > 0
 
 
-def test_parallel_conv_speedup(benchmark, record_sim_rate):
+def test_parallel_conv_speedup(benchmark, record_sim_rate, speedup_gate):
     """Multi-output-map conv: 4 workers vs serial, bit-identical.
 
     Eight independent output maps fan out over the process pool.  The
@@ -124,8 +123,7 @@ def test_parallel_conv_speedup(benchmark, record_sim_rate):
     assert run_serial.cycles == run_parallel.cycles
     assert run_serial.macs_fired == run_parallel.macs_fired
     record_sim_rate(benchmark, run_parallel)
-    if len(os.sched_getaffinity(0)) >= 4:
-        assert serial_seconds / run_parallel.host_seconds >= 2.0
+    speedup_gate(benchmark, serial_seconds / run_parallel.host_seconds)
 
 
 def test_skip_ahead_overhead(benchmark, record_sim_rate):

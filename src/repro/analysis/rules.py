@@ -408,17 +408,13 @@ class NoAmbientRNG(Rule):
 #: cycle-model module means ad-hoc durable state off the validated paths.
 _DURABLE_STATE_MODULES = ("pickle", "shelve", "marshal", "dbm")
 
-#: The sanctioned durable-state modules: the checkpoint store, the
-#: persistent memo store, and the cross-run registry.  All three do
-#: atomic versioned writes and validate (or reject) entries on load;
-#: everything else in the cycle model must go through them.  (The
-#: registry lives outside the cycle-model packages, so the entry is
-#: future-proofing: it stays sanctioned if the packages it may move
-#: under ever join CYCLE_MODEL_PACKAGES.)
+#: The sanctioned durable-state modules: the checkpoint store and the
+#: persistent memo store.  Both do atomic versioned writes and validate
+#: (or reject) entries on load; everything else in the cycle model must
+#: go through them.
 _PERSISTENCE_ALLOWED_MODULES = frozenset({
     "repro.faults.checkpoint",
     "repro.memo.store",
-    "repro.obs.registry",
 })
 
 

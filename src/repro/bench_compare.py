@@ -25,32 +25,47 @@ import argparse
 import json
 import sys
 
+#: Usable cores a multi-core speedup gate needs before it asserts
+#: (``benchmarks/conftest.py``'s ``speedup_gate``).
+SPEEDUP_GATE_CORES = 4
 
-def load_benchmarks(path: str) -> dict[str, dict]:
+
+class MalformedInput(Exception):
+    """A benchmark file the gate cannot read; ``main`` exits 2."""
+
+
+def load_benchmarks(path: str, metric: str = "min") -> dict[str, dict]:
     """Read one pytest-benchmark JSON file.
 
     Returns ``{name: {"stats": ..., "extra_info": ...}}``.  The
     ``extra_info`` block (simulator rates recorded by the benchmarks
-    themselves) is informational only and never gated on.
+    themselves) is informational only and never gated on.  Raises
+    :class:`MalformedInput` when the file is unreadable, not a
+    pytest-benchmark document, or any benchmark's ``metric`` statistic
+    is not a positive number.
     """
     try:
         with open(path) as handle:
             data = json.load(handle)
     except (OSError, json.JSONDecodeError) as error:
-        raise SystemExit(
-            f"bench_compare: cannot read {path}: {error}") from error
-    benchmarks = data.get("benchmarks")
+        raise MalformedInput(f"cannot read {path}: {error}") from error
+    benchmarks = data.get("benchmarks") if isinstance(data, dict) else None
     if not isinstance(benchmarks, list):
-        raise SystemExit(
-            f"bench_compare: {path} has no 'benchmarks' list — is it a "
+        raise MalformedInput(
+            f"{path} has no 'benchmarks' list — is it a "
             f"pytest-benchmark JSON file?")
     table: dict[str, dict] = {}
     for bench in benchmarks:
-        name = bench.get("name")
-        stats = bench.get("stats")
-        if not name or not isinstance(stats, dict):
-            raise SystemExit(
-                f"bench_compare: malformed benchmark entry in {path}")
+        name = bench.get("name") if isinstance(bench, dict) else None
+        stats = bench.get("stats") if name else None
+        if not isinstance(stats, dict):
+            raise MalformedInput(f"malformed benchmark entry in {path}")
+        value = stats.get(metric)
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not value > 0):
+            raise MalformedInput(
+                f"benchmark {name!r} in {path} has {metric!r} = "
+                f"{value!r}; expected a positive number")
         table[name] = {"stats": stats,
                        "extra_info": bench.get("extra_info") or {}}
     return table
@@ -154,34 +169,26 @@ def _cubes_note(cur_extra: dict) -> str:
     return f"  [{', '.join(parts)}]"
 
 
-def registry_drift_notes(registry_dir: str, last: int) -> list[str]:
-    """Informational drift notes from the cross-run registry.
+def _cores_note(cur_extra: dict) -> str:
+    """Flag a multi-core speedup gate that did not evaluate.
 
-    When ``--registry`` names a :class:`repro.obs.registry.RunRegistry`
-    store, the newest recorded run is compared against the previous
-    ``last``-record window per config fingerprint.  Like every other
-    note here these never gate: the hard gate stays the pinned-baseline
-    threshold; the registry adds the *trajectory* a single baseline
-    cannot show.
+    Benchmarks using the ``speedup_gate`` fixture record
+    ``usable_cores``; their >= 2x wall-clock assert only runs with at
+    least four, so on a smaller host the line says the gate was skipped
+    rather than letting a pass read as a measured speedup.
     """
-    from repro.obs.registry import RunRegistry
-
-    registry = RunRegistry(registry_dir)
-    records = registry.records()
-    if len(records) < 2:
-        return [f"  [registry: {len(records)} recorded run(s), "
-                f"no history to compare]"]
-    findings = registry.regress(last=last)
-    if not findings:
-        return [f"  [registry: no drift over the last {last} "
-                f"recorded run(s)]"]
-    return [f"  [registry drift: {finding.format()}]"
-            for finding in findings]
+    cores = cur_extra.get("usable_cores")
+    if cores is None or cores >= SPEEDUP_GATE_CORES:
+        return ""
+    return f"  [speedup gate skipped: {cores} cores]"
 
 
 def compare(baseline: dict[str, dict], current: dict[str, dict],
             threshold: float, metric: str) -> list[str]:
     """Return the names of benchmarks regressed past ``threshold``.
+
+    Takes two :func:`load_benchmarks` tables read with the same
+    ``metric``, so every compared statistic is a positive number.
 
     Prints one line per benchmark with the wall-clock speedup factor
     against the baseline (>1 faster, <1 slower; the gate fires when it
@@ -197,15 +204,8 @@ def compare(baseline: dict[str, dict], current: dict[str, dict],
         if name not in baseline:
             print(f"  + {name}: new benchmark, no baseline")
             continue
-        base_value = baseline[name]["stats"].get(metric)
-        cur_value = current[name]["stats"].get(metric)
-        if base_value is None or cur_value is None:
-            raise SystemExit(
-                f"bench_compare: benchmark {name!r} lacks the "
-                f"{metric!r} statistic")
-        if base_value <= 0:
-            print(f"  ? {name}: non-positive baseline {metric}, skipped")
-            continue
+        base_value = baseline[name]["stats"][metric]
+        cur_value = current[name]["stats"][metric]
         regressed = cur_value / base_value > 1.0 + threshold
         marker = "REGRESSION" if regressed else "ok"
         note = _sim_rate_note(baseline[name]["extra_info"],
@@ -215,6 +215,7 @@ def compare(baseline: dict[str, dict], current: dict[str, dict],
         note += _stream_note(baseline[name]["extra_info"],
                              current[name]["extra_info"])
         note += _cubes_note(current[name]["extra_info"])
+        note += _cores_note(current[name]["extra_info"])
         print(f"  {name}: {metric} {base_value:.6g}s -> {cur_value:.6g}s "
               f"({base_value / cur_value:.2f}x speedup)  {marker}{note}")
         if regressed:
@@ -231,24 +232,20 @@ def main(argv: list[str] | None = None) -> int:
                         help="allowed fractional slowdown "
                              "(default 0.30 = 30%%)")
     parser.add_argument("--metric", default="min",
-                        choices=("min", "max", "mean", "median", "stddev"),
+                        choices=("min", "max", "mean", "median"),
                         help="pytest-benchmark statistic to compare "
                              "(default: min)")
-    parser.add_argument("--registry", default=None,
-                        help="run-registry directory for informational "
-                             "drift notes against recorded history")
-    parser.add_argument("--last", type=int, default=5,
-                        help="registry window size (default 5)")
     args = parser.parse_args(argv)
 
-    baseline = load_benchmarks(args.baseline)
-    current = load_benchmarks(args.current)
+    try:
+        baseline = load_benchmarks(args.baseline, args.metric)
+        current = load_benchmarks(args.current, args.metric)
+    except MalformedInput as error:
+        print(f"bench_compare: {error}", file=sys.stderr)
+        return 2
     print(f"bench_compare: threshold +{args.threshold:.0%} on "
           f"'{args.metric}'")
     regressions = compare(baseline, current, args.threshold, args.metric)
-    if args.registry is not None:
-        for note in registry_drift_notes(args.registry, args.last):
-            print(note)
     if regressions:
         print(f"bench_compare: {len(regressions)} regression(s): "
               f"{', '.join(regressions)}")

@@ -45,9 +45,9 @@ class PlanCheckError(ReproError):
 class SchemaMismatch(ReproError):
     """A persisted artifact carries an unsupported schema version.
 
-    Raised when a run manifest or registry record declares a version
-    this build cannot interpret — e.g. ``ncprof diff`` fed a manifest
-    written by a newer checkout.  Distinct from :class:`ValueError` on
+    Raised when a run manifest declares a version this build cannot
+    interpret — e.g. ``ncprof diff`` fed a manifest written by a newer
+    checkout.  Distinct from :class:`ValueError` on
     a wrong ``kind`` (not our artifact at all): a schema mismatch names
     the exact version gap so the caller can upgrade or re-record.
     """

@@ -46,10 +46,7 @@ simulate / memo-I/O / checkpoint / trace-export) are timed, a heartbeat
 snapshot is taken every N simulated cycles, and a phase summary is
 printed to stderr.  Combined with ``--trace``, a
 ``heartbeats_<id>.jsonl`` and an OpenMetrics ``metrics_<id>.txt`` land
-next to the trace, and the manifest embeds the phase breakdown.  With
-``--registry DIR`` (requires ``--trace``), each experiment's manifest
-is appended to the cross-run performance registry — browse it with
-``tools/ncbench.py timeline``.
+next to the trace, and the manifest embeds the phase breakdown.
 """
 
 from __future__ import annotations
@@ -133,10 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
              "every N simulated cycles (0: off); with --trace, writes "
              "heartbeats_<id>.jsonl and OpenMetrics metrics_<id>.txt "
              "next to the trace")
-    run_parser.add_argument(
-        "--registry", default=None, metavar="DIR",
-        help="append each experiment's manifest to the cross-run "
-             "performance registry under DIR (requires --trace)")
     sub.add_parser(
         "report",
         help="regenerate the paper-vs-measured summary (EXPERIMENTS.md "
@@ -180,10 +173,6 @@ def main(argv: list[str] | None = None) -> int:
         print(generate().to_table())
         return 0
     ids = (sorted(EXPERIMENTS) if args.ids == ["all"] else args.ids)
-    if args.registry is not None and not args.trace:
-        print("neurocube-experiments: --registry needs --trace (the "
-              "registry records run manifests)", file=sys.stderr)
-        return 2
     faults = None
     if args.faults is not None:
         from repro.faults import FaultConfig
@@ -281,7 +270,7 @@ def _run_experiment(experiment, args, faults, checkpoint):
         print(f"[memo] {exp_id}: {memo.total_stats().format()}",
               file=sys.stderr)
     if out_dir is not None:
-        _write_artifacts(exp_id, ctx, out_dir, args.registry)
+        _write_artifacts(exp_id, ctx, out_dir)
     elif live is not None:
         _live_summary(exp_id, live)
     return result, memo.total_stats() if memo is not None else None
@@ -307,8 +296,7 @@ def _live_summary(exp_id: str, live) -> None:
           f"phases {phases or 'none'}", file=sys.stderr)
 
 
-def _write_artifacts(exp_id: str, ctx, out_dir: pathlib.Path,
-                     registry=None) -> None:
+def _write_artifacts(exp_id: str, ctx, out_dir: pathlib.Path) -> None:
     """Write a traced experiment's trace, manifest and metrics."""
     from repro.obs import manifest_from_context, write_manifest, write_trace
 
@@ -330,13 +318,6 @@ def _write_artifacts(exp_id: str, ctx, out_dir: pathlib.Path,
         metrics_path = out_dir / f"metrics_{exp_id}.txt"
         live.write_openmetrics(str(metrics_path))
         _live_summary(exp_id, live)
-    if registry is not None:
-        from repro.obs import RunRegistry
-
-        record_path = RunRegistry(registry).record_run(
-            manifest, attribution=manifest.get("attribution") or (),
-            label=exp_id)
-        print(f"[registry] recorded {record_path}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -3,10 +3,9 @@
 Cycle-level tracing with typed event spans, sampled time-series
 counters, packet-latency histograms, Chrome-trace/CSV exporters,
 per-run JSON manifests, live telemetry (phase timers, heartbeats,
-OpenMetrics snapshots), per-layer bottleneck attribution, and an
-append-only cross-run registry — see ``docs/observability.md`` for the
-event taxonomy, the manifest schema, the stable OpenMetrics names, and
-how to open traces in Perfetto.
+OpenMetrics snapshots) and per-layer bottleneck attribution — see
+``docs/observability.md`` for the event taxonomy, the manifest schema,
+the stable OpenMetrics names, and how to open traces in Perfetto.
 
 The package has three entry points:
 
@@ -16,8 +15,7 @@ The package has three entry points:
   in the block (how the runner's ``--trace`` works); its ``live=``
   hook takes a :class:`LiveTelemetry` for phase timers and heartbeats;
 * CLI — ``tools/ncprof.py record | summary | export | diff |
-  attribute`` and ``tools/ncbench.py record | timeline | regress |
-  export``.
+  attribute``.
 
 :mod:`repro.obs.attribution` is imported on demand (not re-exported
 here): it builds on :mod:`repro.core.analytic`, and importing it at
@@ -50,7 +48,6 @@ from repro.obs.manifest import (
     manifest_from_context,
     write_manifest,
 )
-from repro.obs.registry import RunRegistry
 from repro.obs.tracer import (
     ALL_KINDS,
     CACHE_EVICT,
@@ -82,7 +79,6 @@ __all__ = [
     "NOC_HOP",
     "PHASES",
     "PNG_INJECT",
-    "RunRegistry",
     "SKIP_AHEAD",
     "SPAN_KINDS",
     "SUPPORTED_MANIFEST_VERSIONS",

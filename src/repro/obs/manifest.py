@@ -176,14 +176,18 @@ def load_manifest(path: str) -> dict:
     """Load and validate one manifest.
 
     Raises :class:`ValueError` when the file is not a manifest at all
-    (wrong ``kind``), and :class:`~repro.errors.SchemaMismatch` when it
-    *is* one but declares a schema version this build cannot read —
-    the distinction lets ``ncprof diff`` explain "re-record with this
-    checkout" instead of a KeyError deep in the diff.
+    (not JSON, not an object, or the wrong ``kind``), and
+    :class:`~repro.errors.SchemaMismatch` when it *is* one but declares
+    a schema version this build cannot read — the distinction lets
+    ``ncprof diff`` explain "re-record with this checkout" instead of a
+    KeyError deep in the diff.
     """
     with open(path) as handle:
-        data = json.load(handle)
-    if data.get("kind") != MANIFEST_KIND:
+        try:
+            data = json.load(handle)
+        except json.JSONDecodeError as error:
+            raise ValueError(f"{path} is not JSON: {error}") from error
+    if not isinstance(data, dict) or data.get("kind") != MANIFEST_KIND:
         raise ValueError(f"{path} is not a neurocube manifest")
     version = data.get("version")
     if version not in SUPPORTED_MANIFEST_VERSIONS:

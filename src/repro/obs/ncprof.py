@@ -18,6 +18,9 @@ Usage (installed as the ``ncprof`` console script; from a checkout use
 the native trace plus its manifest (plus an OpenMetrics snapshot and
 heartbeat JSONL with ``--heartbeat``) — the CI observability smoke
 path.  ``attribute`` prints a manifest's per-layer bottleneck verdicts.
+``summary``, ``diff`` and ``attribute`` validate every manifest they
+read and exit 2 on one that is unreadable, not a manifest, or of an
+unsupported schema version.
 """
 
 from __future__ import annotations
@@ -93,18 +96,34 @@ def cmd_record(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_any(path: str) -> tuple[Trace | None, dict | None]:
-    """Load ``path`` as a native trace or a manifest, whichever it is."""
-    with open(path) as handle:
-        data = json.load(handle)
-    kind = data.get("kind")
-    if kind == "neurocube-trace":
-        return Trace.from_dict(data), None
-    if kind == "neurocube-manifest":
-        return None, data
-    raise SystemExit(
-        f"ncprof: {path} is neither a neurocube trace nor a manifest "
-        f"(kind={kind!r})")
+def _read_manifest(path: str) -> dict | None:
+    """Load and validate one manifest, reporting bad input on stderr.
+
+    Returns None — the caller exits 2 — when ``path`` is unreadable, not
+    JSON, not a manifest, or a manifest of a schema this build cannot
+    read.
+    """
+    try:
+        return load_manifest(path)
+    except SchemaMismatch as error:
+        # A manifest from a newer checkout is a user-facing situation,
+        # not a crash: name the version gap and how to resolve it.
+        print(f"ncprof: {error}", file=sys.stderr)
+        print("ncprof: re-record the manifest with this checkout, or "
+              "read it with the checkout that wrote it", file=sys.stderr)
+    except (ValueError, OSError) as error:
+        print(f"ncprof: {error}", file=sys.stderr)
+    return None
+
+
+def _is_trace(path: str) -> bool:
+    """Whether ``path`` holds a native trace (by its ``kind`` tag)."""
+    try:
+        with open(path) as handle:
+            data = json.load(handle)
+    except (OSError, ValueError):
+        return False
+    return isinstance(data, dict) and data.get("kind") == "neurocube-trace"
 
 
 def _print_trace_summary(trace: Trace) -> None:
@@ -146,11 +165,13 @@ def _print_manifest_summary(manifest: dict) -> None:
 
 
 def cmd_summary(args: argparse.Namespace) -> int:
-    trace, manifest = _load_any(args.path)
-    if trace is not None:
-        _print_trace_summary(trace)
-    else:
-        _print_manifest_summary(manifest)
+    if _is_trace(args.path):
+        _print_trace_summary(load_trace(args.path))
+        return 0
+    manifest = _read_manifest(args.path)
+    if manifest is None:
+        return 2
+    _print_manifest_summary(manifest)
     return 0
 
 
@@ -174,14 +195,8 @@ def cmd_export(args: argparse.Namespace) -> int:
 
 
 def cmd_diff(args: argparse.Namespace) -> int:
-    try:
-        a, b = load_manifest(args.a), load_manifest(args.b)
-    except SchemaMismatch as error:
-        # A manifest from a newer checkout is a user-facing situation,
-        # not a crash: name the version gap and how to resolve it.
-        print(f"ncprof: {error}", file=sys.stderr)
-        print("ncprof: re-record the manifest with this checkout, or "
-              "diff with the checkout that wrote it", file=sys.stderr)
+    a, b = _read_manifest(args.a), _read_manifest(args.b)
+    if a is None or b is None:
         return 2
     print(diff_manifests(a, b))
     return 0
@@ -189,10 +204,8 @@ def cmd_diff(args: argparse.Namespace) -> int:
 
 def cmd_attribute(args: argparse.Namespace) -> int:
     """Print a manifest's per-layer bottleneck verdicts."""
-    try:
-        manifest = load_manifest(args.path)
-    except SchemaMismatch as error:
-        print(f"ncprof: {error}", file=sys.stderr)
+    manifest = _read_manifest(args.path)
+    if manifest is None:
         return 2
     rows = manifest.get("attribution", [])
     if not rows:

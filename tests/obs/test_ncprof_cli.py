@@ -52,11 +52,32 @@ def test_summary_of_manifest(ncprof, recorded, capsys):
     assert "manifest: t" in out and "conv" in out
 
 
-def test_summary_rejects_foreign_json(ncprof, recorded, tmp_path):
+def test_summary_rejects_foreign_json(ncprof, recorded, tmp_path,
+                                      capsys):
     alien = tmp_path / "alien.json"
     alien.write_text(json.dumps({"benchmarks": []}))
-    with pytest.raises(SystemExit):
-        ncprof.main(["summary", str(alien)])
+    assert ncprof.main(["summary", str(alien)]) == 2
+    assert "not a neurocube manifest" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["summary", "diff", "attribute"])
+@pytest.mark.parametrize("bad", ["list", "non-json", "v99"])
+def test_malformed_input_exits_2(ncprof, recorded, tmp_path, capsys,
+                                 command, bad):
+    """Every manifest reader refuses bad input with a message and exit
+    2: no traceback, and no summary of a schema it cannot read."""
+    future = json.loads((recorded / "manifest_t.json").read_text())
+    future["version"] = 99
+    path = tmp_path / "bad.json"
+    path.write_text({"list": "[1, 2, 3]", "non-json": "{not json",
+                     "v99": json.dumps(future)}[bad])
+    args = [command, str(path)]
+    if command == "diff":
+        args.append(str(recorded / "manifest_t.json"))
+    assert ncprof.main(args) == 2
+    captured = capsys.readouterr()
+    assert f"ncprof: {path}" in captured.err
+    assert captured.out == ""
 
 
 def test_export_chrome(ncprof, recorded):

@@ -212,7 +212,7 @@ def test_malformed_json_is_an_error(tmp_path):
     bad.write_text("{not json")
     good = write(tmp_path, "good.json", bench_json({"test_a": 1.0}))
     result = run_tool(str(bad), good)
-    assert result.returncode != 0
+    assert result.returncode == 2
     assert "cannot read" in result.stderr
 
 
@@ -220,5 +220,44 @@ def test_missing_benchmarks_key_is_an_error(tmp_path):
     empty = write(tmp_path, "empty.json", {"machine_info": {}})
     good = write(tmp_path, "good.json", bench_json({"test_a": 1.0}))
     result = run_tool(empty, good)
-    assert result.returncode != 0
+    assert result.returncode == 2
     assert "benchmarks" in result.stderr
+
+
+def test_zero_statistic_is_an_error(tmp_path):
+    """A zero current 'min' is malformed input (exit 2), not a crash
+    dividing by it."""
+    baseline = write(tmp_path, "base.json", bench_json({"test_a": 1.0}))
+    current = write(tmp_path, "cur.json", bench_json({"test_a": 0.0}))
+    result = run_tool(baseline, current)
+    assert result.returncode == 2
+    assert "expected a positive number" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_string_statistic_is_an_error(tmp_path):
+    baseline = write(tmp_path, "base.json", bench_json({"test_a": 1.0}))
+    payload = bench_json({"test_a": 1.0})
+    payload["benchmarks"][0]["stats"]["min"] = "fast"
+    current = write(tmp_path, "cur.json", payload)
+    result = run_tool(baseline, current)
+    assert result.returncode == 2
+    assert "'fast'" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_skipped_speedup_gate_is_flagged(tmp_path):
+    """A benchmark that recorded fewer usable cores than its multi-core
+    speedup gate needs says so; four or more cores stay silent."""
+    baseline = write(tmp_path, "base.json",
+                     bench_json({"test_a": 1.0, "test_b": 1.0}))
+    payload = bench_json({"test_a": 1.0, "test_b": 1.0})
+    payload["benchmarks"][0]["extra_info"] = {"usable_cores": 2}
+    payload["benchmarks"][1]["extra_info"] = {"usable_cores": 4}
+    current = write(tmp_path, "cur.json", payload)
+    result = run_tool(baseline, current)
+    assert result.returncode == 0
+    lines = {line.split(":")[0].strip(): line
+             for line in result.stdout.splitlines()}
+    assert "[speedup gate skipped: 2 cores]" in lines["test_a"]
+    assert "speedup gate" not in lines["test_b"]

@@ -26,6 +26,16 @@ def test_rows_are_ordered_and_unique():
     assert prs[:3] == [11, 12, 13]
 
 
+def test_rows_form_a_commit_chain():
+    """Each row's parent is the previous row's change, so the file is
+    one unbroken history; only the newest change may still be
+    uncommitted (null)."""
+    rows = TRAJECTORY["rows"]
+    for previous, row in zip(rows, rows[1:]):
+        assert row["parent_rev"] == previous["change_rev"], row["pr"]
+    assert all(row["change_rev"] for row in rows[:-1])
+
+
 def test_every_row_has_every_workload_and_metric():
     for row in TRAJECTORY["rows"]:
         for side in ("parent", "change"):
