@@ -16,9 +16,7 @@ Three engines, three layers of the stack:
   exchange completeness, byte-accounting equality with the analytic
   model, per-cube capacity feasibility, shard-geometry reconstruction,
   barrier-fold determinism and link sanity before a cube process is
-  spawned.  Checks carry ``NC3xx`` codes;
-  :func:`~repro.analysis.shardcheck.shard_feasible` is the fast DSE
-  pruning predicate.
+  spawned.  Checks carry ``NC3xx`` codes.
 
 See ``docs/static_analysis.md`` for the full catalogue.
 """
@@ -48,7 +46,6 @@ from repro.analysis.shardcheck import (
     check_shard_plan,
     predict_exchange_cycles,
     report_shard_plan,
-    shard_feasible,
     verify_shard_plan,
 )
 
@@ -69,7 +66,6 @@ __all__ = [
     "report_shard_plan",
     "rule_catalogue",
     "self_test",
-    "shard_feasible",
     "stall_boundaries",
     "verify_memo_pairs",
     "verify_plan",

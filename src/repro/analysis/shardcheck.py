@@ -25,10 +25,8 @@ NC306   link-bandwidth sanity vs the Table-I HMC-Ext figures
 Use :func:`verify_shard_plan` for a violation list,
 :func:`check_shard_plan` to fail fast (raises
 :class:`repro.errors.PlanCheckError` — the ``validate=`` hook on
-:func:`repro.core.shard.shard_network`), :func:`report_shard_plan` for
-the JSON-ready report with per-check ``skipped`` metadata, and
-:func:`shard_feasible` as the fast pruning predicate the Pareto DSE
-engine calls before spending cycle-simulator time on a configuration.
+:func:`repro.core.shard.shard_network`), and :func:`report_shard_plan`
+for the JSON-ready report with per-check ``skipped`` metadata.
 
 NC305's static half proves the barrier arithmetic *can only* be a
 cube-order fold over integers; its dynamic half —
@@ -54,7 +52,7 @@ from repro.core.multicube import (
     MultiCubeModel,
 )
 from repro.core.shard import ShardedLayer, ShardPlan
-from repro.errors import MappingError, PlanCheckError
+from repro.errors import PlanCheckError
 from repro.memory.specs import HMC_EXT
 from repro.noc.cubelink import CubeLinkModel
 
@@ -807,50 +805,6 @@ def report_shard_plan(plan: ShardPlan, config: MultiCubeConfig,
         "violation_count": len(violations),
         "checks": checks,
     }
-
-
-def shard_feasible(config, network, cubes: int | None = None,
-                   cube_capacity_bytes: float | None = None) -> bool:
-    """Fast static feasibility of sharding ``network`` on a cluster.
-
-    The pruning predicate the Pareto DSE engine calls before spending
-    cycle-simulator time: True iff the network partitions across the
-    cluster (no layer too small, every cube's layout mappable, capacity
-    budget respected) *and* the resulting plan passes every NC3xx
-    check.  Never raises for infeasibility — compile/mapping failures
-    and static violations all return False.
-
-    Args:
-        config: a :class:`MultiCubeConfig`, or a per-cube
-            :class:`~repro.core.config.NeurocubeConfig` combined with
-            ``cubes`` (and optionally ``cube_capacity_bytes``).
-        network: the :class:`~repro.nn.network.Network` to shard.
-        cubes: cluster size when ``config`` is a per-cube config.
-        cube_capacity_bytes: optional capacity budget when building
-            the cluster from a per-cube config.
-    """
-    from repro.core.shard import shard_network
-
-    if isinstance(config, MultiCubeConfig):
-        cluster = config
-        if cubes is not None and cubes != cluster.n_cubes:
-            cluster = MultiCubeConfig(
-                cube=cluster.cube, n_cubes=cubes,
-                links_per_cube=cluster.links_per_cube,
-                link_bandwidth=cluster.link_bandwidth,
-                cube_capacity_bytes=cluster.cube_capacity_bytes)
-    else:
-        if cubes is None:
-            raise PlanCheckError(
-                "shard_feasible needs a cluster size: pass a "
-                "MultiCubeConfig, or a per-cube config with cubes=N")
-        cluster = MultiCubeConfig(cube=config, n_cubes=cubes,
-                                  cube_capacity_bytes=cube_capacity_bytes)
-    try:
-        plan = shard_network(network, cluster, validate=False)
-    except (MappingError, PlanCheckError):
-        return False
-    return not verify_shard_plan(plan, cluster)
 
 
 # ---------------------------------------------------------------------

@@ -139,7 +139,8 @@ class ProcessingElement:
         self._state_slots: dict[int, int] = {}
         self._shared_state: int | None = None
         # Bound once: the router output this PE drains every cycle and
-        # the router input its write-backs enter through.
+        # the router input its write-backs enter through.  Per-cycle
+        # checks test their FIFOs directly.
         router = interconnect.routers[pe_id]
         self._rx_buffer = router.outputs[Port.PE]
         self._tx_buffer = router.inputs[Port.PE]
@@ -200,7 +201,7 @@ class ProcessingElement:
         """One PE-clock cycle."""
         if self._writebacks:
             self._inject_writebacks()
-        if not self._rx_buffer.empty:
+        if self._rx_buffer.fifo:
             self._receive_packets()
         if self._group_idx >= len(self._groups):
             return
@@ -236,7 +237,7 @@ class ProcessingElement:
         or idle until a packet arrives, which requires some other agent
         to act first.
         """
-        if self._writebacks or not self._rx_buffer.empty:
+        if self._writebacks or self._rx_buffer.fifo:
             return 0
         if self._group_idx >= len(self._groups):
             return None
@@ -274,24 +275,24 @@ class ProcessingElement:
     # -- packet intake --------------------------------------------------
 
     def _receive_packets(self) -> None:
-        buffer = self._rx_buffer
+        fifo = self._rx_buffer.fifo
         interconnect = self.interconnect
         taken = 0
-        while taken < interconnect.local_rate and not buffer.empty:
-            packet = buffer.peek()
+        while taken < interconnect.local_rate and fifo:
+            packet = fifo[0]
             if (self._injector is not None
                     and packet.op_id < self._op):
                 # Under fault injection a packet can arrive after the
                 # watchdog already force-fired its operation (it sat out
                 # link backoffs).  Protocol order is otherwise intact;
                 # discard it instead of treating it as a plan bug.
-                interconnect.record_delivery(self.pe_id, buffer.pop())
+                interconnect.record_delivery(self.pe_id, fifo.popleft())
                 self._injector.stats.late_packets += 1
                 taken += 1
                 continue
             if not self._placeable(packet):
                 return  # backpressure: leave it in the router
-            interconnect.record_delivery(self.pe_id, buffer.pop())
+            interconnect.record_delivery(self.pe_id, fifo.popleft())
             self._place(packet)
             taken += 1
             self.stats.packets_received += 1
@@ -501,9 +502,10 @@ class ProcessingElement:
 
     def _inject_writebacks(self) -> None:
         buffer = self._tx_buffer
+        fifo = buffer.fifo
         sent = 0
         while self._writebacks and sent < self.interconnect.local_rate:
-            if not buffer.has_space:
+            if len(fifo) >= buffer.depth:
                 return
             buffer.push(self._writebacks.popleft())
             self.interconnect.stats.injected += 1

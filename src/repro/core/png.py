@@ -241,7 +241,8 @@ class NeurosequenceGenerator:
         self._horizon = horizon
         # Bound once: the router output this PNG drains write-backs from
         # every cycle and the router input it injects into (mirrors
-        # ProcessingElement._rx_buffer / _tx_buffer).
+        # ProcessingElement._rx_buffer / _tx_buffer).  Per-cycle checks
+        # test their FIFOs directly.
         router = interconnect.routers[node]
         self._rx_buffer = router.outputs[Port.MEM]
         self._tx_buffer = router.inputs[Port.MEM]
@@ -338,7 +339,7 @@ class NeurosequenceGenerator:
         state of its own; fast-forwarding it is exactly
         ``vault.skip(n)``.
         """
-        if not self._rx_buffer.empty:
+        if self._rx_buffer.fifo:
             return 0
         if self.can_progress():
             return 0
@@ -377,7 +378,7 @@ class NeurosequenceGenerator:
         for read in self.vault.step():
             self._packetise(read)
         self._inject_ready()
-        if not self._rx_buffer.empty:
+        if self._rx_buffer.fifo:
             self._drain_writebacks()
         if self._injector is not None and self._injector.has_losses:
             self._forgive_lost_writebacks()
@@ -458,10 +459,11 @@ class NeurosequenceGenerator:
 
     def _inject_ready(self) -> None:
         buffer = self._tx_buffer
+        fifo = buffer.fifo
         rate = self.interconnect.local_rate
         injected = 0
         while self._ready and injected < rate:
-            if not buffer.has_space:
+            if len(fifo) >= buffer.depth:
                 self.stats.inject_stall_cycles += 1
                 return
             packet = self._ready.popleft()

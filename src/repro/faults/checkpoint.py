@@ -30,7 +30,7 @@ from pathlib import Path
 from repro.errors import ConfigurationError, SimulationError
 
 #: Snapshot file-format version; bump on layout changes.
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)

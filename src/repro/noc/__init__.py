@@ -10,7 +10,6 @@ provided for the Fig. 15b study.
 
 from repro.noc.packet import Packet, PacketKind, FLIT_BITS
 from repro.noc.buffer import CreditedBuffer
-from repro.noc.arbiter import RotatingPriorityArbiter
 from repro.noc.routing import LOCAL_PORTS, Port
 from repro.noc.router import Router
 from repro.noc.topology import FullyConnected, Mesh2D, Topology
@@ -22,7 +21,6 @@ __all__ = [
     "PacketKind",
     "FLIT_BITS",
     "CreditedBuffer",
-    "RotatingPriorityArbiter",
     "Port",
     "LOCAL_PORTS",
     "Router",

@@ -22,7 +22,10 @@ class CreditedBuffer:
 
     Pushing into a full buffer raises :class:`SimulationError` — callers
     must check :attr:`has_space` first, which is exactly what a credit
-    check is.
+    check is.  The per-cycle loops (router switch, link stage, PNG and
+    PE edges) test :attr:`fifo` and :attr:`depth` directly instead of
+    going through the properties: ``not fifo`` is :attr:`empty` and
+    ``len(fifo) < depth`` is :attr:`has_space`.
     """
 
     def __init__(self, depth: int = DEFAULT_DEPTH, label: str = "") -> None:
@@ -30,59 +33,56 @@ class CreditedBuffer:
             raise ConfigurationError(f"buffer depth must be >= 1: {depth}")
         self.depth = depth
         self.label = label
-        self._fifo: deque[Packet] = deque()
+        self.fifo: deque[Packet] = deque()
         self.peak_occupancy = 0
-        self.total_pushed = 0
 
     @property
     def occupancy(self) -> int:
-        return len(self._fifo)
+        return len(self.fifo)
 
     @property
     def has_space(self) -> bool:
         """True when one more packet fits (the "credit available" check)."""
-        return len(self._fifo) < self.depth
+        return len(self.fifo) < self.depth
 
     @property
     def empty(self) -> bool:
-        return not self._fifo
+        return not self.fifo
 
     def push(self, packet: Packet) -> None:
-        if not self.has_space:
+        fifo = self.fifo
+        if len(fifo) >= self.depth:
             raise SimulationError(
                 f"push into full buffer {self.label or id(self)} "
                 f"(depth {self.depth}); caller must check has_space")
-        self._fifo.append(packet)
-        self.total_pushed += 1
-        if len(self._fifo) > self.peak_occupancy:
-            self.peak_occupancy = len(self._fifo)
+        fifo.append(packet)
+        if len(fifo) > self.peak_occupancy:
+            self.peak_occupancy = len(fifo)
 
     def peek(self) -> Packet:
-        if not self._fifo:
+        if not self.fifo:
             raise SimulationError(
                 f"peek on empty buffer {self.label or id(self)}")
-        return self._fifo[0]
+        return self.fifo[0]
 
     def pop(self) -> Packet:
-        if not self._fifo:
+        if not self.fifo:
             raise SimulationError(
                 f"pop on empty buffer {self.label or id(self)}")
-        return self._fifo.popleft()
+        return self.fifo.popleft()
 
     def state_dict(self) -> dict:
-        """Picklable snapshot (packets are frozen dataclasses)."""
-        return {"fifo": tuple(self._fifo),
-                "peak_occupancy": self.peak_occupancy,
-                "total_pushed": self.total_pushed}
+        """Picklable snapshot (packets are never mutated once built)."""
+        return {"fifo": tuple(self.fifo),
+                "peak_occupancy": self.peak_occupancy}
 
     def load_state(self, state: dict) -> None:
-        self._fifo.clear()
-        self._fifo.extend(state["fifo"])
+        self.fifo.clear()
+        self.fifo.extend(state["fifo"])
         self.peak_occupancy = state["peak_occupancy"]
-        self.total_pushed = state["total_pushed"]
 
     def __len__(self) -> int:
-        return len(self._fifo)
+        return len(self.fifo)
 
     def __repr__(self) -> str:
         return (f"CreditedBuffer({self.label!r}, "

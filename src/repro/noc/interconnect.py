@@ -5,7 +5,9 @@ ports per the topology, and steps the whole fabric one cycle at a time:
 link stage first (output buffer -> downstream input buffer, one packet per
 link per cycle, credit checked), then switch stage inside every router.
 A packet therefore spends at least two cycles per router it crosses,
-modelling the switch+link pipeline.
+modelling the switch+link pipeline.  The link stage runs only while
+:attr:`Interconnect.link_resident` counts a packet in some link-port
+output buffer.
 
 Injection: the vault-side PNG pushes packets into its router's MEM input
 buffer; a PE pushes write-backs into the PE input buffer.  Ejection is the
@@ -108,6 +110,17 @@ class Interconnect:
         self._link_labels = [
             f"{src.node_id}->{dst.node_id}"
             for src, _, dst, _ in self._links]
+        # The plain link stage tests the two FIFOs and pushes into the
+        # target buffer (buffer depth is uniform across the fabric).
+        self._link_fifos = [
+            (output.fifo, target.fifo, target)
+            for output, target in self._link_buffers]
+        self._depth = buffer_depth
+        # Packets sitting in link-port output buffers.  Only the switch
+        # stage fills those buffers and only the link stage drains them,
+        # so the count is kept where they move; at zero the link stage
+        # has nothing to do and is skipped.
+        self.link_resident = 0
         # Link retry protocol state (fault injection only): per link,
         # retransmissions already consumed by the head packet, and the
         # cycle its next transmission attempt is allowed (backoff).
@@ -142,10 +155,10 @@ class Interconnect:
         if port not in (Port.MEM, Port.PE):
             raise ConfigurationError(
                 f"ejection must use a local port, got {port}")
-        buffer = self.routers[node].outputs[port]
+        fifo = self.routers[node].outputs[port].fifo
         out: list[Packet] = []
-        while not buffer.empty and (limit is None or len(out) < limit):
-            packet = buffer.pop()
+        while fifo and (limit is None or len(out) < limit):
+            packet = fifo.popleft()
             out.append(packet)
             self.record_delivery(node, packet)
         return out
@@ -186,32 +199,43 @@ class Interconnect:
         self.cycle += 1
         if not self.in_fabric:
             # Empty fabric: the link loop cannot move anything and every
-            # switch only rotates its arbiters.  Batch the rotations the
-            # way Router.switch would (it defers them when all inputs
-            # are empty), keeping the lock-step reference path cheap.
+            # switch would only advance its router's rotation counter.
             for router in self.routers:
                 router.advance_idle(1)
             return
-        if self._links_faulted:
-            self._step_links_faulted()
-        elif self.tracer is None:
+        if self.link_resident:
+            if self._links_faulted:
+                self._step_links_faulted()
+            else:
+                self._step_links()
+        resident = self.link_resident
+        for router in self.routers:
+            if router.switch():
+                resident += router.link_moves
+        self.link_resident = resident
+
+    def _step_links(self) -> None:
+        """One fault-free link-stage cycle: each link moves its output
+        head into the downstream input when that input has a credit."""
+        depth = self._depth
+        moved = 0
+        if self.tracer is None:
             # Hook-free hot path: the traced loop below is identical but
             # pays a label lookup per move, which the untraced fabric
             # must not.
-            for output, target in self._link_buffers:
-                if not output.empty and target.has_space:
-                    target.push(output.pop())
-                    self.stats.link_traversals += 1
+            for output, target_fifo, target in self._link_fifos:
+                if output and len(target_fifo) < depth:
+                    target.push(output.popleft())
+                    moved += 1
         else:
-            for label, (output, target) in zip(self._link_labels,
-                                               self._link_buffers,
-                                               strict=True):
-                if not output.empty and target.has_space:
-                    target.push(output.pop())
-                    self.stats.link_traversals += 1
+            for label, (output, target_fifo, target) in zip(
+                    self._link_labels, self._link_fifos, strict=True):
+                if output and len(target_fifo) < depth:
+                    target.push(output.popleft())
+                    moved += 1
                     self.tracer.noc_hop(self.cycle, label)
-        for router in self.routers:
-            router.switch()
+        self.link_resident -= moved
+        self.stats.link_traversals += moved
 
     def _step_links_faulted(self) -> None:
         """One link-stage cycle under the CRC/retry/timeout protocol.
@@ -236,6 +260,7 @@ class Interconnect:
             fault = injector.link_fault(index, self.cycle)
             if fault is None:
                 target.push(output.pop())
+                self.link_resident -= 1
                 self.stats.link_traversals += 1
                 self._link_retries[index] = 0
                 if self.tracer is not None:
@@ -254,6 +279,7 @@ class Interconnect:
                     # undetectable and the damaged payload propagates.
                     target.push(corrupted)
                     output.pop()
+                    self.link_resident -= 1
                     self.stats.link_traversals += 1
                     injector.stats.link_silent_corruptions += 1
                     self._link_retries[index] = 0
@@ -269,6 +295,7 @@ class Interconnect:
             consumed = self._link_retries[index]
             if consumed >= config.max_retries:
                 output.pop()
+                self.link_resident -= 1
                 self.stats.dropped += 1
                 self._link_retries[index] = 0
                 injector.record_loss(self.cycle, packet, label)
@@ -360,6 +387,8 @@ class Interconnect:
             router.load_state(payload)
         self._link_retries = list(state["link_retries"])
         self._link_blocked_until = list(state["link_blocked_until"])
+        self.link_resident = sum(len(output.fifo)
+                                 for output, _ in self._link_buffers)
 
     @property
     def busy(self) -> bool:

@@ -9,8 +9,7 @@ A 32-bit DRAM word is therefore encapsulated into two packets.
 from __future__ import annotations
 
 import enum
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 
@@ -19,8 +18,6 @@ FLIT_BITS = 36
 
 #: CRC-8/ATM generator polynomial (x^8 + x^2 + x + 1).
 CRC8_POLY = 0x07
-
-_sequence = itertools.count()
 
 
 class PacketKind(enum.Enum):
@@ -61,9 +58,15 @@ def packet_crc(src: int, dst: int, mac_id: int, op_id: int,
     return crc
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Packet:
     """One 36-bit NoC packet.
+
+    Packets are never changed after construction: a link corruption
+    builds a damaged copy with :func:`dataclasses.replace`.  The class
+    is not ``frozen`` only because a frozen dataclass pays an
+    ``object.__setattr__`` per field on construction, and the PNG and
+    PE build one packet per streamed item and write-back.
 
     Attributes:
         src: source vault id (4 bits in hardware).
@@ -81,8 +84,6 @@ class Packet:
             None when the link CRC protocol is off.  Stamped at packet
             creation; a link corruption flips payload bits *without*
             restamping, which is exactly what the receiver detects.
-        serial: global creation order, used only for deterministic
-            tie-breaking in tests.
     """
 
     src: int
@@ -94,7 +95,6 @@ class Packet:
     neuron: object = None
     inject_cycle: int = 0
     crc: int | None = None
-    serial: int = field(default_factory=lambda: next(_sequence))
 
     def crc_ok(self) -> bool:
         """Recompute the CRC and compare (True when unstamped)."""

@@ -14,7 +14,6 @@ from __future__ import annotations
 from collections.abc import Callable
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.noc.arbiter import RotatingPriorityArbiter
 from repro.noc.buffer import DEFAULT_DEPTH, CreditedBuffer
 from repro.noc.packet import Packet, PacketKind
 from repro.noc.routing import LOCAL_PORTS, PortKey
@@ -67,36 +66,36 @@ class Router:
         self.outputs: dict[PortKey, CreditedBuffer] = {
             port: CreditedBuffer(buffer_depth, f"r{node_id}.out.{port}")
             for port in self.ports}
-        self._arbiters: dict[PortKey, RotatingPriorityArbiter] = {
-            port: RotatingPriorityArbiter(len(self.ports))
-            for port in self.ports}
         # The switch stage's view: everything indexed by port position.
+        # Link ports come first, so an output index below ``_n_links``
+        # names a link.
         self._port_index = {port: i for i, port in enumerate(self.ports)}
-        self._input_list = list(self.inputs.values())
+        self._n_links = len(link_ports)
+        self._input_fifos = [buffer.fifo for buffer in self.inputs.values()]
         self._output_list = list(self.outputs.values())
-        self._arbiter_list = list(self._arbiters.values())
+        self._output_fifos = [buffer.fifo for buffer in self._output_list]
+        self._depth = buffer_depth
         self._rates = [local_rate if port in LOCAL_PORTS else 1
                        for port in self.ports]
         self._max_port_rate = max(self._rates)
         # Route table: destination -> output port index, one dict for
         # data packets and one for write-backs, filled from ``route``.
         self._routes: tuple[dict[int, int], dict[int, int]] = ({}, {})
-        # Arbiter heads rotate every cycle even when the router is idle
-        # (§III-C).  Idle rotations are batched into this counter and
-        # flushed lazily before the next real arbitration, which keeps
-        # the per-cycle cost of an empty router at one integer add.
-        self._pending_rotations = 0
-        self.switched_packets = 0
+        # Rotating daisy-chain priority (§III-C): every output port's
+        # arbiter starts at input 0 and rotates once per clock cycle,
+        # busy or idle, so all of them always share one head — the
+        # cycles this router has seen, modulo the port count.  One
+        # counter replaces the per-port arbiters; grants stay per port.
+        self._rotations = 0
+        self._grants = [0] * len(self.ports)
+        #: Of the packets the last :meth:`switch` moved, how many went
+        #: into link-port outputs (read by the fabric's link-stage gate;
+        #: meaningful only when that switch moved any packet).
+        self.link_moves = 0
 
     def advance_idle(self, cycles: int) -> None:
         """Account ``cycles`` idle cycles of arbiter rotation at once."""
-        self._pending_rotations += cycles
-
-    def _flush_rotations(self) -> None:
-        if self._pending_rotations:
-            for arbiter in self._arbiter_list:
-                arbiter.advance(self._pending_rotations)
-            self._pending_rotations = 0
+        self._rotations += cycles
 
     def _fill_route(self, packet: Packet) -> int:
         """Route-table miss: ask ``route`` once, check the answer names a
@@ -119,31 +118,35 @@ class Router:
         one packet per cycle; local ports up to ``local_rate``, realised
         as repeated arbitration rounds.
         """
-        inputs = self._input_list
+        fifos = self._input_fifos
         # Only inputs holding a packet now can request this cycle: the
         # switch pops inputs but never fills them.
-        active = [index for index, buffer in enumerate(inputs)
-                  if not buffer.empty]
+        active = [index for index, fifo in enumerate(fifos) if fifo]
+        rotations = self._rotations
+        self._rotations = rotations + 1
         if not active:
-            self._pending_rotations += 1
             return 0
-        self._flush_rotations()
+        head = rotations % len(fifos)
         outputs = self._output_list
-        arbiters = self._arbiter_list
+        output_fifos = self._output_fifos
+        depth = self._depth
         rates = self._rates
         routes = self._routes
-        supplied = [0] * len(inputs)
-        accepted = [0] * len(inputs)
+        grants = self._grants
+        n_links = self._n_links
+        supplied = [0] * len(fifos)
+        accepted = [0] * len(fifos)
         moved = 0
+        link_moves = 0
         for _ in range(self._max_port_rate):
             # Gather, per output port, the inputs whose head wants it;
-            # each list is ascending, as grant_sorted needs.
+            # each list is ascending (input order).
             wants: dict[int, list[int]] = {}
             for index in active:
-                buffer = inputs[index]
-                if buffer.empty or supplied[index] >= rates[index]:
+                fifo = fifos[index]
+                if not fifo or supplied[index] >= rates[index]:
                     continue
-                packet = buffer.peek()
+                packet = fifo[0]
                 out = routes[packet.kind is _WRITEBACK].get(packet.dst)
                 if out is None:
                     out = self._fill_route(packet)
@@ -154,21 +157,34 @@ class Router:
                     requesters.append(index)
             any_move = False
             for out, requesters in wants.items():
-                output = outputs[out]
-                if accepted[out] >= rates[out] or not output.has_space:
+                if (accepted[out] >= rates[out]
+                        or len(output_fifos[out]) >= depth):
                     continue
-                winner = arbiters[out].grant_sorted(requesters)
-                output.push(inputs[winner].pop())
+                # Daisy chain from the head, wrapping once: the first
+                # requester at or after the head, else the lowest one.
+                winner = requesters[0]
+                if winner < head and len(requesters) > 1:
+                    for index in requesters:
+                        if index >= head:
+                            winner = index
+                            break
+                outputs[out].push(fifos[winner].popleft())
+                grants[out] += 1
                 supplied[winner] += 1
                 accepted[out] += 1
                 moved += 1
+                if out < n_links:
+                    link_moves += 1
                 any_move = True
             if not any_move:
                 break
-        for arbiter in arbiters:
-            arbiter.rotate()
-        self.switched_packets += moved
+        self.link_moves = link_moves
         return moved
+
+    @property
+    def switched_packets(self) -> int:
+        """Packets moved by the switch stage so far (one per grant)."""
+        return sum(self._grants)
 
     @property
     def busy(self) -> bool:
@@ -193,16 +209,17 @@ class Router:
                 for port in self.ports}
 
     def state_dict(self) -> dict:
-        """Picklable snapshot: buffers, arbiters, pending rotations."""
+        """Picklable snapshot: buffers, and each output port's arbiter
+        as its priority ``head`` and ``grants`` count."""
+        head = self._rotations % len(self.ports)
         return {
             "inputs": {port: b.state_dict()
                        for port, b in self.inputs.items()},
             "outputs": {port: b.state_dict()
                         for port, b in self.outputs.items()},
-            "arbiters": {port: a.state_dict()
-                         for port, a in self._arbiters.items()},
-            "pending_rotations": self._pending_rotations,
-            "switched_packets": self.switched_packets,
+            "arbiters": {port: {"head": head, "grants": grants}
+                         for port, grants in zip(self.ports, self._grants,
+                                                 strict=True)},
         }
 
     def load_state(self, state: dict) -> None:
@@ -210,10 +227,11 @@ class Router:
             self.inputs[port].load_state(payload)
         for port, payload in state["outputs"].items():
             self.outputs[port].load_state(payload)
-        for port, payload in state["arbiters"].items():
-            self._arbiters[port].load_state(payload)
-        self._pending_rotations = state["pending_rotations"]
-        self.switched_packets = state["switched_packets"]
+        arbiters = state["arbiters"]
+        # Every port shares the one head; only its value modulo the
+        # port count matters, so it restores the rotation counter.
+        self._rotations = arbiters[self.ports[0]]["head"]
+        self._grants = [arbiters[port]["grants"] for port in self.ports]
 
     def __repr__(self) -> str:
         return f"Router(node={self.node_id}, occupancy={self.occupancy})"

@@ -349,32 +349,3 @@ def test_report_marks_failed_checks(plan, cluster):
     statuses = {c["code"]: c["status"] for c in report["checks"]}
     assert statuses["NC303"] == "failed"
     assert report["violation_count"] >= 1
-
-
-# -- shard_feasible: the DSE pruning predicate -----------------------------
-
-def test_shard_feasible_accepts_clean_cluster(cluster):
-    assert shardcheck.shard_feasible(cluster, _network()) is True
-
-
-def test_shard_feasible_accepts_per_cube_config():
-    assert shardcheck.shard_feasible(NeurocubeConfig.hmc_15nm(),
-                                     _network(), cubes=2) is True
-
-
-def test_shard_feasible_rejects_capacity_overflow():
-    assert shardcheck.shard_feasible(
-        NeurocubeConfig.hmc_15nm(), _network(), cubes=2,
-        cube_capacity_bytes=1) is False
-
-
-def test_shard_feasible_rejects_overpartitioned_network(cluster):
-    # 64 cubes cannot each own an output row of an 18-row input.
-    assert shardcheck.shard_feasible(cluster, _network(),
-                                     cubes=64) is False
-
-
-def test_shard_feasible_requires_cluster_size():
-    with pytest.raises(PlanCheckError, match="cluster size"):
-        shardcheck.shard_feasible(NeurocubeConfig.hmc_15nm(),
-                                  _network())

@@ -1,5 +1,7 @@
 """Tests for the host/global controller (§IV-B/C, Fig. 8c)."""
 
+import itertools
+
 import pytest
 
 from repro.core import (
@@ -66,7 +68,7 @@ class TestRegistersForDescriptor:
         registers = registers_for_descriptor(conv1, addr_last=0)
         generator = AddressGenerator(registers)
         image_items = conv1.in_height * conv1.in_width
-        for event in list(generator.events())[:2000]:
+        for event in itertools.islice(generator.events(), 2000):
             assert 0 <= event.state_address < image_items
 
 

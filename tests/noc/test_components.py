@@ -1,8 +1,6 @@
-"""Tests for packets, buffers and the rotating arbiter."""
+"""Tests for packets and buffers."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.noc import (
@@ -10,7 +8,6 @@ from repro.noc import (
     FLIT_BITS,
     Packet,
     PacketKind,
-    RotatingPriorityArbiter,
 )
 
 
@@ -38,9 +35,6 @@ class TestPacket:
             packet(src=-1)
         with pytest.raises(ConfigurationError):
             packet(op_id=-1)
-
-    def test_serials_unique(self):
-        assert packet().serial != packet().serial
 
 
 class TestCreditedBuffer:
@@ -83,58 +77,3 @@ class TestCreditedBuffer:
         buffer.pop()
         assert buffer.peak_occupancy == 3
 
-
-class TestRotatingPriorityArbiter:
-    def test_grants_sole_requester(self):
-        arbiter = RotatingPriorityArbiter(4)
-        assert arbiter.grant([2]) == 2
-
-    def test_no_requests_returns_none(self):
-        arbiter = RotatingPriorityArbiter(4)
-        assert arbiter.grant([]) is None
-
-    def test_head_wins_ties(self):
-        arbiter = RotatingPriorityArbiter(4)
-        assert arbiter.head == 0
-        assert arbiter.grant([0, 2]) == 0
-
-    def test_daisy_chain_past_idle_head(self):
-        arbiter = RotatingPriorityArbiter(4)
-        assert arbiter.grant([2, 3]) == 2
-
-    def test_rotation_changes_winner(self):
-        arbiter = RotatingPriorityArbiter(2)
-        winners = []
-        for _ in range(4):
-            winners.append(arbiter.grant([0, 1]))
-            arbiter.rotate()
-        assert winners == [0, 1, 0, 1]
-
-    def test_mask_form(self):
-        arbiter = RotatingPriorityArbiter(3)
-        assert arbiter.grant([False, True, False]) == 1
-
-    def test_bad_index_rejected(self):
-        arbiter = RotatingPriorityArbiter(3)
-        with pytest.raises(ConfigurationError):
-            arbiter.grant([5])
-
-    @given(requests=st.lists(st.integers(0, 5), min_size=1, max_size=6,
-                             unique=True),
-           rotations=st.integers(0, 20))
-    @settings(max_examples=200)
-    def test_grant_is_always_a_requester(self, requests, rotations):
-        arbiter = RotatingPriorityArbiter(6)
-        for _ in range(rotations):
-            arbiter.rotate()
-        assert arbiter.grant(requests) in requests
-
-    def test_starvation_freedom(self):
-        """With rotation every cycle, every persistent requester is
-        granted within n_inputs cycles."""
-        arbiter = RotatingPriorityArbiter(6)
-        granted: set[int] = set()
-        for _ in range(6):
-            granted.add(arbiter.grant(list(range(6))))
-            arbiter.rotate()
-        assert granted == set(range(6))

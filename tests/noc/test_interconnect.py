@@ -1,8 +1,11 @@
 """Tests for the assembled NoC: delivery, ordering, backpressure, stats."""
 
+import random
+
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.faults import FaultConfig, FaultInjector
 from repro.noc import (
     FullyConnected,
     Interconnect,
@@ -11,6 +14,7 @@ from repro.noc import (
     PacketKind,
     Port,
 )
+from repro.obs import Tracer
 
 
 def packet(src, dst, op_id=0, kind=PacketKind.STATE, cycle=0):
@@ -176,3 +180,62 @@ class TestStats:
         ic.inject(0, packet(0, 15))
         drain(ic)
         assert ic.stats.link_traversals == 6
+
+
+def _link_output_occupancy(fabric):
+    return sum(router.outputs[port].occupancy
+               for router in fabric.routers
+               for port in fabric.topology.link_ports(router.node_id))
+
+
+def _seeded_traffic(fabric, cycles=300, seed=7):
+    """Seeded all-to-all traffic, the shape of the traffic pin in
+    ``tests/core/test_engine_pins.py``, checking after every step that
+    the link-stage gate's count equals the packets actually sitting in
+    link-port output buffers."""
+    rng = random.Random(seed)
+    n = fabric.topology.n_nodes
+    kinds = (PacketKind.WEIGHT, PacketKind.STATE, PacketKind.WRITEBACK)
+    op_id = 0
+    for cycle in range(cycles * 4):
+        offering = cycle < cycles
+        if not offering and not fabric.in_fabric:
+            break
+        for node in range(n):
+            if offering and rng.random() < 0.6:
+                kind = rng.choice(kinds)
+                port = Port.PE if kind is PacketKind.WRITEBACK else Port.MEM
+                fabric.inject(node, Packet(
+                    src=node, dst=rng.randrange(n), mac_id=rng.randrange(16),
+                    op_id=op_id, kind=kind, inject_cycle=fabric.cycle), port)
+                op_id += 1
+        fabric.step()
+        assert fabric.link_resident == _link_output_occupancy(fabric), cycle
+        for node in range(n):
+            for port in (Port.PE, Port.MEM):
+                fabric.eject(node, port,
+                             limit=rng.randrange(3) if offering else None)
+    assert not fabric.in_fabric, "fabric did not drain"
+    assert fabric.link_resident == 0
+
+
+class TestLinkResidentCount:
+    @pytest.mark.parametrize("topology", [Mesh2D(4, 4), FullyConnected(16)],
+                             ids=repr)
+    @pytest.mark.parametrize("mode", ["untraced", "traced", "faulted"])
+    def test_count_matches_link_output_buffers(self, topology, mode):
+        injector = None
+        if mode == "faulted":
+            # No CRC and one retry: link moves, silent corruptions and
+            # permanent drops all take packets out of link outputs.
+            injector = FaultInjector(FaultConfig(
+                noc_drop_rate=0.05, noc_corrupt_rate=0.05, crc=False,
+                max_retries=1))
+        fabric = Interconnect(topology, buffer_depth=2,
+                              tracer=Tracer() if mode == "traced" else None,
+                              injector=injector)
+        _seeded_traffic(fabric)
+        assert fabric.stats.link_traversals > 0
+        if injector is not None:
+            assert fabric.stats.dropped > 0
+            assert injector.stats.link_silent_corruptions > 0
