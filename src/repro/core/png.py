@@ -169,9 +169,16 @@ class AddressGenerator:
         return self.registers.n_neurons * self.registers.n_connections
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class EmissionRecord:
     """One packet this vault must source (the scheduler's output).
+
+    Records are never changed after construction (tests and nccheck's
+    seeded mutations build altered copies with
+    :func:`dataclasses.replace`).  Like :class:`repro.noc.Packet`, the
+    class is not ``frozen`` only because a frozen dataclass pays an
+    ``object.__setattr__`` per field, and a plan builds one record per
+    streamed item.
 
     Attributes:
         address: item address in this vault to read (-1 for items the PNG
@@ -374,10 +381,12 @@ class NeurosequenceGenerator:
         (up to the local word rate) with backpressure; drain write-backs
         from the router's MEM output.
         """
-        self._issue_requests()
+        if self._held is not None or not self._emissions_exhausted:
+            self._issue_requests()
         for read in self.vault.step():
             self._packetise(read)
-        self._inject_ready()
+        if self._ready:
+            self._inject_ready()
         if self._rx_buffer.fifo:
             self._drain_writebacks()
         if self._injector is not None and self._injector.has_losses:
@@ -390,10 +399,9 @@ class NeurosequenceGenerator:
         service slot (Fig. 11a: "the PNG receives 32bit data and
         encapsulates that into two packets"), so up to that many records
         share one read.  Like the paper's model, addresses are assumed to
-        pack fully into words.
+        pack fully into words.  The items themselves are read when the
+        word completes (:meth:`_packetise`).
         """
-        if self._emissions_exhausted and self._held is None:
-            return
         capacity = self.vault.items_per_word
         limit = self._horizon() if self._horizon is not None else None
         while self.vault.pending < self.max_outstanding:
@@ -433,7 +441,27 @@ class NeurosequenceGenerator:
         return int(data[address])
 
     def _packetise(self, read) -> None:
+        """Wrap each record of a completed read in a packet (Fig. 11a).
+
+        Items are read from the backing store now, at completion, so a
+        write-back that lands between a read's issue and its completion
+        is what the packet carries.
+        """
         injector = self._injector
+        if injector is None:
+            data = self.vault.data
+            size = 0 if data is None else len(data)
+            src = self.vault.vault_id
+            cycle = self.interconnect.cycle
+            ready = self._ready
+            for record in read.tag:
+                address = record.address
+                ready.append(Packet(
+                    src, record.dst, record.mac_id, record.op_id,
+                    record.kind,
+                    int(data[address]) if 0 <= address < size else 0,
+                    record.neuron, cycle))
+            return
         for slot, record in enumerate(read.tag):
             payload = self._read_item(record.address)
             crc = None

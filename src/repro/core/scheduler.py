@@ -139,9 +139,14 @@ def _owner_of(tiles: list[Rect], x: int, y: int) -> int:
     raise MappingError(f"pixel ({x}, {y}) not covered by any tile")
 
 
+#: Sort rank of each packet kind: its value, looked up in a plain dict
+#: because the ``Enum.value`` descriptor is slow on a per-record key.
+_KIND_RANK = {kind: kind.value for kind in PacketKind}
+
+
 def _sorted_emissions(records: list[EmissionRecord]) -> list[EmissionRecord]:
     return sorted(records, key=lambda r: (r.op_id, r.dst, r.mac_id,
-                                          r.kind.value))
+                                          _KIND_RANK[r.kind]))
 
 
 def build_conv_pass(desc: LayerDescriptor, config: NeurocubeConfig,
@@ -244,6 +249,7 @@ def build_conv_pass(desc: LayerDescriptor, config: NeurocubeConfig,
         n_conn = in_maps * k * k
 
     bias_array = None if np.isscalar(bias) else np.asarray(bias)
+    state = PacketKind.STATE
     stream_items = 0
     for pe in range(n_pe):
         home = config.channel_of_pe(pe)
@@ -274,9 +280,8 @@ def build_conv_pass(desc: LayerDescriptor, config: NeurocubeConfig,
                     src = _pixel_source(stored, home, pmap, px, py,
                                         pixel_addr)
                     emissions[src].append(EmissionRecord(
-                        address=pixel_addr[src][(pmap, py, px)],
-                        dst=pe, mac_id=lane, op_id=op,
-                        kind=PacketKind.STATE, neuron=(0, oy * out_w + ox)))
+                        pixel_addr[src][(pmap, py, px)], pe, lane, op,
+                        state, (0, oy * out_w + ox)))
                     stream_items += 1
 
     # Grow vault images to hold the output region.
@@ -362,15 +367,15 @@ def build_fc_pass(desc: LayerDescriptor, config: NeurocubeConfig,
             input_owner[js] = channel
 
     # ---- output / weight placement -------------------------------------
+    # Each neuron's weight row is stored contiguously in its PE's home
+    # channel; weight_base[n] is the row's first item address.
     pe_outputs = np.array_split(np.arange(n_out), n_pe)
-    weight_addr: dict[tuple[int, int], tuple[int, int]] = {}
+    weight_base = [0] * n_out
     for pe in range(n_pe):
-        channel = config.channel_of_pe(pe)
-        for n in pe_outputs[pe]:
-            for c in range(n_in):
-                weight_addr[(int(n), c)] = (channel,
-                                            len(vault_items[channel]))
-                vault_items[channel].append(int(raw_weights[n, c]))
+        items = vault_items[config.channel_of_pe(pe)]
+        for n in pe_outputs[pe].tolist():
+            weight_base[n] = len(items)
+            items.extend(raw_weights[n].tolist())
 
     out_addresses: dict[NeuronTag, tuple[int, int]] = {}
     expected = [0] * n_channels
@@ -378,10 +383,12 @@ def build_fc_pass(desc: LayerDescriptor, config: NeurocubeConfig,
     emissions: list[list[EmissionRecord]] = [[] for _ in range(n_channels)]
     vault_sizes = [len(items) for items in vault_items]
 
+    state, weight = PacketKind.STATE, PacketKind.WEIGHT
     stream_items = 0
     for pe in range(n_pe):
         home = config.channel_of_pe(pe)
-        for g, chunk in enumerate(_chunk([int(n) for n in pe_outputs[pe]],
+        weight_emissions = emissions[home]
+        for g, chunk in enumerate(_chunk(pe_outputs[pe].tolist(),
                                          config.n_mac)):
             slots = []
             for n in chunk:
@@ -394,6 +401,8 @@ def build_fc_pass(desc: LayerDescriptor, config: NeurocubeConfig,
             pe_groups[pe].append(GroupPlan(
                 slots=tuple(slots), n_connections=n_in, mode="mac",
                 weights_resident=False, shared_state=False, weights=None))
+            lanes = [(lane, weight_base[n], (0, n))
+                     for lane, n in enumerate(chunk)]
             for c in range(n_in):
                 op = g * n_in + c
                 # Every lane receives its own state copy (Fig. 11: the
@@ -401,16 +410,14 @@ def build_fc_pass(desc: LayerDescriptor, config: NeurocubeConfig,
                 # weights"); the hardware does not broadcast within a PE.
                 state_src = (home if layout.duplicate
                              else int(input_owner[c]))
-                for lane, n in enumerate(chunk):
-                    emissions[state_src].append(EmissionRecord(
-                        address=input_addr[state_src][c], dst=pe,
-                        mac_id=lane, op_id=op, kind=PacketKind.STATE,
-                        neuron=(0, n)))
-                    channel, address = weight_addr[(n, c)]
-                    emissions[channel].append(EmissionRecord(
-                        address=address, dst=pe, mac_id=lane, op_id=op,
-                        kind=PacketKind.WEIGHT, neuron=(0, n)))
-                    stream_items += 2
+                state_emissions = emissions[state_src]
+                state_addr = input_addr[state_src][c]
+                for lane, base, neuron in lanes:
+                    state_emissions.append(EmissionRecord(
+                        state_addr, pe, lane, op, state, neuron))
+                    weight_emissions.append(EmissionRecord(
+                        base + c, pe, lane, op, weight, neuron))
+            stream_items += 2 * n_in * len(chunk)
 
     vault_data = []
     for channel in range(n_channels):

@@ -30,7 +30,7 @@ from pathlib import Path
 from repro.errors import ConfigurationError, SimulationError
 
 #: Snapshot file-format version; bump on layout changes.
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 @dataclass(frozen=True)

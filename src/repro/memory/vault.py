@@ -2,9 +2,9 @@
 
 A vault accepts read requests (item addresses), issues them at burst-mode
 rate, and completes them ``access_latency_cycles`` later.  When constructed
-with a backing array it also returns real data, which lets the system
-simulator compute numerically exact layer outputs through the full
-PNG -> NoC -> PE path.
+with a backing array it also holds real data, which the PNG reads as each
+word completes; that lets the system simulator compute numerically exact
+layer outputs through the full PNG -> NoC -> PE path.
 """
 
 from __future__ import annotations
@@ -21,20 +21,23 @@ from repro.memory.timing import ChannelTiming
 ITEM_BITS = 16
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CompletedRead:
-    """A word returned by the vault.
+    """A word read returned by the vault.
+
+    The vault models timing only: the reader fetches the word's items
+    from :attr:`VaultChannel.data` when the read completes (the PNG does
+    so per emission record in its tag).
 
     Attributes:
         address: item address of the word's first item.
-        items: raw fixed-point values, ``items_per_word`` of them.
-        tag: opaque request tag (the PNG stores packet metadata here).
+        tag: opaque request tag (the PNG stores its emission records
+            here).
         issued_cycle: cycle the request left the queue.
         completed_cycle: cycle the data became visible.
     """
 
     address: int
-    items: tuple[int, ...]
     tag: object
     issued_cycle: int
     completed_cycle: int
@@ -46,9 +49,10 @@ class VaultChannel:
     Args:
         timing: channel timing parameters.
         vault_id: identifier used in packets and error messages.
-        data: optional backing store of raw 16-bit items (int array).
-            Reads beyond its end, or with no store at all, return zeros —
-            timing-only mode.
+        data: optional backing store of raw 16-bit items (int array),
+            read by the PNG when a word completes and written by
+            write-backs.  Items beyond its end, or with no store at
+            all, read as zeros — timing-only mode.
         tracer: optional :class:`repro.obs.Tracer`; when set, every word
             read issue emits a ``vault.read`` span covering the access
             latency.  None (the default) keeps the issue loop hook-free.
@@ -108,19 +112,6 @@ class VaultChannel:
     def busy(self) -> bool:
         """True while any request is queued or in flight."""
         return bool(self._queue) or bool(self._in_flight)
-
-    def _read_items(self, address: int) -> tuple[int, ...]:
-        if self.data is None:
-            return (0,) * self.items_per_word
-        end = address + self.items_per_word
-        if address >= len(self.data):
-            return (0,) * self.items_per_word
-        chunk = self.data[address:end]
-        if len(chunk) < self.items_per_word:
-            chunk = np.concatenate(
-                [chunk, np.zeros(self.items_per_word - len(chunk),
-                                 dtype=np.int64)])
-        return tuple(chunk.tolist())
 
     def can_issue_soon(self) -> bool:
         """True when the next :meth:`step` call would issue a request."""
@@ -218,8 +209,7 @@ class VaultChannel:
                 completed += self.injector.read_extra_latency(
                     self.vault_id, self.cycle, address)
             self._in_flight.append(CompletedRead(
-                address=address, items=self._read_items(address), tag=tag,
-                issued_cycle=self.cycle, completed_cycle=completed))
+                address, tag, self.cycle, completed))
             self.busy_cycles += 1
             self.words_served += 1
             if self.tracer is not None:

@@ -34,7 +34,6 @@ class CreditedBuffer:
         self.depth = depth
         self.label = label
         self.fifo: deque[Packet] = deque()
-        self.peak_occupancy = 0
 
     @property
     def occupancy(self) -> int:
@@ -56,8 +55,6 @@ class CreditedBuffer:
                 f"push into full buffer {self.label or id(self)} "
                 f"(depth {self.depth}); caller must check has_space")
         fifo.append(packet)
-        if len(fifo) > self.peak_occupancy:
-            self.peak_occupancy = len(fifo)
 
     def peek(self) -> Packet:
         if not self.fifo:
@@ -73,13 +70,11 @@ class CreditedBuffer:
 
     def state_dict(self) -> dict:
         """Picklable snapshot (packets are never mutated once built)."""
-        return {"fifo": tuple(self.fifo),
-                "peak_occupancy": self.peak_occupancy}
+        return {"fifo": tuple(self.fifo)}
 
     def load_state(self, state: dict) -> None:
         self.fifo.clear()
         self.fifo.extend(state["fifo"])
-        self.peak_occupancy = state["peak_occupancy"]
 
     def __len__(self) -> int:
         return len(self.fifo)

@@ -9,6 +9,10 @@ cycle engine simulates — not just to how fast — fails here.
 The smoke layers never cross a mesh link (lateral fraction 0.0), so the
 fabric also gets a seeded all-to-all traffic pin on both topologies,
 with two-deep buffers so arbitration and backpressure are exercised.
+
+The plan builders get their own pin: the structural hash of the smoke
+conv plan and of the MLP's FC plans, plus a digest of their vault
+images, which the structural hash leaves out.
 """
 
 from __future__ import annotations
@@ -17,10 +21,13 @@ import dataclasses
 import hashlib
 import random
 
+import numpy as np
 import pytest
 
 from repro.core import NeurocubeConfig, NeurocubeSimulator, compile_inference
+from repro.core.scheduler import build_conv_pass, build_fc_pass
 from repro.nn import models
+from repro.nn.activations import ActivationLUT, Sigmoid
 from repro.noc import FullyConnected, Interconnect, Mesh2D, Packet, PacketKind
 from repro.noc.routing import Port
 
@@ -66,6 +73,22 @@ TRAFFIC_PIN = {
         "grants": [351, 349, 367, 359, 347, 351, 352, 354,
                    352, 339, 333, 348, 356, 346, 368, 349],
     },
+}
+
+
+#: ``(structural_hash(), sha256 of the vault images)`` per plan: the
+#: smoke conv layer and ``mnist_mlp(16)``'s hidden layer, timing-only
+#: and functional with seeded inputs.
+PLAN_PIN = {
+    "smoke_conv": (
+        "31acfc0a1d5b65bb06cd2f6b7310b96b47f49257446a05dd4b7245c4f0b1a123",
+        "cd9f9a99ba0355bb337d0533fac239006bd680b93f9cf46084363473240096e7"),
+    "mlp_hidden_timing": (
+        "fce0502dcc14221e5b84a23843dd33458427d0b17b55f6d35db2405caef62985",
+        "19037e0390a3aac600e49a084231c5ca35f58c6e74448bc7f98bc7b8cd430481"),
+    "mlp_hidden_functional": (
+        "fce0502dcc14221e5b84a23843dd33458427d0b17b55f6d35db2405caef62985",
+        "4585c1ee25d6a156f20976a657bdb996f40cfbeb13e2462c12c2d94961980701"),
 }
 
 
@@ -152,3 +175,29 @@ def _random_traffic(topology, cycles: int = 300, seed: int = 7) -> dict:
 def test_random_traffic_pin(name):
     topology = Mesh2D(4, 4) if name == "mesh" else FullyConnected(16)
     assert _random_traffic(topology) == TRAFFIC_PIN[name]
+
+
+def _plan(name: str):
+    config = NeurocubeConfig.hmc_15nm(sim_workers=1)
+    if name == "smoke_conv":
+        network = models.single_conv_layer(24, 24, 3, qformat=None)
+        descriptor = compile_inference(network, config).descriptors[0]
+        return build_conv_pass(descriptor, config, None, None, 0.0, None)
+    network = models.mnist_mlp(16)
+    descriptor = compile_inference(network, config).descriptors[0]
+    if name == "mlp_hidden_timing":
+        return build_fc_pass(descriptor, config, None, None, None, None)
+    hidden = network.layers[1]
+    x = np.random.default_rng(3).uniform(-1, 1, descriptor.connections)
+    return build_fc_pass(descriptor, config, x, hidden.params["weight"],
+                         hidden.params["bias"], ActivationLUT(Sigmoid()))
+
+
+@pytest.mark.parametrize("name", sorted(PLAN_PIN))
+def test_plan_layout_pin(name):
+    plan = _plan(name)
+    images = hashlib.sha256()
+    for array in plan.vault_data:
+        images.update(np.ascontiguousarray(array, dtype=np.int64).tobytes())
+        images.update(b"|")
+    assert (plan.structural_hash(), images.hexdigest()) == PLAN_PIN[name]

@@ -209,3 +209,53 @@ class TestNeurosequenceGeneratorAgent:
         png, _ = make_agent([record()])
         with pytest.raises(ProtocolError):
             png.program(iter([]), 0)
+
+
+def delivered_payloads(png, ic, count, cycles=400):
+    """Step the agent and fabric until ``count`` packets reach PE 0."""
+    payloads = []
+    for _ in range(cycles):
+        png.step()
+        ic.step()
+        payloads.extend(p.payload for p in ic.eject(0, Port.PE))
+        if len(payloads) >= count:
+            return payloads
+    raise AssertionError(f"only {len(payloads)} of {count} packets emitted")
+
+
+class TestPayloadRead:
+    """The vault models timing; the PNG reads each record's item from the
+    vault's backing store when the word read completes."""
+
+    def test_payload_is_backing_item(self):
+        data = np.arange(10, dtype=np.int64) * 3
+        png, ic = make_agent([record(address=4, mac=0),
+                              record(address=5, mac=1)], data=data)
+        assert delivered_payloads(png, ic, 2) == [12, 15]
+        assert png.vault.words_served == 1
+
+    def test_timing_only_vault_gives_zero(self):
+        png, ic = make_agent([record(address=4)])
+        assert delivered_payloads(png, ic, 1) == [0]
+
+    def test_synthesised_address_gives_zero(self):
+        data = np.full(4, 9, dtype=np.int64)
+        png, ic = make_agent([record(address=-1)], data=data)
+        assert delivered_payloads(png, ic, 1) == [0]
+
+    def test_read_past_end_gives_zero(self):
+        png, ic = make_agent([record(address=0, mac=0),
+                              record(address=1, mac=1)],
+                             data=np.array([7], dtype=np.int64))
+        assert delivered_payloads(png, ic, 2) == [7, 0]
+
+    def test_item_is_read_at_completion(self):
+        """A write landing between a read's issue and its completion is
+        what the packet carries."""
+        data = np.arange(8, dtype=np.int64)
+        png, ic = make_agent([record(address=3)], data=data)
+        png.step()
+        ic.step()
+        assert png.vault.words_served == 1 and png.vault.busy
+        png.vault.write_items(3, [99])
+        assert delivered_payloads(png, ic, 1) == [99]

@@ -62,22 +62,6 @@ class TestServiceTiming:
 
 
 class TestData:
-    def test_returns_backing_items(self):
-        vault = VaultChannel(timing(), data=np.arange(10) * 3)
-        vault.enqueue_read(4)
-        read = vault.drain()[0]
-        assert read.items == (12, 15)
-
-    def test_timing_only_returns_zeros(self):
-        vault = VaultChannel(timing())
-        vault.enqueue_read(4)
-        assert vault.drain()[0].items == (0, 0)
-
-    def test_read_past_end_padded(self):
-        vault = VaultChannel(timing(), data=np.array([7]))
-        vault.enqueue_read(0)
-        assert vault.drain()[0].items == (7, 0)
-
     def test_write_items(self):
         vault = VaultChannel(timing(), data=np.zeros(8, dtype=np.int64))
         vault.write_items(3, [5, 6])

@@ -70,10 +70,3 @@ class TestCreditedBuffer:
         with pytest.raises(SimulationError):
             buffer.peek()
 
-    def test_peak_occupancy_tracked(self):
-        buffer = CreditedBuffer(depth=4)
-        for _ in range(3):
-            buffer.push(packet())
-        buffer.pop()
-        assert buffer.peak_occupancy == 3
-
