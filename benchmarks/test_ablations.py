@@ -28,17 +28,13 @@ def scene_throughput(config, duplicate=True):
         net, duplicate=duplicate).throughput_gops
 
 
-def test_ablation_burst_duty(benchmark):
+def test_ablation_burst_duty():
     """Sustained vault duty vs whole-network throughput."""
 
-    def run():
-        rows = []
-        for gap in (0, 2, 4, 8, 12, 16):
-            config = NeurocubeConfig.hmc_15nm(tccd_gap_cycles=gap)
-            rows.append((gap, 8 / (8 + gap), scene_throughput(config)))
-        return rows
-
-    rows = benchmark(run)
+    rows = []
+    for gap in (0, 2, 4, 8, 12, 16):
+        config = NeurocubeConfig.hmc_15nm(tccd_gap_cycles=gap)
+        rows.append((gap, 8 / (8 + gap), scene_throughput(config)))
     print("\ngap  duty   GOPs/s")
     for gap, duty, gops in rows:
         print(f"{gap:>3}  {duty:4.2f}  {gops:7.1f}")
@@ -51,7 +47,7 @@ def test_ablation_burst_duty(benchmark):
     assert gops[5] < 0.85 * gops[0]  # duty 1/3 falls off the knee
 
 
-def test_ablation_macs_per_pe(benchmark):
+def test_ablation_macs_per_pe():
     """Eq. 3's n_MAC knob.
 
     Because the MAC clock is ``f_PE / n_MAC``, the arithmetic peak is
@@ -62,11 +58,8 @@ def test_ablation_macs_per_pe(benchmark):
     past the paper's 16.
     """
 
-    def run():
-        return {n: scene_throughput(NeurocubeConfig.hmc_15nm(n_mac=n))
-                for n in (4, 8, 16, 32, 64)}
-
-    rows = benchmark(run)
+    rows = {n: scene_throughput(NeurocubeConfig.hmc_15nm(n_mac=n))
+            for n in (4, 8, 16, 32, 64)}
     print("\nn_mac  GOPs/s  (peak)")
     for n, gops in rows.items():
         peak = NeurocubeConfig.hmc_15nm(n_mac=n).peak_gops
@@ -79,23 +72,18 @@ def test_ablation_macs_per_pe(benchmark):
     assert rows[64] < 0.8 * rows[16]  # raggedness bites at 64 lanes
 
 
-def test_ablation_weight_register(benchmark):
+def test_ablation_weight_register():
     """Table II's 3,600-bit weight register vs conv sub-passing."""
 
-    def run():
-        rows = {}
-        net = models.scene_labeling_convnn(qformat=None)
-        for bits in (800, 1600, 3600, 8000):
-            config = NeurocubeConfig.hmc_15nm(weight_memory_bits=bits)
-            program = compile_inference(net, config, duplicate=True)
-            passes = sum(d.passes for d in program
-                         if d.kind == "conv")
-            gops = AnalyticModel(config).evaluate_program(
-                program).throughput_gops
-            rows[bits] = (passes, gops)
-        return rows
-
-    rows = benchmark(run)
+    rows = {}
+    net = models.scene_labeling_convnn(qformat=None)
+    for bits in (800, 1600, 3600, 8000):
+        config = NeurocubeConfig.hmc_15nm(weight_memory_bits=bits)
+        program = compile_inference(net, config, duplicate=True)
+        passes = sum(d.passes for d in program if d.kind == "conv")
+        gops = AnalyticModel(config).evaluate_program(
+            program).throughput_gops
+        rows[bits] = (passes, gops)
     print("\nbits   conv passes  GOPs/s")
     for bits, (passes, gops) in rows.items():
         print(f"{bits:>5}  {passes:>11}  {gops:7.1f}")
@@ -107,42 +95,34 @@ def test_ablation_weight_register(benchmark):
     assert rows[8000][1] == pytest.approx(rows[3600][1], rel=0.05)
 
 
-def test_ablation_noc_buffer_depth(benchmark):
+def test_ablation_noc_buffer_depth():
     """Flit-accurate: shallow router buffers throttle remote traffic."""
 
-    def run():
-        net = models.fully_connected_classifier(128, 64, qformat=None)
-        cycles = {}
-        for depth in (2, 16):
-            config = NeurocubeConfig.hmc_15nm(noc_buffer_depth=depth)
-            desc = compile_inference(net, config,
-                                     duplicate=False).descriptors[0]
-            cycles[depth] = NeurocubeSimulator(config).run_descriptor(
-                desc).cycles
-        return cycles
-
-    cycles = benchmark.pedantic(run, rounds=1, iterations=1)
+    net = models.fully_connected_classifier(128, 64, qformat=None)
+    cycles = {}
+    for depth in (2, 16):
+        config = NeurocubeConfig.hmc_15nm(noc_buffer_depth=depth)
+        desc = compile_inference(net, config,
+                                 duplicate=False).descriptors[0]
+        cycles[depth] = NeurocubeSimulator(config).run_descriptor(
+            desc).cycles
     print(f"\nbuffer depth 2: {cycles[2]} cycles; "
           f"depth 16 (paper): {cycles[16]} cycles")
     assert cycles[2] >= cycles[16]
 
 
-def test_ablation_cache_subbank_capacity(benchmark):
+def test_ablation_cache_subbank_capacity():
     """Flit-accurate: small sub-banks increase backpressure stalls."""
 
-    def run():
-        net = models.fully_connected_classifier(128, 64, qformat=None)
-        cycles = {}
-        for entries in (4, 64):
-            config = NeurocubeConfig.hmc_15nm(
-                cache_entries_per_subbank=entries)
-            desc = compile_inference(net, config,
-                                     duplicate=False).descriptors[0]
-            cycles[entries] = NeurocubeSimulator(config).run_descriptor(
-                desc).cycles
-        return cycles
-
-    cycles = benchmark.pedantic(run, rounds=1, iterations=1)
+    net = models.fully_connected_classifier(128, 64, qformat=None)
+    cycles = {}
+    for entries in (4, 64):
+        config = NeurocubeConfig.hmc_15nm(
+            cache_entries_per_subbank=entries)
+        desc = compile_inference(net, config,
+                                 duplicate=False).descriptors[0]
+        cycles[entries] = NeurocubeSimulator(config).run_descriptor(
+            desc).cycles
     print(f"\nsub-bank 4 entries: {cycles[4]} cycles; "
           f"64 (paper): {cycles[64]} cycles")
     assert cycles[4] >= cycles[64]

@@ -7,8 +7,8 @@ and the §VI LSTM-mapping claim with this reproduction's models.
 from repro.experiments import ext_lstm, ext_scaling
 
 
-def test_ext_scaling(benchmark):
-    result = benchmark(ext_scaling.run)
+def test_ext_scaling():
+    result = ext_scaling.run()
     print()
     print(result.to_table())
     # Conv-heavy workloads scale nearly linearly to 16 cubes.
@@ -21,8 +21,8 @@ def test_ext_scaling(benchmark):
             < result.efficiency_at("scene", 16))
 
 
-def test_ext_lstm_mapping(benchmark):
-    result = benchmark(ext_lstm.run)
+def test_ext_lstm_mapping():
+    result = ext_lstm.run()
     print()
     print(result.to_table())
     luts = result.gate_luts

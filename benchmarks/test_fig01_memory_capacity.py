@@ -3,8 +3,8 @@
 from repro.experiments import fig01_memory_capacity
 
 
-def test_fig01_memory_capacity(benchmark):
-    result = benchmark(fig01_memory_capacity.run)
+def test_fig01_memory_capacity():
+    result = fig01_memory_capacity.run()
     print()
     print(result.to_table())
     scene_totals = [r["total_bytes"] for r in result.rows

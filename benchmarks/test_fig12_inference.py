@@ -10,8 +10,8 @@ import pytest
 from repro.experiments import fig12_inference
 
 
-def test_fig12_inference(benchmark):
-    result = benchmark(fig12_inference.run)
+def test_fig12_inference():
+    result = fig12_inference.run()
     print()
     print(result.to_table())
     assert result.duplicate.throughput_gops == pytest.approx(

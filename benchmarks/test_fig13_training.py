@@ -7,8 +7,8 @@ Paper: 126.8 GOPs/s, 48% duplication memory overhead, 4542.14 (15nm) and
 from repro.experiments import fig13_training
 
 
-def test_fig13_training(benchmark):
-    result = benchmark(fig13_training.run)
+def test_fig13_training():
+    result = fig13_training.run()
     print()
     print(result.to_table())
     report = result.report_15nm

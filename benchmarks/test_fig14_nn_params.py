@@ -3,8 +3,8 @@
 from repro.experiments import fig14_nn_params
 
 
-def test_fig14_nn_params(benchmark):
-    result = benchmark(fig14_nn_params.run)
+def test_fig14_nn_params():
+    result = fig14_nn_params.run()
     print()
     print(result.to_table())
     # (a) without duplication, larger kernels cost throughput.

@@ -10,8 +10,8 @@ from repro.experiments import fig15_memory_noc
 from repro.nn import models
 
 
-def test_fig15_memory_noc(benchmark):
-    result = benchmark(fig15_memory_noc.run)
+def test_fig15_memory_noc():
+    result = fig15_memory_noc.run()
     print()
     print(result.to_table())
     # (a) DDR3's two channels lose badly despite the higher per-channel
@@ -31,20 +31,16 @@ def test_fig15_memory_noc(benchmark):
             > 2 * point("mesh", False))
 
 
-def test_fig15a_cycle_level_crosscheck(benchmark):
+def test_fig15a_cycle_level_crosscheck():
     """Flit-accurate HMC-vs-DDR3 on a small conv layer."""
 
-    def run():
-        net = models.single_conv_layer(32, 32, 5, qformat=None)
-        cycles = {}
-        for name, config in (("hmc", NeurocubeConfig.hmc_15nm()),
-                             ("ddr3", NeurocubeConfig.ddr3())):
-            desc = compile_inference(net, config).descriptors[0]
-            cycles[name] = NeurocubeSimulator(config).run_descriptor(
-                desc).cycles
-        return cycles
-
-    cycles = benchmark.pedantic(run, rounds=1, iterations=1)
+    net = models.single_conv_layer(32, 32, 5, qformat=None)
+    cycles = {}
+    for name, config in (("hmc", NeurocubeConfig.hmc_15nm()),
+                         ("ddr3", NeurocubeConfig.ddr3())):
+        desc = compile_inference(net, config).descriptors[0]
+        cycles[name] = NeurocubeSimulator(config).run_descriptor(
+            desc).cycles
     print(f"\ncycle-level 32x32 conv5: HMC {cycles['hmc']} cycles, "
           f"DDR3 {cycles['ddr3']} cycles "
           f"({cycles['ddr3'] / cycles['hmc']:.1f}x slower)")

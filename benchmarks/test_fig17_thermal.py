@@ -9,8 +9,8 @@ import pytest
 from repro.experiments import fig17_thermal
 
 
-def test_fig17_thermal(benchmark):
-    result = benchmark(fig17_thermal.run)
+def test_fig17_thermal():
+    result = fig17_thermal.run()
     print()
     print(result.to_table())
     r15 = result.result_15nm

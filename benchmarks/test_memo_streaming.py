@@ -5,9 +5,9 @@ infrastructure.  Two hard invariants ride on them — a warm run served
 from the on-disk store must be *bit-identical* to the cold run it
 replays, and the warm path must actually be fast (otherwise the store
 is overhead, not a cache).  The speedup thresholds are deliberately far
-below the measured factors (~9x and three orders of magnitude on a dev
-box) so they only fire on a real regression, never on CI scheduler
-noise.
+below the measured factors (~5x and three orders of magnitude on a
+2-vCPU host) so they only fire on a real regression, never on CI
+scheduler noise.
 """
 
 import time
@@ -26,11 +26,10 @@ from repro.memo import MemoStore
 from repro.nn import models
 
 
-def test_persistent_memo_warm_speedup(benchmark, record_sim_rate,
-                                      record_memo_counters, tmp_path):
+def test_persistent_memo_warm_speedup(tmp_path):
     """Warm timing run served from the on-disk store: bit-identical to
     the cold run, at least one hit, zero rejects, and at least 2x
-    faster in wall-clock (measured ~9x; the replayed entry skips the
+    faster in wall-clock (measured ~5x; the replayed entry skips the
     cycle simulation entirely, so anything near parity means the store
     stopped hitting)."""
     config = NeurocubeConfig.hmc_15nm()
@@ -47,8 +46,7 @@ def test_persistent_memo_warm_speedup(benchmark, record_sim_rate,
 
     warm_sim = NeurocubeSimulator(
         config, memo=MemoStore(tmp_path / "memo", config))
-    warm = benchmark.pedantic(lambda: warm_sim.run_descriptor(desc),
-                              rounds=1, iterations=1)
+    warm = warm_sim.run_descriptor(desc)
     assert warm.memo_stats.hits >= 1
     assert warm.memo_stats.rejects == 0
     assert warm.cycles == cold.cycles
@@ -57,13 +55,13 @@ def test_persistent_memo_warm_speedup(benchmark, record_sim_rate,
     assert warm.pe_busy_cycles == cold.pe_busy_cycles
     assert warm.pe_idle_cycles == cold.pe_idle_cycles
     assert warm.inject_stall_cycles == cold.inject_stall_cycles
-    assert cold_seconds / warm.host_seconds >= 2.0
-    record_sim_rate(benchmark, warm)
-    record_memo_counters(benchmark, warm.memo_stats)
+    ratio = cold_seconds / warm.host_seconds
+    print(f"\ncold {cold_seconds:.3f} s, warm {warm.host_seconds:.3f} s "
+          f"({ratio:.2f}x)")
+    assert ratio >= 2.0
 
 
-def test_streaming_frames_per_second(benchmark, record_memo_counters,
-                                     tmp_path):
+def test_streaming_frames_per_second(tmp_path):
     """Warm-stream throughput: the functional fast path must beat
     per-frame cycle simulation by at least 10x (measured in the
     hundreds to thousands) with bit-identical outputs.  This is the acceptance gate for the
@@ -79,16 +77,11 @@ def test_streaming_frames_per_second(benchmark, record_memo_counters,
                          for frame in frames]
     per_frame_seconds = (time.perf_counter() - start) / len(frames)
 
-    def stream_once():
-        with RunContext(memo=MemoDir(tmp_path / "memo")):
-            return NeurocubeSimulator(config).run_stream(net, frames)
-
-    stream = benchmark.pedantic(stream_once, rounds=1, iterations=1)
+    with RunContext(memo=MemoDir(tmp_path / "memo")):
+        stream = NeurocubeSimulator(config).run_stream(net, frames)
     for streamed, simulated in zip(stream.outputs, per_frame_outputs,
                                    strict=True):
         np.testing.assert_array_equal(streamed, simulated)
+    print(f"\nwarm {stream.warm_frames_per_second:.0f} frames/s vs "
+          f"{1 / per_frame_seconds:.1f} simulated frames/s")
     assert stream.warm_frames_per_second * per_frame_seconds >= 10.0
-    benchmark.extra_info["warm_frames_per_second"] = float(
-        stream.warm_frames_per_second)
-    benchmark.extra_info["simulated_cycles"] = int(stream.total_cycles)
-    record_memo_counters(benchmark, stream.memo)

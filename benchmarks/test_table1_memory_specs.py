@@ -5,8 +5,8 @@ import pytest
 from repro.experiments import table1_memory_specs
 
 
-def test_table1_memory_specs(benchmark):
-    result = benchmark(table1_memory_specs.run)
+def test_table1_memory_specs():
+    result = table1_memory_specs.run()
     print()
     print(result.to_table())
     hmc = result.specs["HMC-Int"]

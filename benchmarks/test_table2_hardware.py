@@ -5,8 +5,8 @@ import pytest
 from repro.experiments import table2_hardware
 
 
-def test_table2_hardware(benchmark):
-    result = benchmark(table2_hardware.run)
+def test_table2_hardware():
+    result = table2_hardware.run()
     print()
     print(result.to_table())
     for node in ("28nm", "15nm"):

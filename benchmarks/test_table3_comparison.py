@@ -9,8 +9,8 @@ import pytest
 from repro.experiments import table3_comparison
 
 
-def test_table3_comparison(benchmark):
-    result = benchmark(table3_comparison.run)
+def test_table3_comparison():
+    result = table3_comparison.run()
     print()
     print(result.to_table())
     assert result.efficiency("15nm") == pytest.approx(38.82, rel=0.15)

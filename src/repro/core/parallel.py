@@ -164,8 +164,8 @@ def task_plan_hashes(config: NeurocubeConfig, desc: LayerDescriptor,
     timing-only mode (where partial sums never replace the spec bias)
     and returns their
     :meth:`~repro.core.scheduler.PassPlan.structural_hash` digests.
-    The persistent memo store records these on store and re-checks them
-    on load through the NC207 key⇒hash invariant, so a cached outcome
+    The persistent memo store records these on store and compares them
+    on load (the key⇒hash invariant NC207 states), so a cached outcome
     is only ever replayed for a task whose plans hash identically to
     the ones it was simulated from.
     """
@@ -275,9 +275,10 @@ class ParallelPassExecutor:
         across processes: before simulating a representative, the
         store is consulted under its content digest, and every freshly
         simulated representative is written back.  A loaded entry is
-        only replayed after its recorded plan hashes pass the NC207
-        key⇒hash check against :func:`task_plan_hashes` of the live
-        task, so a stale or corrupted entry falls through to simulation.
+        only replayed when its recorded plan hashes equal
+        :func:`task_plan_hashes` of the live task (the key⇒hash
+        invariant), so a stale or corrupted entry falls through to
+        simulation.
         Hit or simulated, the replay/fold path is the same, so results
         stay bit-identical to a cold run.
         """

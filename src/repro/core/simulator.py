@@ -376,9 +376,10 @@ class NeurocubeSimulator:
             memoization persistent — memoized outcomes are loaded from
             and stored to disk, surviving across runs.  None everywhere
             keeps memoization in-process only.  Bit-identity holds
-            either way: loaded entries pass the same NC207 key⇒hash
-            check the in-run replay is built on, or they are rejected
-            and re-simulated.
+            either way: a loaded entry's recorded plan hashes must
+            equal those of the plans the run would build now (the
+            key⇒hash invariant the in-run replay is built on), or it
+            is rejected and re-simulated.
     """
 
     def __init__(self, config: NeurocubeConfig,

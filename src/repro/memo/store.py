@@ -24,11 +24,11 @@ Safety rests on three independent guards, in order of bluntness:
 * **The key⇒hash invariant, re-verified on every load.**  Each entry
   records the :meth:`~repro.core.scheduler.PassPlan.structural_hash` of
   every plan its worker simulated.  On load, the caller passes the
-  hashes of the plans it would build *now*, and the pair is checked
-  through :func:`repro.analysis.nccheck.verify_memo_pairs` — the same
-  NC207 check that guards in-run memoization.  A mismatch (corrupted
-  entry, digest collision, drifted scheduler) is a counted *reject* and
-  the entry is dropped; it is never replayed.
+  hashes of the plans it would build *now*, and the two tuples must be
+  equal, hash for hash — the invariant nccheck's NC207 states for
+  memoization keys.  A mismatch (corrupted entry, digest collision,
+  drifted scheduler) is a counted *reject* and the entry is dropped;
+  it is never replayed.
 
 Writes are atomic (unique temp file + ``os.replace``, the checkpoint-
 store pattern), so concurrent writers — two CI shards, a process pool —
@@ -143,22 +143,6 @@ def entry_digest(desc: LayerDescriptor, key: tuple) -> str:
     return digest.hexdigest()
 
 
-class _StoredHash:
-    """Surrogate carrying a recorded plan hash into ``verify_memo_pairs``.
-
-    The NC207 check only calls ``structural_hash()``; a stored entry no
-    longer has the plan object, just its digest.
-    """
-
-    __slots__ = ("_digest",)
-
-    def __init__(self, digest: str) -> None:
-        self._digest = digest
-
-    def structural_hash(self) -> str:
-        return self._digest
-
-
 @dataclass
 class MemoStats:
     """Hit/miss/reject/store/evict counters of one store (or several).
@@ -262,8 +246,9 @@ class MemoStore:
 
         ``expected_plan_hashes`` are the structural hashes of the plans
         the caller would build *right now* for this task; the entry's
-        recorded hashes must match under the NC207 key⇒hash invariant
-        or the entry is rejected (and dropped) instead of replayed.
+        recorded hashes must equal them, hash for hash (the key⇒hash
+        invariant), or the entry is rejected (and dropped) instead of
+        replayed.
         """
         path = self._path(digest)
         try:
@@ -290,10 +275,8 @@ class MemoStore:
         if (payload.get("fingerprint") != self.fingerprint
                 or payload.get("digest") != digest
                 or not isinstance(outcome, MapOutcome)
-                or not isinstance(stored_hashes, tuple)):
-            return self._reject(path)
-        if not self._hashes_consistent(digest, stored_hashes,
-                                       expected_plan_hashes):
+                or not isinstance(stored_hashes, tuple)
+                or stored_hashes != expected_plan_hashes):
             return self._reject(path)
         # Refresh the LRU clock: this entry was just useful.
         try:
@@ -302,23 +285,6 @@ class MemoStore:
             pass  # a concurrent eviction won; the outcome is still good
         self.stats.hits += 1
         return outcome
-
-    @staticmethod
-    def _hashes_consistent(digest: str, stored: tuple[str, ...],
-                           expected: tuple[str, ...]) -> bool:
-        """Run the NC207 key⇒hash check on (stored, expected) pairs."""
-        # Imported lazily: repro.analysis depends on the core plan
-        # types, so a module-level import would be circular.
-        from repro.analysis.nccheck import verify_memo_pairs
-
-        if len(stored) != len(expected):
-            return False
-        pairs = []
-        for index, (old, new) in enumerate(zip(stored, expected,
-                                               strict=True)):
-            pairs.append(((digest, index), _StoredHash(old)))
-            pairs.append(((digest, index), _StoredHash(new)))
-        return not verify_memo_pairs(pairs)
 
     def _reject(self, path: Path) -> None:
         """Count a reject and drop the offending entry."""

@@ -138,8 +138,8 @@ def _declared_scripts() -> dict[str, str]:
 
 def test_entry_points_declared_and_importable():
     declared = _declared_scripts()
-    assert {"neurocube-experiments", "ncprof", "bench_compare",
-            "nclint", "nccheck"} <= set(declared)
+    assert {"neurocube-experiments", "ncprof", "nclint",
+            "nccheck"} <= set(declared)
     for name, target in declared.items():
         module_name, func_name = target.split(":")
         module = importlib.import_module(module_name)
@@ -147,7 +147,7 @@ def test_entry_points_declared_and_importable():
 
 
 def test_every_cli_has_a_checkout_shim():
-    for name in ("ncprof", "bench_compare", "nclint", "nccheck"):
+    for name in ("ncprof", "nclint", "nccheck"):
         shim = REPO / "tools" / f"{name}.py"
         assert shim.exists(), f"missing checkout shim tools/{name}.py"
         assert "sys.path.insert" in shim.read_text()

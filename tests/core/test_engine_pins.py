@@ -109,6 +109,7 @@ def test_smoke_conv_pin(topology, skip_ahead):
     descriptor = compile_inference(network, config).descriptors[0]
     run = NeurocubeSimulator(config).run_descriptor(descriptor)
     assert {name: getattr(run, name) for name in SMOKE_PIN} == SMOKE_PIN
+    assert run.trace is None
 
 
 @pytest.mark.parametrize(("topology", "skip_ahead"), ENGINE_MODES)
