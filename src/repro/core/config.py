@@ -67,8 +67,7 @@ class NeurocubeConfig:
             ``NEUROCUBE_SIM_WORKERS`` environment variable — see
             :attr:`effective_sim_workers`.
         sim_skip_ahead: enable the simulator's event-horizon scheduler
-            (step only the agents that can act each cycle, and jump the
-            clock over stretches where none can).  Results are identical
+            (jump the clock over stretches where no agent can act).  Results are identical
             either way; the knob exists so equivalence tests can compare
             the scheduler against the lock-step reference path.
         sim_memoize: enable timing-pass memoization — structurally

@@ -17,7 +17,7 @@ bit-identical to :func:`repro.fixedpoint.to_float` — without building a
 
 from __future__ import annotations
 
-from repro.fixedpoint import QFormat, Q_1_7_8, from_float
+from repro.fixedpoint import QFormat, Q_1_7_8
 
 
 class MACUnit:
@@ -32,6 +32,8 @@ class MACUnit:
         self.fmt = fmt
         self.mac_id = mac_id
         self._scale = fmt.scale
+        self._min_raw = fmt.min_raw
+        self._max_raw = fmt.max_raw
         self._acc = 0.0
         self.operations = 0
 
@@ -59,8 +61,18 @@ class MACUnit:
 
     @property
     def result_raw(self) -> int:
-        """Accumulator quantised to the storage format (the write-back)."""
-        return int(from_float(self._acc, self.fmt))
+        """Accumulator quantised to the storage format (the write-back).
+
+        Equal to :func:`repro.fixedpoint.from_float`: Python's ``round``
+        rounds half to even like ``np.rint``, and the result saturates
+        to the format's raw range.
+        """
+        raw = round(self._acc * self._scale)
+        if raw > self._max_raw:
+            return self._max_raw
+        if raw < self._min_raw:
+            return self._min_raw
+        return raw
 
     def state_dict(self) -> dict:
         """Picklable snapshot for checkpointing."""

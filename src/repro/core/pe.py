@@ -22,6 +22,9 @@ from repro.noc.interconnect import Interconnect
 from repro.noc.packet import Packet, PacketKind, packet_crc
 from repro.noc.routing import Port
 
+_WEIGHT = PacketKind.WEIGHT
+_STATE = PacketKind.STATE
+
 
 @dataclass(frozen=True)
 class GroupSlot:
@@ -131,7 +134,7 @@ class ProcessingElement:
         # Running total of packets parked across the sub-banks, and the
         # OP-counter value.  Both are read every cycle (``done``, the
         # emission horizon, packet placement), so they are kept up to
-        # date where they change — _place, _preload_from_cache,
+        # date where they change — _receive_packets, _preload_from_cache,
         # _advance_op, program and load_state — instead of re-derived.
         self._parked = 0
         self._op = 0
@@ -275,58 +278,61 @@ class ProcessingElement:
     # -- packet intake --------------------------------------------------
 
     def _receive_packets(self) -> None:
+        """Drain up to ``local_rate`` packets from the router output.
+
+        A packet for the current operation goes to the temporal buffer;
+        a later one parks in sub-bank ``OP-ID mod cache_subbanks``, or
+        stays in the router (backpressure) while that sub-bank is full.
+        """
         fifo = self._rx_buffer.fifo
         interconnect = self.interconnect
+        record_delivery = interconnect.record_delivery
+        injector = self._injector
+        tracer = self._tracer
+        cache = self._cache
+        subbanks = self.config.cache_subbanks
+        entries = self.config.cache_entries_per_subbank
+        op = self._op
+        stats = self.stats
         taken = 0
         while taken < interconnect.local_rate and fifo:
             packet = fifo[0]
-            if (self._injector is not None
-                    and packet.op_id < self._op):
-                # Under fault injection a packet can arrive after the
-                # watchdog already force-fired its operation (it sat out
-                # link backoffs).  Protocol order is otherwise intact;
-                # discard it instead of treating it as a plan bug.
-                interconnect.record_delivery(self.pe_id, fifo.popleft())
-                self._injector.stats.late_packets += 1
-                taken += 1
-                continue
-            if not self._placeable(packet):
-                return  # backpressure: leave it in the router
-            interconnect.record_delivery(self.pe_id, fifo.popleft())
-            self._place(packet)
+            op_id = packet.op_id
+            if op_id != op:
+                if injector is not None and op_id < op:
+                    # Under fault injection a packet can arrive after the
+                    # watchdog already force-fired its operation (it sat
+                    # out link backoffs).  Protocol order is otherwise
+                    # intact; discard it instead of treating it as a
+                    # plan bug.
+                    record_delivery(self.pe_id, fifo.popleft())
+                    injector.stats.late_packets += 1
+                    taken += 1
+                    continue
+                bank = cache[op_id % subbanks]
+                if len(bank) >= entries:
+                    return  # backpressure: leave it in the router
+            record_delivery(self.pe_id, fifo.popleft())
             taken += 1
-            self.stats.packets_received += 1
-
-    def _subbank(self, op_id: int) -> list[Packet]:
-        return self._cache[op_id % self.config.cache_subbanks]
-
-    def _placeable(self, packet: Packet) -> bool:
-        if packet.op_id == self._op:
-            return True
-        bank = self._subbank(packet.op_id)
-        return len(bank) < self.config.cache_entries_per_subbank
-
-    def _place(self, packet: Packet) -> None:
-        if packet.kind not in (PacketKind.WEIGHT, PacketKind.STATE):
-            raise ProtocolError(f"PE {self.pe_id} received {packet}")
-        self._waiting_cycles = 0
-        if packet.op_id < self._op:
-            raise ProtocolError(
-                f"PE {self.pe_id} received stale {packet} at op "
-                f"{self._op}")
-        if packet.op_id == self._op:
-            self._to_temporal_buffer(packet)
-        else:
-            bank = self._subbank(packet.op_id)
-            bank.append(packet)
-            self._parked += 1
-            occupancy = self._parked
-            if occupancy > self.stats.cache_peak:
-                self.stats.cache_peak = occupancy
-            if self._tracer is not None:
-                self._tracer.cache_park(self.interconnect.cycle,
-                                        self.pe_id, packet.op_id,
-                                        occupancy)
+            if packet.kind is not _WEIGHT and packet.kind is not _STATE:
+                raise ProtocolError(f"PE {self.pe_id} received {packet}")
+            self._waiting_cycles = 0
+            if op_id == op:
+                self._to_temporal_buffer(packet)
+            elif op_id < op:
+                raise ProtocolError(
+                    f"PE {self.pe_id} received stale {packet} at op "
+                    f"{op}")
+            else:
+                bank.append(packet)
+                self._parked += 1
+                occupancy = self._parked
+                if occupancy > stats.cache_peak:
+                    stats.cache_peak = occupancy
+                if tracer is not None:
+                    tracer.cache_park(interconnect.cycle, self.pe_id,
+                                      op_id, occupancy)
+            stats.packets_received += 1
 
     def _to_temporal_buffer(self, packet: Packet) -> None:
         group = self._groups[self._group_idx]
@@ -456,7 +462,7 @@ class ProcessingElement:
         only the excess stalls the PE.
         """
         op = self._op
-        bank = self._subbank(op)
+        bank = self._cache[op % self.config.cache_subbanks]
         if not bank:
             return
         search = min(64, max(self.config.n_mac, len(bank)))

@@ -381,9 +381,17 @@ class NeurosequenceGenerator:
         (up to the local word rate) with backpressure; drain write-backs
         from the router's MEM output.
         """
-        if self._held is not None or not self._emissions_exhausted:
-            self._issue_requests()
-        for read in self.vault.step():
+        vault = self.vault
+        if ((self._held is not None or not self._emissions_exhausted)
+                and vault.pending < self.max_outstanding):
+            limit = (self._horizon() if self._horizon is not None
+                     else float("inf"))
+            held = self._held
+            # A held record still beyond the horizon would only be held
+            # again: most cycles of a PNG ahead of its PEs end here.
+            if held is None or held.op_id <= limit:
+                self._issue_requests(limit)
+        for read in vault.step():
             self._packetise(read)
         if self._ready:
             self._inject_ready()
@@ -392,7 +400,7 @@ class NeurosequenceGenerator:
         if self._injector is not None and self._injector.has_losses:
             self._forgive_lost_writebacks()
 
-    def _issue_requests(self) -> None:
+    def _issue_requests(self, limit: float) -> None:
         """Pack emission records into word-granularity vault reads.
 
         The vault returns one word — ``items_per_word`` items — per
@@ -401,23 +409,40 @@ class NeurosequenceGenerator:
         share one read.  Like the paper's model, addresses are assumed to
         pack fully into words.  The items themselves are read when the
         word completes (:meth:`_packetise`).
+
+        Reads are queued until the request pipeline is full, the
+        schedule runs out, or the next record's op lies beyond ``limit``
+        (the lock-step horizon) — that record is held for a later cycle.
         """
-        capacity = self.vault.items_per_word
-        limit = self._horizon() if self._horizon is not None else None
-        while self.vault.pending < self.max_outstanding:
+        vault = self.vault
+        free = self.max_outstanding - vault.pending
+        capacity = vault.items_per_word
+        enqueue = vault.enqueue_read
+        emissions = self._emissions
+        record = self._held
+        consumed = 0
+        while free > 0:
             batch: list[EmissionRecord] = []
             while len(batch) < capacity:
-                record = self._next_record()
                 if record is None:
-                    break
-                if limit is not None and record.op_id > limit:
-                    self._held = record  # wait for the PEs to catch up
+                    if self._emissions_exhausted:
+                        break
+                    record = next(emissions, None)
+                    if record is None:
+                        self._emissions_exhausted = True
+                        break
+                    consumed += 1
+                if record.op_id > limit:
+                    free = 0  # wait for the PEs to catch up
                     break
                 batch.append(record)
+                record = None
             if not batch:
-                return
-            self.vault.enqueue_read(max(0, batch[0].address),
-                                    tag=tuple(batch))
+                break
+            enqueue(max(0, batch[0].address), tag=tuple(batch))
+            free -= 1
+        self._held = record
+        self._consumed += consumed
 
     def _next_record(self) -> EmissionRecord | None:
         if self._held is not None:

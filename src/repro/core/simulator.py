@@ -13,10 +13,9 @@ result (see ``docs/simulator_internals.md``):
 
 * independent passes — conv output maps, pool maps — fan out over the
   :mod:`repro.core.parallel` process pool (``config.sim_workers``);
-* within one pass, the event-horizon scheduler steps only the agents
-  that can act each cycle and jumps the clock across stretches where no
-  agent can (every PE counting down, every vault mid-latency, the NoC
-  empty);
+* within one pass, the event-horizon scheduler jumps the clock across
+  stretches where no agent can act (every PE counting down, every vault
+  mid-latency, the NoC empty); every other cycle steps every agent;
 * in timing-only mode, structurally identical passes (conv/pool maps)
   are simulated once and their outcomes replayed
   (:mod:`repro.core.parallel` memoization, ``config.sim_memoize``).
@@ -257,7 +256,7 @@ class LayerRun:
 
 
 class _EventHorizonScheduler:
-    """Per-agent active-set scheduler for one pass (the skip-ahead path).
+    """Event-horizon clock jump for one pass (the skip-ahead path).
 
     Every agent exposes the same two-method contract:
 
@@ -268,30 +267,22 @@ class _EventHorizonScheduler:
     * ``skip(n)`` — replicate exactly what ``n`` provably event-free
       cycles of stepping would do (clocks, countdowns, statistics).
 
-    The scheduler uses the contract two ways.  Across cycles, the
-    minimum delta over all agents is the event horizon: when it exceeds
-    one, the clock jumps to one cycle before the earliest event — even
-    while vault reads are parked mid-access-latency.  Within a cycle,
-    only agents whose delta is ``<= 1`` are stepped; the rest are
-    fast-forwarded one cycle.  Both halves preserve bit-identity with
-    lock-step stepping (``sim_skip_ahead=False``) because per-agent
-    ``skip`` is exact and the activity tests are evaluated in the same
-    phase order as the lock-step loop: PNG deltas at the top of the
-    cycle (write-backs switched into a MEM output this cycle drain next
-    cycle, as in lock-step), the fabric after the PNGs (so same-cycle
-    injections move), and PE deltas after the fabric (so same-cycle
-    deliveries into a PE's router output are drained this cycle, as in
-    lock-step).
+    At the top of a cycle the minimum delta over all agents is the
+    event horizon: when it exceeds one, the clock jumps to one cycle
+    before the earliest event — even while vault reads are parked
+    mid-access-latency.  Every cycle that is not jumped is stepped in
+    full, each agent in the lock-step phase order; by the contract a
+    ``step()`` on an event-free cycle is exactly ``skip(1)``, so
+    stepping an idle agent costs host time but never changes a bit.
 
     A PNG and its vault form one agent: ``png.step()`` advances the
     vault internally, and a PNG whose delta exceeds one has no per-cycle
-    state of its own, so fast-forwarding the pair is ``vault.skip``.
+    state of its own, so ``png.skip`` fast-forwards the pair by
+    skipping the vault.
     """
 
-    def __init__(self, pngs, vaults, pes,
-                 interconnect: Interconnect) -> None:
+    def __init__(self, pngs, pes, interconnect: Interconnect) -> None:
         self._pngs = pngs
-        self._vaults = vaults
         self._pes = pes
         self._interconnect = interconnect
 
@@ -301,56 +292,32 @@ class _EventHorizonScheduler:
         Exits early with 0/1 as soon as any agent can act on the current
         cycle (the common case while packets are in flight); otherwise
         returns the minimum countdown, or None when every agent is
-        passive — nothing will ever happen again.
+        passive — nothing will ever happen again.  The PNGs are scanned
+        first: at the top of a cycle the PEs are usually counting down
+        while the first PNG can issue.  A PNG's scan may park its next
+        emission record in the held slot, which is where its ``step``
+        would put it, so the scan order changes nothing ``step`` reads.
         """
         if self._interconnect.in_fabric:
             return 1
         horizon: int | None = None
-        for pe in self._pes:
-            delta = pe.next_event_delta()
-            if delta is not None:
-                if delta <= 1:
-                    return delta
-                if horizon is None or delta < horizon:
-                    horizon = delta
-        for png in self._pngs:
-            delta = png.next_event_delta()
-            if delta is not None:
-                if delta <= 1:
-                    return delta
-                if horizon is None or delta < horizon:
-                    horizon = delta
+        for agents in (self._pngs, self._pes):
+            for agent in agents:
+                delta = agent.next_event_delta()
+                if delta is not None:
+                    if delta <= 1:
+                        return delta
+                    if horizon is None or delta < horizon:
+                        horizon = delta
         return horizon
 
     def skip(self, cycles: int) -> None:
         """Fast-forward every agent across ``cycles`` event-free cycles."""
-        for vault in self._vaults:
-            vault.skip(cycles)
+        for png in self._pngs:
+            png.skip(cycles)
         self._interconnect.skip(cycles)
         for pe in self._pes:
             pe.skip(cycles)
-
-    def step_active(self) -> None:
-        """Run one cycle, stepping only the agents that can act.
-
-        Mirrors the lock-step phase order — PNGs, fabric, PEs — with
-        each inactive agent fast-forwarded one cycle instead of stepped.
-        The fabric is always "stepped": an empty fabric's step is itself
-        the one-cycle fast-forward (arbiter rotation only).
-        """
-        for png in self._pngs:
-            delta = png.next_event_delta()
-            if delta is not None and delta <= 1:
-                png.step()
-            else:
-                png.skip(1)
-        self._interconnect.step()
-        for pe in self._pes:
-            delta = pe.next_event_delta()
-            if delta is not None and delta <= 1:
-                pe.step()
-            else:
-                pe.skip(1)
 
 
 class NeurocubeSimulator:
@@ -526,7 +493,7 @@ class NeurocubeSimulator:
             # with full search stalls would still finish well inside this.
             work = max(1, plan.stream_items)
             max_cycles = 200 * work + 500_000
-        scheduler = (_EventHorizonScheduler(pngs, vaults, pes, interconnect)
+        scheduler = (_EventHorizonScheduler(pngs, pes, interconnect)
                      if config.sim_skip_ahead else None)
         cycles = 0
         last_progress = 0
@@ -596,13 +563,11 @@ class NeurocubeSimulator:
                         tracer.skip_ahead(cycles, jump)
                     scheduler.skip(jump)
                     cycles += jump
-                scheduler.step_active()
-            else:
-                for png in pngs:
-                    png.step()
-                interconnect.step()
-                for pe in pes:
-                    pe.step()
+            for png in pngs:
+                png.step()
+            interconnect.step()
+            for pe in pes:
+                pe.step()
             refresh_horizon()
             cycles += 1
             if tracer is not None:

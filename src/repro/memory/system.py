@@ -8,6 +8,8 @@ to many slower ones.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from repro.errors import ConfigurationError
@@ -17,7 +19,7 @@ from repro.memory.timing import (
     DEFAULT_TCCD_GAP_CYCLES,
     ChannelTiming,
 )
-from repro.memory.vault import VaultChannel
+from repro.memory.vault import CompletedRead, VaultChannel
 
 
 class MemorySystem:
@@ -62,7 +64,7 @@ class MemorySystem:
                    io_clock_hz=HMC_VAULT_IO_CLOCK_HZ,
                    tccd_gap_cycles=tccd_gap_cycles, store_items=store_items)
 
-    def step(self) -> list[list]:
+    def step(self) -> list[Sequence[CompletedRead]]:
         """Step every channel one cycle; returns per-channel completions."""
         return [vault.step() for vault in self.vaults]
 

@@ -10,6 +10,7 @@ layer outputs through the full PNG -> NoC -> PE path.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,10 +168,13 @@ class VaultChannel:
         self.cycle += cycles
         # Accrue credit one cycle at a time: repeated `min(2, c + rate)`
         # is not `min(2, c + n*rate)` in floating point, and skip-ahead
-        # must be bit-identical to stepping.
+        # must be bit-identical to stepping.  Once the credit saturates
+        # at 2.0 every further step leaves it there, so the walk stops.
         rate = self.timing.words_per_cycle
         credit = self._issue_credit
         for _ in range(cycles):
+            if credit >= 2.0:
+                break
             credit = min(2.0, credit + rate)
         self._issue_credit = credit
         if self._gap_remaining > 0:
@@ -183,23 +187,27 @@ class VaultChannel:
         if idle_after_gap:
             self._burst_pos = 0
 
-    def step(self) -> list[CompletedRead]:
-        """Advance one I/O clock cycle; return reads completing this cycle.
+    def step(self) -> Sequence[CompletedRead]:
+        """Advance one I/O clock cycle; return reads completing this cycle
+        (an empty tuple when none does).
 
         At most one word issues per cycle; after ``burst_length``
         consecutive issues the channel idles for ``tccd_gap_cycles``.
         """
         self.cycle += 1
         # Issue stage.  The credit accumulator paces channels whose native
-        # word rate is below the stepping clock (words_per_cycle < 1).
-        self._issue_credit = min(
-            2.0, self._issue_credit + self.timing.words_per_cycle)
+        # word rate is below the stepping clock (words_per_cycle < 1); it
+        # saturates at 2.0 (the ``min(2.0, credit + rate)`` of skip).
+        credit = self._issue_credit + self.timing.words_per_cycle
+        if credit > 2.0:
+            credit = 2.0
+        self._issue_credit = credit
         if self._gap_remaining > 0:
             self._gap_remaining -= 1
             if self._queue:
                 self.stall_cycles += 1
-        elif self._queue and self._issue_credit >= 1.0:
-            self._issue_credit -= 1.0
+        elif self._queue and credit >= 1.0:
+            self._issue_credit = credit - 1.0
             address, tag = self._queue.popleft()
             completed = self.cycle + self.timing.access_latency_cycles
             if self.injector is not None:
@@ -222,9 +230,12 @@ class VaultChannel:
         else:
             self._burst_pos = 0
         # Completion stage (requests complete in issue order).
-        done: list[CompletedRead] = []
-        while self._in_flight and self._in_flight[0].completed_cycle <= self.cycle:
-            done.append(self._in_flight.popleft())
+        in_flight = self._in_flight
+        if not in_flight or in_flight[0].completed_cycle > self.cycle:
+            return ()
+        done = [in_flight.popleft()]
+        while in_flight and in_flight[0].completed_cycle <= self.cycle:
+            done.append(in_flight.popleft())
         return done
 
     def drain(self, max_cycles: int = 10_000_000) -> list[CompletedRead]:

@@ -72,8 +72,7 @@ class Router:
         self._port_index = {port: i for i, port in enumerate(self.ports)}
         self._n_links = len(link_ports)
         self._input_fifos = [buffer.fifo for buffer in self.inputs.values()]
-        self._output_list = list(self.outputs.values())
-        self._output_fifos = [buffer.fifo for buffer in self._output_list]
+        self._output_fifos = [buffer.fifo for buffer in self.outputs.values()]
         self._depth = buffer_depth
         self._rates = [local_rate if port in LOCAL_PORTS else 1
                        for port in self.ports]
@@ -88,6 +87,11 @@ class Router:
         # counter replaces the per-port arbiters; grants stay per port.
         self._rotations = 0
         self._grants = [0] * len(self.ports)
+        # Input visiting order per head position: the daisy chain from
+        # the head, wrapping once.
+        n_ports = len(self.ports)
+        self._chains = [[(head + i) % n_ports for i in range(n_ports)]
+                        for head in range(n_ports)]
         #: Of the packets the last :meth:`switch` moved, how many went
         #: into link-port outputs (read by the fabric's link-stage gate;
         #: meaningful only when that switch moved any packet).
@@ -112,22 +116,30 @@ class Router:
     def switch(self) -> int:
         """One switch-stage cycle: input buffers -> output buffers.
 
-        Returns the number of packets moved.  For every output port, the
-        requesting input heads are arbitrated and the winner's head packet
-        moves iff the output buffer has a credit.  Link ports move at most
-        one packet per cycle; local ports up to ``local_rate``, realised
-        as repeated arbitration rounds.
+        Returns the number of packets moved.  Each output port grants
+        the first requesting input in daisy-chain order from the head,
+        and the winner's head packet moves iff the output buffer has a
+        credit.  Link ports move at most one packet per cycle; local
+        ports up to ``local_rate``, realised as repeated arbitration
+        rounds.
+
+        A round visits the inputs once, in daisy-chain order: each input
+        requests exactly one output (its head packet's), so the first
+        visitor to request an output is that output's daisy-chain
+        winner, and it moves when the output is not yet granted this
+        round and has rate and credit.  When it cannot move, no later
+        requester can either, since nothing else enters that output in
+        the round.
         """
         fifos = self._input_fifos
-        # Only inputs holding a packet now can request this cycle: the
-        # switch pops inputs but never fills them.
-        active = [index for index, fifo in enumerate(fifos) if fifo]
         rotations = self._rotations
         self._rotations = rotations + 1
+        # Only inputs holding a packet now can request this cycle: the
+        # switch pops inputs but never fills them.
+        active = [index for index in self._chains[rotations % len(fifos)]
+                  if fifos[index]]
         if not active:
             return 0
-        head = rotations % len(fifos)
-        outputs = self._output_list
         output_fifos = self._output_fifos
         depth = self._depth
         rates = self._rates
@@ -139,9 +151,7 @@ class Router:
         moved = 0
         link_moves = 0
         for _ in range(self._max_port_rate):
-            # Gather, per output port, the inputs whose head wants it;
-            # each list is ascending (input order).
-            wants: dict[int, list[int]] = {}
+            granted = 0  # bit mask of outputs granted this round
             for index in active:
                 fifo = fifos[index]
                 if not fifo or supplied[index] >= rates[index]:
@@ -150,33 +160,20 @@ class Router:
                 out = routes[packet.kind is _WRITEBACK].get(packet.dst)
                 if out is None:
                     out = self._fill_route(packet)
-                requesters = wants.get(out)
-                if requesters is None:
-                    wants[out] = [index]
-                else:
-                    requesters.append(index)
-            any_move = False
-            for out, requesters in wants.items():
-                if (accepted[out] >= rates[out]
+                bit = 1 << out
+                if (granted & bit or accepted[out] >= rates[out]
                         or len(output_fifos[out]) >= depth):
                     continue
-                # Daisy chain from the head, wrapping once: the first
-                # requester at or after the head, else the lowest one.
-                winner = requesters[0]
-                if winner < head and len(requesters) > 1:
-                    for index in requesters:
-                        if index >= head:
-                            winner = index
-                            break
-                outputs[out].push(fifos[winner].popleft())
+                # The depth test above is the credit check.
+                output_fifos[out].append(fifo.popleft())
+                granted |= bit
                 grants[out] += 1
-                supplied[winner] += 1
+                supplied[index] += 1
                 accepted[out] += 1
                 moved += 1
                 if out < n_links:
                     link_moves += 1
-                any_move = True
-            if not any_move:
+            if not granted:
                 break
         self.link_moves = link_moves
         return moved

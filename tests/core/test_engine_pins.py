@@ -10,6 +10,8 @@ The smoke layers never cross a mesh link (lateral fraction 0.0), so the
 fabric also gets a seeded all-to-all traffic pin on both topologies,
 with two-deep buffers so arbitration and backpressure are exercised.
 
+A third pin counts the cycles skip-ahead steps rather than jumps.
+
 The plan builders get their own pin: the structural hash of the smoke
 conv plan and of the MLP's FC plans, plus a digest of their vault
 images, which the structural hash leaves out.
@@ -46,6 +48,12 @@ SMOKE_PIN = {
 
 #: ``mnist_mlp(16)`` cycles per descriptor (hidden, output).
 MLP_PIN = (12685, 397)
+
+#: With skip-ahead on, how many of those cycles the engine steps (calls
+#: to ``Interconnect.step``) rather than jumps: the smoke conv layer,
+#: then ``mnist_mlp(16)``'s two descriptors.  Bit-identity alone would
+#: not notice a change that stops the clock jump.
+STEPPED_PIN = {"smoke_conv": 354, "mnist_mlp": (2371, 66)}
 
 #: Seeded all-to-all traffic: sha256 of the ejection sequence, the
 #: folded NocStats, per-router switched packets and arbiter grants.
@@ -120,6 +128,31 @@ def test_mnist_mlp_pin(topology, skip_ahead):
     cycles = tuple(simulator.run_descriptor(descriptor).cycles
                    for descriptor in program.descriptors)
     assert cycles == MLP_PIN
+
+
+@pytest.mark.parametrize("topology", ["mesh", "fully_connected"])
+def test_stepped_cycle_pin(topology, monkeypatch):
+    stepped = [0]
+    step = Interconnect.step
+
+    def counting_step(self):
+        stepped[0] += 1
+        step(self)
+
+    monkeypatch.setattr(Interconnect, "step", counting_step)
+    config = _config(topology, skip_ahead=True)
+    simulator = NeurocubeSimulator(config)
+    network = models.single_conv_layer(24, 24, 3, qformat=None)
+    simulator.run_descriptor(compile_inference(network,
+                                               config).descriptors[0])
+    assert stepped[0] == STEPPED_PIN["smoke_conv"]
+    counts = []
+    for descriptor in compile_inference(models.mnist_mlp(16),
+                                        config).descriptors:
+        stepped[0] = 0
+        simulator.run_descriptor(descriptor)
+        counts.append(stepped[0])
+    assert tuple(counts) == STEPPED_PIN["mnist_mlp"]
 
 
 def _random_traffic(topology, cycles: int = 300, seed: int = 7) -> dict:

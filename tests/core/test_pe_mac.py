@@ -80,6 +80,34 @@ class TestMACUnit:
             assert mac.result_raw == int(from_float(reference, fmt))
 
 
+    @pytest.mark.parametrize("fmt", [Q_1_7_8, QFormat(3, 12)], ids=str)
+    def test_result_raw_equals_from_float(self, fmt):
+        """The read-out rounds half to even and saturates exactly like
+        :func:`from_float`: on exact ±0.5-LSB ties, past both ends of
+        the range, and on 10k seeded accumulator values."""
+        lsb = 1.0 / fmt.scale
+        ties = [(k + 0.5) * lsb for k in range(-8, 8)]
+        ends = [fmt.max_value, fmt.min_value,
+                fmt.max_value + lsb / 2, fmt.min_value - lsb / 2,
+                fmt.max_value + lsb, fmt.min_value - lsb,
+                fmt.max_value * 3, fmt.min_value * 3, 1e9, -1e9]
+        seeded = np.random.default_rng(19).uniform(
+            fmt.min_value * 1.1, fmt.max_value * 1.1, 10_000).tolist()
+        mac = MACUnit(fmt)
+        for value in ties + ends + seeded:
+            mac.reset(bias=value)
+            raw = mac.result_raw
+            assert type(raw) is int
+            assert raw == int(from_float(value, fmt)), value
+        for value in ties:
+            mac.reset(bias=value)
+            assert mac.result_raw % 2 == 0, value  # half to even
+        mac.reset(bias=fmt.max_value * 3)
+        assert mac.result_raw == fmt.max_raw
+        mac.reset(bias=fmt.min_value * 3)
+        assert mac.result_raw == fmt.min_raw
+
+
 def make_pe(groups, config=None):
     config = config or NeurocubeConfig.hmc_15nm()
     interconnect = Interconnect(Mesh2D(4, 4),
