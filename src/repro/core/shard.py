@@ -403,33 +403,6 @@ def shard_network(network: Network, config: MultiCubeConfig,
     return plan
 
 
-def cube_pass_plans(plan: ShardPlan, cube: int,
-                    config: NeurocubeConfig) -> list:
-    """Timing-only :class:`repro.core.scheduler.PassPlan` set for a cube.
-
-    Builds the exact plan sequence :func:`run_cube_job` executes (one fc
-    plan per fc descriptor, one plan per conv/pool map and sub-pass),
-    tensor-free — for inspection and static verification, the same way
-    ``nccheck`` consumes single-cube programs.
-    """
-    from repro.core.scheduler import build_conv_pass, build_fc_pass
-
-    plans = []
-    for entry in plan.layers:
-        desc = entry.descriptors[cube]
-        if desc.kind == "fc":
-            plans.append(build_fc_pass(desc, config, None, None, None,
-                                       None))
-            continue
-        out_maps = desc.passes // desc.sub_passes
-        for _ in range(out_maps):
-            for j in range(desc.sub_passes):
-                plans.append(build_conv_pass(
-                    desc, config, None, None, 0.0, None, mode="mac"))
-                del j
-    return plans
-
-
 # ----------------------------------------------------------------------
 # the sharded executor
 # ----------------------------------------------------------------------
@@ -823,9 +796,13 @@ class ShardedSimulator:
             positions.append(grid.reshape(-1))
         return positions
 
-    def _received_positions(self, entry: ShardedLayer, cube: int,
-                            shape) -> np.ndarray:
-        """Flat positions of cube ``cube``'s inbound frame contents."""
+    @staticmethod
+    def _received_positions(entry: ShardedLayer, cube: int, shape,
+                            owned: list | None) -> np.ndarray:
+        """Flat positions of cube ``cube``'s inbound frame contents:
+        what it needs minus what it produced itself in the previous
+        layer (``owned``, that layer's ownership map, None before the
+        first layer)."""
         slice_ = entry.slices[cube]
         if entry.kind == "fc":
             needed = np.arange(int(np.prod(shape)), dtype=np.int64)
@@ -837,10 +814,9 @@ class ShardedSimulator:
                       + rows[None, :, None] * width
                       + np.arange(width, dtype=np.int64)[None, None, :]
                       ).reshape(-1)
-        if self._prev_positions is None:
+        if owned is None:
             return needed
-        owned = self._prev_positions[cube]
-        return np.setdiff1d(needed, owned)
+        return np.setdiff1d(needed, owned[cube])
 
     def _run_exchange(self, state: _RunState, entry: ShardedLayer,
                       current: np.ndarray | None,
@@ -855,7 +831,6 @@ class ShardedSimulator:
         exchange = entry.exchange
         if exchange is None:
             return 0
-        self._prev_positions = state.positions
         injector = state.injector
         per_cube: list[int] = []
         lost: list[int] = []
@@ -886,7 +861,8 @@ class ShardedSimulator:
                     f"after {injector.config.max_retries} "
                     f"retransmissions")
                 if inputs is not None:
-                    self._zero_received(entry, cube, current, inputs)
+                    self._zero_received(state, entry, cube, current,
+                                        inputs)
             elif outcome == "corrupt":
                 corrupted.append(cube)
                 if inputs is not None:
@@ -903,11 +879,12 @@ class ShardedSimulator:
             state.drained_degraded = len(injector.degraded)
         return cycles
 
-    def _zero_received(self, entry: ShardedLayer, cube: int,
-                       current: np.ndarray,
+    def _zero_received(self, state: _RunState, entry: ShardedLayer,
+                       cube: int, current: np.ndarray,
                        inputs: list[np.ndarray | None]) -> None:
         """Graceful degradation: a lost frame's region reads as zeros."""
-        received = self._received_positions(entry, cube, current.shape)
+        received = self._received_positions(entry, cube, current.shape,
+                                            state.positions)
         if received.size == 0:
             return
         coords = _slice_coords(entry.kind, entry.slices[cube],
@@ -918,7 +895,8 @@ class ShardedSimulator:
                           cube: int, current: np.ndarray,
                           inputs: list[np.ndarray | None]) -> None:
         """Silent (CRC-off) corruption: flip one bit of one item."""
-        received = self._received_positions(entry, cube, current.shape)
+        received = self._received_positions(entry, cube, current.shape,
+                                            state.positions)
         if received.size == 0:
             return
         salt = pass_salt(entry.exchange.index, cube)
@@ -1011,7 +989,3 @@ class ShardedSimulator:
                     LINK_OCCUPANCY_METRIC,
                     link_stats.occupancy(cube, total), cube=str(cube))
         return shard_report
-
-    #: Set per exchange; kept as an attribute so the received-region
-    #: helpers see the ownership map of the *previous* layer.
-    _prev_positions: list | None = None

@@ -320,6 +320,12 @@ class _EventHorizonScheduler:
             pe.skip(cycles)
 
 
+def _label(desc: LayerDescriptor) -> str:
+    """Checkpoint label base: LSTM gates and training steps name their
+    descriptors ``layer/part``, and labels cannot hold a ``/``."""
+    return desc.name.replace("/", ".")
+
+
 class NeurocubeSimulator:
     """Flit-accurate simulator for one :class:`NeurocubeConfig`.
 
@@ -735,7 +741,7 @@ class NeurocubeSimulator:
         if desc.kind == "fc":
             plan = self._fc_plan(desc, layer, input_tensor, lut)
             result = self.run_pass(plan, ctx=ctx, fault_salt=0,
-                                   pass_label=f"{desc.name}.fc")
+                                   pass_label=f"{_label(desc)}.fc")
             if result.trace is not None:
                 trace_parts.append((accum.cycles, result.trace))
             accum.fold(snapshot_pass(result))
@@ -819,7 +825,7 @@ class NeurocubeSimulator:
             ctx = dataclasses.replace(ctx, memo=None)
         return executor.run(self.config, desc, lut, functional, tasks,
                             ctx=ctx, memoize=memoize,
-                            label_base=desc.name)
+                            label_base=_label(desc))
 
     def _pool_tasks(self, desc, layer, input_tensor) -> list[MapTask]:
         """One task per pooled map; every map is a single final pass."""

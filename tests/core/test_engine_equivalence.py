@@ -1,19 +1,15 @@
-"""Event-horizon scheduler and timing-memoization equivalence tests.
+"""Timing-memoization mechanics and the structural key it relies on.
 
-The contracts under test:
+Memoized runs equal simulating every map, and skip-ahead equals
+lock-step, in every draw of ``tests/core/test_mode_matrix.py``.  The
+tests here pin the mechanism behind those equalities:
 
-* the event-horizon scheduler (``sim_skip_ahead=True``, the default —
-  per-agent active sets plus clock jumps) must be **bit-identical** to
-  the lock-step reference path (``sim_skip_ahead=False``) on every
-  descriptor kind: same outputs, same cycle counts, same folded
-  statistics, and same stall-error timing;
-* timing-pass memoization (``sim_memoize=True``, the default) must be
-  bit-identical to simulating every map, must simulate exactly one
-  representative per structural equivalence class, and must stand down
-  for traced runs;
-* :func:`repro.core.parallel.structural_key` equality must imply
+* memoization simulates exactly one representative per structural
+  equivalence class, and stands down for traced runs and when disabled;
+* :func:`repro.core.parallel.structural_key` equality implies
   :meth:`repro.core.scheduler.PassPlan.structural_hash` equality — equal
-  keys really do mean equal simulations.
+  keys really do mean equal simulations;
+* host-time rates raise instead of reading zero.
 """
 
 from __future__ import annotations
@@ -29,196 +25,53 @@ from repro.core.metrics import RunReport
 from repro.core.parallel import MapTask, SubPassSpec, structural_key
 from repro.core.scheduler import build_conv_pass
 from repro.core.simulator import LayerRun
-from repro.errors import ConfigurationError, SimulationError
-from repro.fixedpoint import quantize_float
+from repro.errors import ConfigurationError
 from repro.nn import models
-from repro.nn.layers import MaxPool2D
-from repro.nn.network import Network
-
-#: Every LayerRun field that must fold identically across engine modes.
-STAT_FIELDS = (
-    "cycles", "packets", "lateral_fraction", "mean_packet_latency",
-    "macs_fired", "pe_busy_cycles", "pe_idle_cycles",
-    "search_stall_cycles", "cache_peak", "inject_stall_cycles",
-)
+from repro.obs import TraceOptions
 
 
-def assert_identical(run_a, run_b):
-    """Outputs, cycles and every folded statistic must match exactly."""
-    np.testing.assert_array_equal(run_a.output, run_b.output)
-    for name in STAT_FIELDS:
-        assert getattr(run_a, name) == getattr(run_b, name), name
+def timing_run(config, out_maps, **hooks):
+    net = models.single_conv_layer(10, 10, 3, out_maps=out_maps,
+                                   qformat=None)
+    desc = compile_inference(net, config).descriptors[0]
+    return NeurocubeSimulator(config, **hooks).run_descriptor(desc)
 
 
-def run_layer(config, net, x, layer_index=0):
-    """Compile ``net`` and simulate one layer's descriptor functionally."""
-    simulator = NeurocubeSimulator(config)
-    program = compile_inference(net, config, True)
-    desc = [d for d in program.descriptors
-            if d.layer_index == layer_index][0]
-    quantised = quantize_float(np.asarray(x, dtype=np.float64),
-                               config.qformat)
-    return simulator.run_descriptor(desc, net.layers[layer_index],
-                                    quantised)
+@pytest.fixture
+def simulated(monkeypatch):
+    """The map indices the executor actually simulates, in order."""
+    import repro.core.parallel as parallel_mod
 
+    monkeypatch.delenv(SIM_WORKERS_ENV, raising=False)
+    indices: list[int] = []
+    real = parallel_mod.run_map_task
 
-def _build_case(kind, rng):
-    """One (network, layer_index, input) triple per descriptor kind."""
-    if kind == "fc":
-        net = models.mnist_mlp(seed=21)
-        return net, 1, rng.standard_normal(net.layers[1].input_shape)
-    if kind == "conv":
-        net = models.single_conv_layer(12, 12, 3, in_maps=1, out_maps=3,
-                                       seed=22)
-        return net, 0, rng.standard_normal((1, 12, 12))
-    if kind == "conv_sub_passed":
-        # 8 input maps with a 7x7 kernel exceeds the resident-weight
-        # budget, forcing sub_passes > 1 (sequential chain per map).
-        net = models.single_conv_layer(9, 9, 7, in_maps=8, out_maps=2,
-                                       seed=23)
-        return net, 0, rng.standard_normal((8, 9, 9))
-    assert kind == "pool"
-    net = Network([MaxPool2D(2, name="pool")], input_shape=(3, 8, 8),
-                  name="pool_only")
-    return net, 0, rng.standard_normal((3, 8, 8))
+    def counting(config_, desc, lut, functional, task, **kwargs):
+        indices.append(task.index)
+        return real(config_, desc, lut, functional, task, **kwargs)
 
-
-class TestSchedulerEquivalence:
-    """Event-horizon scheduler vs the lock-step reference path."""
-
-    @pytest.mark.parametrize(
-        "kind", ["fc", "conv", "conv_sub_passed", "pool"])
-    def test_bit_identical_functional_run(self, config, rng, kind):
-        net, layer_index, x = _build_case(kind, rng)
-        event_horizon = run_layer(
-            dataclasses.replace(config, sim_skip_ahead=True), net, x,
-            layer_index)
-        lock_step = run_layer(
-            dataclasses.replace(config, sim_skip_ahead=False), net, x,
-            layer_index)
-        if kind == "conv_sub_passed":
-            assert event_horizon.descriptor.sub_passes > 1
-        assert_identical(event_horizon, lock_step)
-
-    @pytest.mark.parametrize("skip_ahead", [True, False])
-    def test_ceiling_error_timing_matches(self, config, skip_ahead):
-        """Hitting max_cycles mid-stream reports the identical cycle."""
-        message = self._stalled_message(
-            dataclasses.replace(config, sim_skip_ahead=skip_ahead),
-            max_cycles=40, stall_limit=10**9)
-        assert message == self._stalled_message(
-            dataclasses.replace(config, sim_skip_ahead=not skip_ahead),
-            max_cycles=40, stall_limit=10**9)
-
-    def test_deadlock_error_timing_matches(self, config):
-        """A genuine deadlock must fire the stall detector on the same cycle
-        with the same per-agent diagnostics under both engines, even
-        though the event-horizon path jumps straight to the boundary."""
-        messages = []
-        for skip_ahead in (True, False):
-            messages.append(self._stalled_message(
-                dataclasses.replace(config, sim_skip_ahead=skip_ahead),
-                stall_limit=800, starve=True))
-        assert messages[0] == messages[1]
-        assert "after" in messages[0]
-
-    @staticmethod
-    def _stalled_message(config, max_cycles=None, stall_limit=1_000_000,
-                         starve=False):
-        net = models.single_conv_layer(8, 8, 3, qformat=None)
-        desc = compile_inference(net, config).descriptors[0]
-        plan = build_conv_pass(desc, config, None, None, 0.0, None)
-        if starve:
-            # One write-back that never comes: after the pass drains,
-            # every agent is passive forever.
-            plan.expected_writebacks[0] += 1
-        simulator = NeurocubeSimulator(config)
-        with pytest.raises(SimulationError) as excinfo:
-            simulator.run_pass(plan, max_cycles=max_cycles,
-                               stall_limit=stall_limit)
-        return str(excinfo.value)
+    monkeypatch.setattr(parallel_mod, "run_map_task", counting)
+    return indices
 
 
 class TestMemoizationEquivalence:
     """Timing-pass memoization vs simulating every map."""
 
-    def _timing_run(self, config, out_maps=4):
-        net = models.single_conv_layer(10, 10, 3, out_maps=out_maps,
-                                       qformat=None)
-        desc = compile_inference(net, config).descriptors[0]
-        return NeurocubeSimulator(config).run_descriptor(desc)
-
-    @pytest.mark.parametrize("kind", ["conv", "pool"])
-    def test_bit_identical_timing_run(self, config, kind):
-        if kind == "pool":
-            net = Network([MaxPool2D(2, name="pool")],
-                          input_shape=(4, 8, 8), name="pool_only")
-        else:
-            net = models.single_conv_layer(10, 10, 3, out_maps=4,
-                                           qformat=None)
-        desc = compile_inference(net, config).descriptors[0]
-        memoized = NeurocubeSimulator(
-            dataclasses.replace(config, sim_memoize=True)).run_descriptor(
-            desc)
-        simulated = NeurocubeSimulator(
-            dataclasses.replace(config, sim_memoize=False)).run_descriptor(
-            desc)
-        assert_identical(memoized, simulated)
-
-    def test_one_representative_simulated(self, config, monkeypatch):
-        import repro.core.parallel as parallel_mod
-
-        monkeypatch.delenv(SIM_WORKERS_ENV, raising=False)
-        simulated = []
-        real = parallel_mod.run_map_task
-
-        def counting(config_, desc, lut, functional, task, **kwargs):
-            simulated.append(task.index)
-            return real(config_, desc, lut, functional, task, **kwargs)
-
-        monkeypatch.setattr(parallel_mod, "run_map_task", counting)
-        run = self._timing_run(config, out_maps=4)
+    def test_one_representative_simulated(self, config, simulated):
+        run = timing_run(config, out_maps=4)
         assert simulated == [0]
         assert run.cycles > 0
 
-    def test_traced_runs_simulate_every_map(self, config, monkeypatch):
+    def test_traced_runs_simulate_every_map(self, config, simulated):
         """Memoization must stand down when a tracer is active: every
         pass's events have to be emitted on its own clock."""
-        import repro.core.parallel as parallel_mod
-
-        from repro.obs import TraceOptions
-
-        monkeypatch.delenv(SIM_WORKERS_ENV, raising=False)
-        simulated = []
-        real = parallel_mod.run_map_task
-
-        def counting(config_, desc, lut, functional, task, **kwargs):
-            simulated.append(task.index)
-            return real(config_, desc, lut, functional, task, **kwargs)
-
-        monkeypatch.setattr(parallel_mod, "run_map_task", counting)
-        net = models.single_conv_layer(10, 10, 3, out_maps=4,
-                                       qformat=None)
-        desc = compile_inference(net, config).descriptors[0]
-        run = NeurocubeSimulator(
-            config, trace=TraceOptions()).run_descriptor(desc)
+        run = timing_run(config, out_maps=4, trace=TraceOptions())
         assert simulated == [0, 1, 2, 3]
         assert run.trace is not None
 
-    def test_disabled_by_config(self, config, monkeypatch):
-        import repro.core.parallel as parallel_mod
-
-        monkeypatch.delenv(SIM_WORKERS_ENV, raising=False)
-        simulated = []
-        real = parallel_mod.run_map_task
-
-        def counting(config_, desc, lut, functional, task, **kwargs):
-            simulated.append(task.index)
-            return real(config_, desc, lut, functional, task, **kwargs)
-
-        monkeypatch.setattr(parallel_mod, "run_map_task", counting)
-        self._timing_run(dataclasses.replace(config, sim_memoize=False),
-                         out_maps=3)
+    def test_disabled_by_config(self, config, simulated):
+        timing_run(dataclasses.replace(config, sim_memoize=False),
+                   out_maps=3)
         assert simulated == [0, 1, 2]
 
 
@@ -298,10 +151,3 @@ class TestSimRateConsistency:
             report.frames_per_second
         with pytest.raises(ConfigurationError):
             report.simulated_cycles_per_second
-
-    def test_simulated_run_reports_both_rates(self, config, rng):
-        net = models.single_conv_layer(8, 8, 3, seed=24)
-        x = rng.standard_normal((1, 8, 8))
-        run = run_layer(config, net, x)
-        assert run.simulated_cycles_per_second == pytest.approx(
-            run.cycles / run.host_seconds)

@@ -1,6 +1,6 @@
 """Simulated statistics pinned across commits.
 
-``test_engine_equivalence.py`` proves lock-step and skip-ahead agree
+``test_mode_matrix.py`` proves lock-step and skip-ahead agree
 with each other, but both share the router, PE and MAC code, so a
 behaviour change there moves both modes together and passes.  These
 pins compare against fixed numbers instead: any change to what the

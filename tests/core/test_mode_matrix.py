@@ -1,0 +1,334 @@
+"""One differential harness: every execution mode equals lock-step.
+
+Hypothesis draws a small workload (conv with kernel 1/3/5, 1-3 maps,
+duplicated or not; sub-passed conv; max or average pool; FC; a
+timing-only LSTM; a conv -> pool -> flatten -> dense network) and a
+config (mesh or fully connected NoC, HMC or DDR3, 2- or 16-deep
+buffers, 64/32/16-entry cache sub-banks).  The reference is lock-step,
+one worker, no memo, untraced and fault-free; its outputs equal
+``net.forward`` (sub-passed convs within one LSB of partial-sum
+storage).  Skip-ahead, in-process and persistent memo, two workers,
+traced, rate-0 faults, checkpoint resume and 1-/2-cube shards must all
+equal it; deadlocks raise the same error text in every mode.  The
+pinned examples include DDR3 timing draws, whose skip-ahead must
+replay the vault's fractional issue credit and burst position exactly.
+``pytest -m soak`` runs 200 randomized draws.
+"""
+
+from __future__ import annotations
+
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.core import (
+    MemoDir,
+    MultiCubeConfig,
+    NeurocubeConfig,
+    NeurocubeSimulator,
+    RunContext,
+    compile_inference,
+)
+from repro.core.config import SIM_WORKERS_ENV
+from repro.core.scheduler import build_conv_pass
+from repro.core.shard import ShardedSimulator
+from repro.errors import SimulationError
+from repro.faults import CheckpointSpec, FaultConfig
+from repro.fixedpoint import Q_1_7_8 as Q
+from repro.fixedpoint import quantize_float
+from repro.nn import models
+from repro.nn.activations import ActivationLUT, Identity, Tanh
+from repro.nn.layers import AvgPool2D, Conv2D, Dense, Flatten, MaxPool2D
+from repro.nn.network import Network
+from repro.obs import TraceOptions
+
+from tests.core.test_shard_equivalence import assert_reports_identical
+
+#: Every LayerRun field that must agree across execution modes.
+STAT_FIELDS = (
+    "cycles", "packets", "lateral_fraction", "mean_packet_latency",
+    "macs_fired", "pe_busy_cycles", "pe_idle_cycles",
+    "search_stall_cycles", "cache_peak", "inject_stall_cycles",
+    "degraded",
+)
+RATE_ZERO = FaultConfig(seed=7)
+TRACED = TraceOptions()
+#: The lock-step side of the counter comparison needs no events.
+COUNTED = TraceOptions(events=False)
+
+
+@pytest.fixture(autouse=True, scope="module")
+def serial_reference():
+    """The reference is ``sim_workers=1``: no ambient override."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.delenv(SIM_WORKERS_ENV, raising=False)
+        yield
+
+
+@dataclass(frozen=True)
+class Workload:
+    """A network plus its input; ``x`` None runs timing-only."""
+
+    net: Network
+    x: np.ndarray | None
+    duplicate: bool = True
+    one_lsb: bool = False
+
+    @property
+    def map_tasks(self) -> bool:
+        """Whether any layer runs as map tasks (where memo applies)."""
+        return any(isinstance(layer, (Conv2D, MaxPool2D, AvgPool2D))
+                   for layer in self.net.layers)
+
+
+def workload(layers, shape, functional, seed, **kwargs) -> Workload:
+    net = Network(layers, input_shape=shape, name="draw", seed=seed)
+    x = None
+    if functional:
+        rng = np.random.default_rng(seed)
+        x = quantize_float(rng.uniform(-1.0, 1.0, shape), Q)
+    return Workload(net, x, **kwargs)
+
+
+def conv_layer(maps, kernel):
+    return Conv2D(maps, kernel, activation=ActivationLUT(Tanh()),
+                  qformat=Q, name="conv")
+
+
+def conv(kernel, maps, duplicate, functional=True, seed=1):
+    # Eight output rows: each cube of a 2-cube shard needs four input
+    # rows to tile its 4x4 vault grid, even with a 1x1 kernel.
+    return workload([conv_layer(maps, kernel)], (1, kernel + 7, 8),
+                    functional, seed, duplicate=duplicate)
+
+
+def sub_passed_conv(maps=1, functional=True, seed=2):
+    # Ten 5x5 input maps (250 weights) overflow the 225-item weight
+    # register: two sub-passes of five maps chain partial sums.
+    return workload([conv_layer(maps, 5)], (10, 7, 7), functional, seed,
+                    one_lsb=True)
+
+
+def pool(kind, maps, functional=True, seed=3):
+    return workload([kind(2, qformat=Q, name="pool")], (maps, 8, 8),
+                    functional, seed)
+
+
+def fc(outputs, inputs, functional=True, seed=4):
+    dense = Dense(outputs, activation=ActivationLUT(Identity()),
+                  qformat=Q, name="fc")
+    return workload([dense], (inputs,), functional, seed)
+
+
+def lstm(seed=5):
+    return Workload(models.small_lstm(inputs=8, hidden_units=16, steps=2,
+                                      seed=seed), None)
+
+
+def network(functional=True, seed=6):
+    layers = [conv_layer(2, 3), MaxPool2D(2, qformat=Q, name="pool"),
+              Flatten(name="flatten"),
+              Dense(6, activation=ActivationLUT(Tanh()), qformat=Q,
+                    name="fc")]
+    return workload(layers, (1, 10, 10), functional, seed)
+
+
+def config(memory="hmc", topology="mesh", depth=16, entries=64):
+    base = (NeurocubeConfig.hmc_15nm() if memory == "hmc"
+            else NeurocubeConfig.ddr3())
+    return base.with_(noc_topology=topology, noc_buffer_depth=depth,
+                      cache_entries_per_subbank=entries,
+                      sim_skip_ahead=False, sim_workers=1,
+                      sim_memoize=False)
+
+
+seeds = st.integers(0, 2**16)
+workloads = st.one_of(
+    st.builds(conv, st.sampled_from([1, 3, 5]), st.integers(1, 3),
+              st.booleans(), st.booleans(), seeds),
+    st.builds(sub_passed_conv, functional=st.booleans(), seed=seeds),
+    st.builds(pool, st.sampled_from([MaxPool2D, AvgPool2D]),
+              st.integers(1, 3), st.booleans(), seeds),
+    st.builds(fc, st.integers(4, 40), st.integers(4, 40), st.booleans(),
+              seeds),
+    st.builds(lstm, seeds),
+    st.builds(network, st.booleans(), seeds),
+)
+configs = st.builds(config, st.sampled_from(["hmc", "ddr3"]),
+                    st.sampled_from(["mesh", "fully_connected"]),
+                    st.sampled_from([2, 16]),
+                    st.sampled_from([64, 32, 16]))
+
+
+@dataclass
+class Result:
+    output: np.ndarray | None
+    runs: list
+    rows: list
+
+
+def simulate(config, w: Workload, **hooks) -> Result:
+    """Run ``w`` once: ``run_network`` if functional, else every
+    descriptor timing-only.  Keeps each descriptor's LayerRun."""
+    simulator = NeurocubeSimulator(config, **hooks)
+    runs: list = []
+    if w.x is None:
+        program = compile_inference(w.net, config, w.duplicate)
+        for desc in program.descriptors:
+            runs.append(simulator.run_descriptor(desc))
+        return Result(None, runs, [run.to_stats() for run in runs])
+    run_descriptor = simulator.run_descriptor
+
+    def recording(*args, **kwargs):
+        runs.append(run_descriptor(*args, **kwargs))
+        return runs[-1]
+
+    simulator.run_descriptor = recording
+    output, report = simulator.run_network(w.net, w.x, w.duplicate)
+    return Result(output, runs, report.layers)
+
+
+def shard(config, w: Workload, cubes, workers):
+    sharded = ShardedSimulator(MultiCubeConfig(cube=config, n_cubes=cubes),
+                               workers=workers)
+    if w.x is None:
+        return None, sharded.run_timing(w.net, w.duplicate)
+    return sharded.run_network(w.net, w.x, w.duplicate)
+
+
+def assert_equal(mode, got: Result, ref: Result) -> None:
+    np.testing.assert_array_equal(got.output, ref.output, err_msg=mode)
+    assert ([[getattr(run, name) for name in STAT_FIELDS]
+             for run in got.runs]
+            == [[getattr(run, name) for name in STAT_FIELDS]
+                for run in ref.runs]), mode
+    assert got.rows == ref.rows, mode
+
+
+def keep_first_snapshots(directory: Path) -> None:
+    """Simulate a crash: keep only each pass's first snapshot.  Names
+    are ``label@cycle.pkl`` with a zero-padded cycle, so name order is
+    cycle order within each label."""
+    kept: set = set()
+    for path in sorted(directory.glob("*.pkl")):
+        label = path.name.split("@")[0]
+        if label in kept:
+            path.unlink()
+        kept.add(label)
+    assert kept, "checkpointed run saved no snapshot"
+
+
+def check_every_mode(w: Workload, ref_config: NeurocubeConfig) -> None:
+    ref = simulate(ref_config, w)
+    if w.x is not None:
+        expected = w.net.forward(w.x[np.newaxis])[0]
+        tolerance = ref_config.qformat.resolution if w.one_lsb else 0.0
+        assert np.abs(ref.output - expected).max() <= tolerance
+
+    skip = ref_config.with_(sim_skip_ahead=True)
+    assert_equal("skip-ahead", simulate(skip, w), ref)
+    assert_equal("workers=2", simulate(skip.with_(sim_workers=2), w), ref)
+    assert_equal("rate-0", simulate(skip, w, faults=RATE_ZERO), ref)
+    traced = simulate(skip, w, trace=TRACED)
+    traced_lock_step = simulate(ref_config, w, trace=COUNTED)
+    assert_equal("traced", traced, ref)
+    assert_equal("traced lock-step", traced_lock_step, ref)
+    assert ([run.trace.counters.samples for run in traced.runs]
+            == [run.trace.counters.samples
+                for run in traced_lock_step.runs])
+
+    with tempfile.TemporaryDirectory() as scratch:
+        ckpt = str(Path(scratch) / "ckpt")
+        # Snapshots about every half pass: each pass's first is mid-pass.
+        every = max(8, min(run.cycles // run.descriptor.passes
+                           for run in ref.runs) // 2)
+        saved = simulate(skip, w, checkpoint=CheckpointSpec(ckpt, every))
+        assert_equal("checkpoint save", saved, ref)
+        keep_first_snapshots(Path(ckpt))
+        resumed = simulate(ref_config, w, checkpoint=CheckpointSpec(
+            ckpt, resume=True))
+        assert_equal("checkpoint resume", resumed, ref)
+
+        memo = skip.with_(sim_memoize=True)
+        if w.x is None and w.map_tasks:
+            assert_equal("memo", simulate(memo, w), ref)
+            with RunContext(memo=MemoDir(Path(scratch) / "memo")):
+                assert_equal("memo cold", simulate(memo, w), ref)
+                warm = simulate(memo, w)
+            assert_equal("memo warm", warm, ref)
+            assert sum(run.memo_stats.hits for run in warm.runs) >= 1
+            assert sum(run.memo_stats.rejects for run in warm.runs) == 0
+
+        # Cube jobs get the worker form of the context, which strips
+        # the memo store: sharded runs never read or write it.
+        with RunContext(memo=MemoDir(Path(scratch) / "shard-memo")):
+            one_output, one_cube = shard(memo, w, cubes=1, workers=1)
+        assert not list(Path(scratch).glob("shard-memo/*/*.pkl"))
+    assert one_cube.report.layers == ref.rows
+    assert not one_cube.exchanges
+    serial_output, serial = shard(skip, w, cubes=2, workers=1)
+    parallel_output, parallel = shard(skip, w, cubes=2, workers=2)
+    assert_reports_identical(serial, parallel)
+    for output in (one_output, serial_output, parallel_output):
+        np.testing.assert_array_equal(output, ref.output)
+
+
+@settings(derandomize=True, deadline=None, max_examples=4)
+@given(w=workloads, ref_config=configs)
+@example(w=fc(272, 12), ref_config=config())
+@example(w=sub_passed_conv(maps=2),
+         ref_config=config(topology="fully_connected"))
+@example(w=pool(MaxPool2D, 2, functional=False),
+         ref_config=config(memory="ddr3", depth=2))
+@example(w=lstm(), ref_config=config(topology="fully_connected"))
+@example(w=network(), ref_config=config(depth=2, entries=32))
+@example(w=conv(3, 2, duplicate=True, functional=False),
+         ref_config=config(memory="ddr3", entries=16))
+def test_every_mode_equals_lock_step(w, ref_config):
+    check_every_mode(w, ref_config)
+
+
+@pytest.mark.soak
+@settings(deadline=None, max_examples=200)
+@given(w=workloads, ref_config=configs)
+def test_every_mode_equals_lock_step_soak(w, ref_config):
+    check_every_mode(w, ref_config)
+
+
+def stall_message(config, starve, max_cycles, **hooks) -> str:
+    net = models.single_conv_layer(8, 8, 3, qformat=None)
+    desc = compile_inference(net, config).descriptors[0]
+    plan = build_conv_pass(desc, config, None, None, 0.0, None)
+    if starve is not None:
+        # One write-back that never comes: once the pass drains,
+        # every agent is passive forever.
+        plan.expected_writebacks[starve % config.n_channels] += 1
+    with pytest.raises(SimulationError, match="stalled") as excinfo:
+        NeurocubeSimulator(config).run_pass(
+            plan, max_cycles=max_cycles,
+            stall_limit=800 if starve is not None else 10**9,
+            ctx=RunContext(**hooks), pass_label="stall")
+    return str(excinfo.value)
+
+
+@settings(derandomize=True, deadline=None, max_examples=4)
+@given(ref_config=configs,
+       stall=st.one_of(
+           st.tuples(st.integers(0, 15), st.none()),
+           # Below the shortest config's 287-cycle pass, so the
+           # ceiling always fires mid-pass.
+           st.tuples(st.none(), st.integers(20, 250))))
+@example(ref_config=config(), stall=(0, None))
+@example(ref_config=config(topology="fully_connected"), stall=(None, 40))
+def test_deadlocks_raise_identically(ref_config, stall):
+    expected = stall_message(ref_config, *stall)
+    skip = ref_config.with_(sim_skip_ahead=True)
+    with tempfile.TemporaryDirectory() as scratch:
+        for hooks in ({}, {"trace": TRACED}, {"faults": RATE_ZERO},
+                      {"checkpoint": CheckpointSpec(scratch, every=64)}):
+            assert stall_message(skip, *stall, **hooks) == expected, hooks

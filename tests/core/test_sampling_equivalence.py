@@ -1,26 +1,19 @@
-"""Sampled-counter equivalence: skip-ahead vs lock-step tracing.
+"""The tracer's sample-jump limit: skip-ahead never jumps a sample.
 
 The event-horizon scheduler jumps the clock over passive stretches;
 without a clamp those jumps would leap across counter-sample boundaries
 and the sampled series would depend on the execution mode.  The tracer's
-``sample_jump_limit`` pins every sample to a stepped cycle, so a traced
-skip-ahead run must produce the *identical* counter series (same sample
-cycles, same values) as the lock-step reference on every descriptor
-kind.
+``sample_jump_limit`` pins every sample to a stepped cycle.  That traced
+skip-ahead runs then sample the identical series as traced lock-step is
+asserted on every draw of ``tests/core/test_mode_matrix.py``.
 """
 
 from __future__ import annotations
 
-import dataclasses
-
-import numpy as np
-import pytest
-
 from repro.core import NeurocubeSimulator, compile_inference
 from repro.fixedpoint import quantize_float
+from repro.nn import models
 from repro.obs import TraceOptions, Tracer
-
-from tests.core.test_engine_equivalence import _build_case
 
 
 class TestSampleJumpLimit:
@@ -51,39 +44,16 @@ class TestSampleJumpLimit:
         assert tracer.sample_jump_limit(40) == 0
 
 
-def traced_run(config, net, x, layer_index, skip_ahead):
-    config = dataclasses.replace(config, sim_skip_ahead=skip_ahead)
-    simulator = NeurocubeSimulator(
-        config, trace=TraceOptions(sample_interval=32))
-    program = compile_inference(net, config, True)
-    desc = [d for d in program.descriptors
-            if d.layer_index == layer_index][0]
-    quantised = quantize_float(np.asarray(x, dtype=np.float64),
-                               config.qformat)
-    return simulator.run_descriptor(desc, net.layers[layer_index],
-                                    quantised)
-
-
 class TestSampledCounterEquivalence:
-    @pytest.mark.parametrize(
-        "kind", ["fc", "conv", "conv_sub_passed", "pool"])
-    def test_series_bit_identical_across_engines(self, config, rng,
-                                                 kind):
-        net, layer_index, x = _build_case(kind, rng)
-        jumped = traced_run(config, net, x, layer_index, True)
-        stepped = traced_run(config, net, x, layer_index, False)
-        np.testing.assert_array_equal(jumped.output, stepped.output)
-        assert jumped.cycles == stepped.cycles
-        series_a = jumped.trace.counters.samples
-        series_b = stepped.trace.counters.samples
-        assert series_a.keys() == series_b.keys()
-        assert series_a, "traced run produced no counter series"
-        for name in series_a:
-            assert series_a[name] == series_b[name], name
-
     def test_final_sample_covers_the_full_pass(self, config, rng):
-        net, layer_index, x = _build_case("conv", rng)
-        run = traced_run(config, net, x, layer_index, True)
+        net = models.single_conv_layer(12, 12, 3, in_maps=1, out_maps=3,
+                                       seed=22)
+        x = quantize_float(rng.standard_normal((1, 12, 12)),
+                           config.qformat)
+        desc = compile_inference(net, config, True).descriptors[0]
+        run = NeurocubeSimulator(
+            config, trace=TraceOptions(sample_interval=32)
+        ).run_descriptor(desc, net.layers[0], x)
         ends = {points[-1][0]
                 for points in run.trace.counters.samples.values()}
         assert ends == {run.cycles}

@@ -79,21 +79,23 @@ class TestRegistry:
 
 
 class TestFig1:
-    def test_scene_memory_grows_with_image(self):
-        result = fig01_memory_capacity.run()
+    @pytest.fixture(scope="class")
+    def result(self):
+        return fig01_memory_capacity.run()
+
+    def test_scene_memory_grows_with_image(self, result):
         scenes = [r for r in result.rows
                   if r["network"] == "scene_labeling"]
         totals = [r["total_bytes"] for r in scenes]
         assert totals == sorted(totals)
 
-    def test_large_images_exceed_onchip(self):
+    def test_large_images_exceed_onchip(self, result):
         """The Fig. 1 motivation: big inputs don't fit 1 mm^2 on-chip."""
-        result = fig01_memory_capacity.run()
         largest = max(r["total_bytes"] for r in result.rows)
         assert largest > 10 * result.edram_capacity_bytes
 
-    def test_table_renders(self):
-        assert "mnist_mlp" in fig01_memory_capacity.run().to_table()
+    def test_table_renders(self, result):
+        assert "mnist_mlp" in result.to_table()
 
 
 class TestFig9:
