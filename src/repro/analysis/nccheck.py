@@ -617,8 +617,8 @@ def verify_program(program: NeurocubeProgram, config: NeurocubeConfig,
     structure every pass of the descriptor shares) and run through the
     plan checks.  Descriptors whose schedule would exceed
     ``max_stream_items`` streamed items are skipped with a note —
-    building a paper-scale emission list costs as much as scheduling
-    the real run, which defeats the point of a static pass (see
+    checking a paper-scale schedule walks every one of its records,
+    which defeats the point of a static pass (see
     ``docs/static_analysis.md`` for this limit).
     """
     reports: list[DescriptorReport] = []
@@ -750,35 +750,34 @@ def self_test(config: NeurocubeConfig | None = None) -> list[str]:
         if code not in codes:
             failures.append(f"{code} did not fire on {note}")
 
+    # A schedule may be a register stream that yields fresh records on
+    # every pass, so the mutations edit listed copies.
+    schedules = [list(records) for records in clean.vault_emissions]
     # NC201: drop one producer record.
-    victim = clean.vault_emissions[0][0]
+    victim = schedules[0][0]
     mutated = replace(clean, vault_emissions=[
-        [r for r in records if r is not victim]
-        for records in clean.vault_emissions])
+        [r for r in records if r is not victim] for records in schedules])
     expect("NC201", mutated, "a plan missing one producer")
     # NC202: duplicate one producer record.
     mutated = replace(clean, vault_emissions=[
-        list(records) + ([records[0]] if channel == 0 else [])
-        for channel, records in enumerate(clean.vault_emissions)])
+        records + ([records[0]] if channel == 0 else [])
+        for channel, records in enumerate(schedules)])
     expect("NC202", mutated, "a plan with a duplicate producer")
     # NC203: flood one future op far past a sub-bank's capacity.
-    flooded = list(clean.vault_emissions[0])
+    flooded = list(schedules[0])
     sample = flooded[-1]
     flooded.extend([sample] * (config.cache_entries_per_subbank + 1))
-    mutated = replace(clean, vault_emissions=(
-        [flooded] + [list(r) for r in clean.vault_emissions[1:]]))
+    mutated = replace(clean, vault_emissions=[flooded] + schedules[1:])
     expect("NC203", mutated, "a plan overflowing a cache sub-bank")
     # NC204: point one read outside the vault image.
-    bad = replace(clean.vault_emissions[0][0], address=10 ** 9)
+    bad = replace(schedules[0][0], address=10 ** 9)
     mutated = replace(clean, vault_emissions=(
-        [[bad] + list(clean.vault_emissions[0][1:])]
-        + [list(r) for r in clean.vault_emissions[1:]]))
+        [[bad] + schedules[0][1:]] + schedules[1:]))
     expect("NC204", mutated, "a plan reading outside its vault image")
     # NC205: ship a packet to a node the topology does not have.
-    bad = replace(clean.vault_emissions[0][0], dst=config.n_pe + 7)
+    bad = replace(schedules[0][0], dst=config.n_pe + 7)
     mutated = replace(clean, vault_emissions=(
-        [[bad] + list(clean.vault_emissions[0][1:])]
-        + [list(r) for r in clean.vault_emissions[1:]]))
+        [[bad] + schedules[0][1:]] + schedules[1:]))
     expect("NC205", mutated, "a plan shipping to a missing node")
     # NC206: understate one channel's expected write-backs.
     expected = list(clean.expected_writebacks)

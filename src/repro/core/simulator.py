@@ -393,8 +393,11 @@ class NeurocubeSimulator:
             plan: the scheduled pass.
             max_cycles: absolute cycle ceiling (defaults to a generous
                 bound derived from the plan's work).
-            stall_limit: cycles without a new write-back before the run
-                is declared deadlocked.
+            stall_limit: cycles without progress — a new write-back,
+                a PE's OP-counter advancing, or a PE finishing — before
+                the run is declared deadlocked.  A pass whose PEs keep
+                advancing never trips it, however long its neurons take
+                to write back (fc1 of the paper-scale scene net).
             validate: statically verify the plan first
                 (:func:`repro.analysis.nccheck.check_plan`); a
                 malformed plan raises
@@ -466,12 +469,17 @@ class NeurocubeSimulator:
         # every cycle runs its PNG phase before its PE phase, so the
         # bound is computed once per cycle — after programming or
         # resume, then after each PE phase — and every PNG call in a
-        # cycle reads that exact value.
+        # cycle reads that exact value.  The same scan yields the PEs'
+        # progress mark: the OP-counters of the unfinished PEs only grow,
+        # so their sum and count move exactly when some PE advances an
+        # operation or finishes.
         bound = [float("inf")]
+        pe_mark = [(0, 0)]
 
         def refresh_horizon() -> None:
             active = [pe.op_counter for pe in pes if not pe.done]
             bound[0] = min(active) + window if active else float("inf")
+            pe_mark[0] = (sum(active), len(active))
 
         def horizon() -> float:
             return bound[0]
@@ -526,6 +534,7 @@ class NeurocubeSimulator:
                     if tracer is not None:
                         tracer.sim_checkpoint(cycles, "resume", pass_label)
         refresh_horizon()
+        op_mark = pe_mark[0]
         while True:
             if all(png.done for png in pngs) and all(pe.done for pe in pes):
                 break
@@ -579,8 +588,9 @@ class NeurocubeSimulator:
             if tracer is not None:
                 tracer.on_cycle(cycles)
             done_now = len(outputs)
-            if done_now != progress_mark:
+            if done_now != progress_mark or pe_mark[0] != op_mark:
                 progress_mark = done_now
+                op_mark = pe_mark[0]
                 last_progress = cycles
             if store is not None and every and cycles % every == 0:
                 store.save(pass_label, cycles, self._pass_state(

@@ -36,6 +36,12 @@ def clean_plan(small_config):
     return nccheck._timing_plan(desc, small_config)
 
 
+def listed(plan) -> list[list]:
+    """The plan's schedules as lists to edit: a register stream yields
+    fresh (equal) records on every pass."""
+    return [list(records) for records in plan.vault_emissions]
+
+
 def fired(plan, config, code: str) -> list:
     return [v for v in nccheck.verify_plan(plan, config, select=[code])
             if v.code == code]
@@ -51,10 +57,11 @@ def test_catalogue_covers_all_checks():
 
 
 def test_nc201_missing_producer(clean_plan, small_config):
-    victim = clean_plan.vault_emissions[0][0]
+    schedules = listed(clean_plan)
+    victim = schedules[0][0]
     mutated = replace(clean_plan, vault_emissions=[
         [r for r in records if r is not victim]
-        for records in clean_plan.vault_emissions])
+        for records in schedules])
     violations = fired(mutated, small_config, "NC201")
     assert violations
     # The violation localises the stall: the starved PE and the first
@@ -66,18 +73,17 @@ def test_nc201_missing_producer(clean_plan, small_config):
 
 def test_nc202_duplicate_producer(clean_plan, small_config):
     mutated = replace(clean_plan, vault_emissions=[
-        list(records) + ([records[0]] if channel == 0 else [])
-        for channel, records in enumerate(clean_plan.vault_emissions)])
+        records + ([records[0]] if channel == 0 else [])
+        for channel, records in enumerate(listed(clean_plan))])
     assert any("duplicate" in v.message
                for v in fired(mutated, small_config, "NC202"))
 
 
 def test_nc202_out_of_range_destination(clean_plan, small_config):
-    bad = replace(clean_plan.vault_emissions[0][0],
-                  dst=small_config.n_pe + 3)
+    schedules = listed(clean_plan)
+    bad = replace(schedules[0][0], dst=small_config.n_pe + 3)
     mutated = replace(clean_plan, vault_emissions=(
-        [[bad] + list(clean_plan.vault_emissions[0][1:])]
-        + [list(r) for r in clean_plan.vault_emissions[1:]]))
+        [[bad] + schedules[0][1:]] + schedules[1:]))
     assert fired(mutated, small_config, "NC202")
 
 
@@ -94,10 +100,10 @@ def test_nc203_cache_overflow(clean_plan, small_config):
 
 
 def test_nc204_read_outside_image(clean_plan, small_config):
-    bad = replace(clean_plan.vault_emissions[0][0], address=10 ** 9)
+    schedules = listed(clean_plan)
+    bad = replace(schedules[0][0], address=10 ** 9)
     mutated = replace(clean_plan, vault_emissions=(
-        [[bad] + list(clean_plan.vault_emissions[0][1:])]
-        + [list(r) for r in clean_plan.vault_emissions[1:]]))
+        [[bad] + schedules[0][1:]] + schedules[1:]))
     assert any("outside" in v.message
                for v in fired(mutated, small_config, "NC204"))
 
@@ -116,11 +122,10 @@ def test_nc204_writeback_aliases_streamed_input(clean_plan, small_config):
 
 
 def test_nc205_unroutable_destination(clean_plan, small_config):
-    bad = replace(clean_plan.vault_emissions[0][0],
-                  dst=small_config.n_pe + 7)
+    schedules = listed(clean_plan)
+    bad = replace(schedules[0][0], dst=small_config.n_pe + 7)
     mutated = replace(clean_plan, vault_emissions=(
-        [[bad] + list(clean_plan.vault_emissions[0][1:])]
-        + [list(r) for r in clean_plan.vault_emissions[1:]]))
+        [[bad] + schedules[0][1:]] + schedules[1:]))
     assert fired(mutated, small_config, "NC205")
 
 
@@ -163,13 +168,14 @@ def test_check_plan_raises_with_violations(clean_plan, small_config):
 def _drop_sole_producer(plan):
     """Remove one record that is its operand's only producer."""
     producers = nccheck._producer_index(plan)
-    for channel, records in enumerate(plan.vault_emissions):
+    schedules = listed(plan)
+    for records in schedules:
         for record in records:
             key = (record.dst, record.op_id, record.kind, record.mac_id)
             if producers[key] == 1:
                 mutated = replace(plan, vault_emissions=[
                     [r for r in recs if r is not record]
-                    for recs in plan.vault_emissions])
+                    for recs in schedules])
                 return mutated, record
     raise AssertionError("plan has no single-producer operand")
 

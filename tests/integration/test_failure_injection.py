@@ -26,15 +26,30 @@ class TestStarvation:
         net = models.fully_connected_classifier(16, 8, qformat=None)
         desc = compile_inference(net, config).descriptors[0]
         plan = build_fc_pass(desc, config, None, None, None, None)
-        plan.vault_emissions[0].clear()  # starve some PEs
+        plan.vault_emissions[0] = []  # starve some PEs
         with pytest.raises(SimulationError, match="stalled"):
             simulator.run_pass(plan, stall_limit=3_000)
+
+    @pytest.mark.parametrize("skip_ahead", [False, True])
+    def test_live_pass_outlasting_stall_limit_finishes(self, config,
+                                                       skip_ahead):
+        """Progress is any write-back or any PE operation advance: an FC
+        pass whose first write-back lands long after ``stall_limit``
+        cycles is live the whole time and must finish, not raise."""
+        config = config.with_(sim_skip_ahead=skip_ahead)
+        net = models.fully_connected_classifier(160, 16, qformat=None)
+        desc = compile_inference(net, config).descriptors[0]
+        plan = build_fc_pass(desc, config, None, None, None, None)
+        result = NeurocubeSimulator(config).run_pass(plan,
+                                                     stall_limit=500)
+        assert result.cycles > 4 * 500
+        assert len(result.outputs) == desc.neurons_per_pass
 
     def test_max_cycles_ceiling(self, config, simulator):
         net = models.fully_connected_classifier(16, 8, qformat=None)
         desc = compile_inference(net, config).descriptors[0]
         plan = build_fc_pass(desc, config, None, None, None, None)
-        plan.vault_emissions[1].clear()
+        plan.vault_emissions[1] = []
         with pytest.raises(SimulationError):
             simulator.run_pass(plan, max_cycles=500, stall_limit=10**9)
 
