@@ -10,8 +10,6 @@ it end-to-end, so the unit test is the coverage.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.png import NeurosequenceGenerator
 from repro.faults import FaultConfig
 from repro.faults.injector import (

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from repro.errors import MappingError
 from repro.memory import Rect, conv_layout, fc_layout, partition_grid
-from repro.memory.layout import grid_dimensions
+from repro.memory.layout import (contiguous_split, grid_dimensions,
+                                 stored_address, stored_image, stored_size,
+                                 window_span)
 
 
 class TestRect:
@@ -30,6 +32,38 @@ class TestRect:
     def test_empty_rejected(self):
         with pytest.raises(MappingError):
             Rect(2, 0, 2, 4)
+
+
+    def test_encloses(self):
+        outer = Rect(0, 0, 4, 4)
+        assert outer.encloses(Rect(1, 1, 4, 3))
+        assert not outer.encloses(Rect(1, 1, 5, 3))
+
+
+class TestVaultImage:
+    def test_stored_address_indexes_stored_image(self):
+        maps = np.arange(3 * 7 * 9).reshape(3, 7, 9)
+        tile = Rect(2, 1, 6, 5)
+        image = stored_image(maps, tile)
+        assert len(image) == stored_size(tile, 3)
+        for c in range(3):
+            for y in range(tile.y0, tile.y1):
+                for x in range(tile.x0, tile.x1):
+                    assert image[stored_address(tile, x, y, c)] == (
+                        maps[c, y, x])
+
+    def test_window_span(self):
+        # Conv (stride 1): outputs 1..3 read pixels 1..5 with k = 3.
+        assert window_span(Rect(1, 0, 4, 2), 3, 1) == Rect(1, 0, 6, 4)
+        # Pool (stride = k = 2): outputs 1..2 read pixels 2..5.
+        assert window_span(Rect(1, 1, 3, 2), 2, 2) == Rect(2, 2, 6, 4)
+
+    def test_contiguous_split_matches_array_split(self):
+        for items, parts in [(10, 3), (3, 5), (16, 16), (0, 2)]:
+            runs = contiguous_split(items, parts)
+            assert [list(run) for run in runs] == [
+                part.tolist()
+                for part in np.array_split(np.arange(items), parts)]
 
 
 class TestPartitionGrid:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import NeurocubeConfig, NeurocubeSimulator, compile_inference
+from repro.core import NeurocubeSimulator, compile_inference
 from repro.nn import models
 from repro.obs import (
     CACHE_EVICT,
