@@ -60,12 +60,15 @@ def test_analytic_model_latency():
 def test_parallel_conv_speedup(speedup_gate):
     """Multi-output-map conv: 4 workers vs serial, bit-identical.
 
-    Eight independent output maps fan out over the process pool.  The
-    wall-clock speedup assertion only fires on hosts with at least four
-    usable cores (CI runners qualify; a single-core container cannot
-    physically show parallel speedup, so there we only check identity).
+    Eight independent output maps fan out over the process pool.  With
+    memoization on they would share one pass instead (see
+    :func:`test_batched_functional_conv_speedup`), so it is off here:
+    this measures the pool.  The wall-clock speedup assertion only
+    fires on hosts with at least four usable cores (CI runners qualify;
+    a single-core container cannot physically show parallel speedup,
+    so there we only check identity).
     """
-    base = NeurocubeConfig.hmc_15nm()
+    base = NeurocubeConfig.hmc_15nm(sim_memoize=False)
     net = models.single_conv_layer(20, 20, 5, in_maps=1, out_maps=8,
                                    seed=7)
     x = quantize_float(
@@ -135,6 +138,41 @@ def test_memoized_conv_speedup():
     assert run_memo.pe_idle_cycles == run_plain.pe_idle_cycles
     assert run_memo.inject_stall_cycles == run_plain.inject_stall_cycles
     assert plain_seconds / run_memo.host_seconds >= 3.0
+
+
+def test_batched_functional_conv_speedup():
+    """Functional conv with 8 output maps: sharing one pass between the
+    maps (one accumulator per map in every MAC lane) must be at least
+    3x faster than simulating each map's pass, with identical outputs,
+    cycles and folded statistics.  The acceptance benchmark for
+    functional map batching: the maps stream the same input, so the
+    shared run moves one map's packets instead of eight."""
+    base = NeurocubeConfig.hmc_15nm()
+    net = models.single_conv_layer(20, 20, 5, in_maps=1, out_maps=8,
+                                   seed=7)
+    x = quantize_float(
+        np.random.default_rng(7).standard_normal((1, 20, 20)),
+        base.qformat)
+    desc = compile_inference(net, base).descriptors[0]
+    layer = net.layers[0]
+
+    plain = NeurocubeSimulator(
+        dataclasses.replace(base, sim_memoize=False))
+    start = time.perf_counter()
+    run_plain = plain.run_descriptor(desc, layer, x)
+    plain_seconds = time.perf_counter() - start
+
+    batched = NeurocubeSimulator(base)
+    run_batched = batched.run_descriptor(desc, layer, x)
+    np.testing.assert_array_equal(run_batched.output, run_plain.output)
+    assert run_batched.cycles == run_plain.cycles
+    assert run_batched.packets == run_plain.packets
+    assert run_batched.macs_fired == run_plain.macs_fired
+    assert run_batched.pe_busy_cycles == run_plain.pe_busy_cycles
+    assert run_batched.pe_idle_cycles == run_plain.pe_idle_cycles
+    assert (run_batched.inject_stall_cycles
+            == run_plain.inject_stall_cycles)
+    assert plain_seconds / run_batched.host_seconds >= 3.0
 
 
 def test_fault_injection_overhead():

@@ -70,13 +70,18 @@ class NeurocubeConfig:
             (jump the clock over stretches where no agent can act).  Results are identical
             either way; the knob exists so equivalence tests can compare
             the scheduler against the lock-step reference path.
-        sim_memoize: enable timing-pass memoization — structurally
+        sim_memoize: share simulated passes between map tasks whose
+            passes coincide (:mod:`repro.core.parallel`).  Structurally
             identical :class:`~repro.core.parallel.MapTask` units (conv
             output maps, pool maps in timing-only mode) are simulated
-            once and the outcome replayed for the duplicates.  Results
-            are identical either way; it never applies to functional or
-            traced runs (nor to runs with active fault injection, where
-            structurally identical passes see different fault salts).
+            once and the outcome replayed for the duplicates; in
+            functional runs the output maps of a conv layer, which
+            stream the same input, run as one pass per sub-pass with
+            one MAC accumulator per map.  Results are identical either
+            way, and False keeps the per-map reference.  It never
+            applies to traced runs, nor to runs with active fault
+            injection (each map's passes see their own fault salt);
+            checkpointed runs never share a pass between several maps.
         faults: optional :class:`repro.faults.FaultConfig` — when set,
             every pass runs with deterministic fault injection and the
             retry/timeout protocols (see docs/fault_injection.md).

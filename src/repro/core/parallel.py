@@ -10,19 +10,28 @@ passes out over a process pool.
 Work units are :class:`MapTask` objects — one per output map, carrying
 the full sub-pass chain of a blocked convolution, because sub-passes are
 sequentially dependent (each preloads the previous partial sums) and
-must stay serial *within* a worker.  Workers return :class:`MapOutcome`
-objects whose per-pass statistics snapshots are folded by the caller in
-task order, so a parallel run produces bit-identical outputs, cycle
-counts and statistics to a serial one.
+must stay serial *within* a worker.  Workers run *batches* of tasks
+(:func:`run_map_batch`) and return one :class:`MapOutcome` per task,
+whose per-pass statistics snapshots the caller folds in task order, so
+a parallel run produces bit-identical outputs, cycle counts and
+statistics to a serial one.
 
 The worker count comes from ``NeurocubeConfig.effective_sim_workers``
 (the ``sim_workers`` field, overridable with ``NEUROCUBE_SIM_WORKERS``).
 
-The executor also memoizes on request (``NeurocubeConfig.sim_memoize``):
-in timing-only mode every output map of a layer carries the same
-tensor-free sub-pass chain, so the tasks collapse into one equivalence
-class per :func:`structural_key` — one representative is simulated and
-its outcome replayed, re-indexed, for the duplicates.
+On request (``NeurocubeConfig.sim_memoize``) the executor shares passes
+between tasks whose passes provably coincide, in two steps:
+
+* tasks with equal :func:`structural_key` simulate identically, so one
+  representative per class is simulated and its outcome replayed,
+  re-indexed, for the others — in timing-only mode every map of a
+  layer carries the same tensor-free chain and collapses into one;
+* representatives with equal :func:`stream_key` — the output maps of a
+  conv layer, which stream the same input and differ only in the
+  kernel and bias resident in the PEs — run as one batch: one
+  simulated pass per sub-pass, with one accumulator per map in every
+  MAC lane.  Its pass outcome is replayed for each map, and each map's
+  output is assembled from its own write-back values.
 """
 
 from __future__ import annotations
@@ -155,12 +164,26 @@ def structural_key(task: MapTask) -> tuple:
         for spec in task.sub_passes))
 
 
+def stream_key(task: MapTask) -> tuple:
+    """Hashable key under which two tasks stream identical data.
+
+    Mode, per-sub-pass input tensors (by raw bytes) and final flags:
+    everything but the kernels and biases.  With weights resident in
+    the PEs these never move a packet, so tasks with equal keys run
+    the same PNG, vault, NoC and PE timing and can share their passes
+    (:func:`run_map_batch`).
+    """
+    return (task.mode, tuple(
+        (_tensor_key(spec.input_tensor), bool(spec.final))
+        for spec in task.sub_passes))
+
+
 def task_plan_hashes(config: NeurocubeConfig, desc: LayerDescriptor,
                      lut: ActivationLUT | None,
                      task: MapTask) -> tuple[str, ...]:
     """Structural hashes of the plans this task would simulate.
 
-    Builds the same per-sub-pass plans :func:`run_map_task` builds in
+    Builds the same per-sub-pass plans :func:`run_map_batch` builds in
     timing-only mode (where partial sums never replace the spec bias)
     and returns their
     :meth:`~repro.core.scheduler.PassPlan.structural_hash` digests.
@@ -196,24 +219,32 @@ def snapshot_pass(result) -> PassOutcome:
         degraded=result.degraded)
 
 
-def run_map_task(config: NeurocubeConfig, desc: LayerDescriptor,
-                 lut: ActivationLUT | None, functional: bool,
-                 task: MapTask, ctx: RunContext,
-                 label_base: str = "") -> MapOutcome:
-    """Run one map's sub-pass chain to completion (worker entry point).
+def run_map_batch(config: NeurocubeConfig, desc: LayerDescriptor,
+                  lut: ActivationLUT | None, functional: bool,
+                  batch: tuple[MapTask, ...], ctx: RunContext,
+                  label_base: str = "") -> list[MapOutcome]:
+    """Run the sub-pass chains of a batch of maps (worker entry point).
 
-    Sub-passes run serially: sub-pass 0 preloads the spec's bias, later
-    sub-passes preload the stored partial sums, and only the final
-    sub-pass goes through the activation LUT — exactly the serial
-    simulator's schedule, so outputs and statistics match bit for bit.
+    The tasks of a batch share one simulated pass per sub-pass: their
+    equal :func:`stream_key` means the input streams identically, and
+    each MAC lane holds one accumulator per map, reset to that map's
+    bias (later sub-passes: its partial sums) and accumulated with that
+    map's resident kernel.  A batch of one is a map's own pass chain.
+    Sub-passes run serially: only the final one goes through the
+    activation LUT — exactly the serial simulator's schedule, so every
+    map's outputs and statistics match its own simulation bit for bit.
+    Returns one :class:`MapOutcome` per task, all carrying the shared
+    pass outcomes.
 
     ``ctx`` carries the run's hooks into every sub-pass.  Each traced
     pass's trace rides back on its :class:`PassOutcome` with a local
     clock the parent offsets into the run-global one.  Both the fault
-    salt and the checkpoint label derive from the task's *logical*
+    salt and the checkpoint label derive from the lead task's *logical*
     identity — ``(label_base, task.index, sub-pass)`` — never from
     worker identity, so serial, parallel and resumed runs inject
-    identical faults and share one checkpoint namespace.
+    identical faults and share one checkpoint namespace.  (Traced,
+    faulty and checkpointed runs never batch several maps, so there
+    the lead is the only task.)
     """
     # Imported here, not at module top: the simulator imports this
     # module for the task/outcome types.
@@ -222,30 +253,58 @@ def run_map_task(config: NeurocubeConfig, desc: LayerDescriptor,
 
     simulator = NeurocubeSimulator(config)
     degraded_ok = ctx.faults is not None and ctx.faults.any_rate
+    lead = batch[0]
+    # One row per map: the maps' partial sums, then their outputs.
     partial_sums: np.ndarray | None = None
     passes = []
-    for j, spec in enumerate(task.sub_passes):
-        bias = (spec.bias if partial_sums is None
-                else partial_sums.ravel())
-        plan = build_conv_pass(desc, config, spec.input_tensor,
-                               spec.kernel, bias,
-                               lut if spec.final else None, mode=task.mode)
+    for j, specs in enumerate(zip(*(task.sub_passes for task in batch),
+                                  strict=True)):
+        biases = ([spec.bias for spec in specs] if partial_sums is None
+                  else [row.ravel() for row in partial_sums])
+        plan = build_conv_pass(desc, config, specs[0].input_tensor,
+                               [spec.kernel for spec in specs], biases,
+                               lut if specs[0].final else None,
+                               mode=lead.mode)
         result = simulator.run_pass(
-            plan, ctx=ctx, fault_salt=pass_salt(task.index, j),
-            pass_label=f"{label_base}.m{task.index}.s{j}")
+            plan, ctx=ctx, fault_salt=pass_salt(lead.index, j),
+            pass_label=f"{label_base}.m{lead.index}.s{j}")
         passes.append(snapshot_pass(result))
         if functional:
-            partial_sums = simulator.assemble_output(
+            values = simulator.assemble_output(
                 desc, plan, result.outputs, missing_ok=degraded_ok)
-    return MapOutcome(index=task.index, passes=tuple(passes),
-                      output=partial_sums)
+            partial_sums = values if plan.maps > 1 else values[np.newaxis]
+    shared = tuple(passes)
+    return [MapOutcome(index=task.index, passes=shared,
+                       output=(partial_sums[m] if partial_sums is not None
+                               else None))
+            for m, task in enumerate(batch)]
+
+
+def share_batches(desc: LayerDescriptor,
+                  tasks: list[MapTask]) -> list[list[int]]:
+    """Group task positions into batches that can share their passes.
+
+    Tasks share when their :func:`stream_key` values are equal and
+    their weights stay in the PEs (``desc.weights_resident``): streamed
+    weights would differ per map.  Max pooling never shares — it has
+    no per-map weights or biases, so two max tasks with equal streams
+    are duplicates under :func:`structural_key` instead.  Batches come
+    in order of their first task.
+    """
+    batches: dict[object, list[int]] = {}
+    for position, task in enumerate(tasks):
+        key = (stream_key(task)
+               if task.mode == "mac" and desc.weights_resident
+               else position)
+        batches.setdefault(key, []).append(position)
+    return list(batches.values())
 
 
 class ParallelPassExecutor:
     """Dispatches :class:`MapTask` lists over a process pool.
 
-    With ``workers <= 1`` (or a single task) everything runs in-process
-    through the identical :func:`run_map_task` code path, which is what
+    With ``workers <= 1`` (or a single batch) everything runs in-process
+    through the identical :func:`run_map_batch` code path, which is what
     makes serial-vs-parallel equivalence structural rather than
     accidental.  Results always come back in task order.
     """
@@ -260,15 +319,20 @@ class ParallelPassExecutor:
             label_base: str = "") -> list[MapOutcome]:
         """Run all tasks; returns outcomes ordered like ``tasks``.
 
-        With ``memoize`` set, tasks are grouped by
-        :func:`structural_key`, one representative per equivalence class
-        is simulated (serially or over the pool as usual), and the
-        representative's outcome is replayed — re-indexed — for every
-        duplicate.  The caller must only enable this when outcomes are a
-        pure function of the key: untraced runs (a replayed trace would
-        duplicate events on the merged clock) whose outcome carries no
-        out-of-key state.  Fold order is unchanged, so the folded
-        statistics are bit-identical to simulating every task.
+        Without ``memoize`` every task is simulated on its own: a batch
+        of one.  With it, tasks are grouped by :func:`structural_key`,
+        one representative per equivalence class is simulated, and its
+        outcome is replayed — re-indexed — for every duplicate.  The
+        representatives are then grouped by :func:`share_batches`, and
+        each batch shares one simulated pass per sub-pass; its pass
+        outcomes are replayed for every map of the batch.  The caller
+        must only enable this when outcomes are a pure function of the
+        tasks: untraced runs (a replayed trace would duplicate events on
+        the merged clock) at zero fault rates (the fault salt differs
+        per map).  Checkpointed runs never batch several maps, since
+        their snapshots are labelled per map.  Fold order is unchanged,
+        so the folded statistics are bit-identical to simulating every
+        task.
 
         ``ctx`` carries the run's hooks to every task; its ``memo`` (a
         :class:`repro.memo.MemoStore`, or None) extends the replay
@@ -285,10 +349,11 @@ class ParallelPassExecutor:
         if ctx is None:
             ctx = RunContext()
         memo = ctx.memo
-        worker = partial(run_map_task, config, desc, lut, functional,
+        worker = partial(run_map_batch, config, desc, lut, functional,
                          label_base=label_base)
         if not memoize or (memo is None and len(tasks) <= 1):
-            return self._execute(worker, tasks, ctx)
+            return self._run_batches(worker, tasks,
+                                     [[i] for i in range(len(tasks))], ctx)
         keys = [structural_key(task) for task in tasks]
         representatives: dict[tuple, int] = {}
         unique: list[MapTask] = []
@@ -298,8 +363,6 @@ class ParallelPassExecutor:
                 representatives[key] = len(unique)
                 unique.append(task)
                 unique_keys.append(key)
-        if memo is None and len(unique) == len(tasks):
-            return self._execute(worker, tasks, ctx)
         rep_outcomes: list[MapOutcome | None] = [None] * len(unique)
         to_run: list[MapTask] = []
         run_slots: list[int] = []
@@ -321,9 +384,11 @@ class ParallelPassExecutor:
         else:
             to_run = unique
             run_slots = list(range(len(unique)))
-        for slot, outcome in zip(run_slots,
-                                 self._execute(worker, to_run, ctx),
-                                 strict=True):
+        batches = (share_batches(desc, to_run) if ctx.checkpoint is None
+                   else [[i] for i in range(len(to_run))])
+        for slot, outcome in zip(
+                run_slots, self._run_batches(worker, to_run, batches, ctx),
+                strict=True):
             rep_outcomes[slot] = outcome
             if memo is not None:
                 digest, hashes = entries[slot]
@@ -335,6 +400,21 @@ class ParallelPassExecutor:
             rep = rep_outcomes[representatives[key]]
             outcomes.append(rep if rep.index == task.index
                             else replace(rep, index=task.index))
+        return outcomes
+
+    def _run_batches(self, worker, tasks: list[MapTask],
+                     batches: list[list[int]],
+                     ctx: RunContext) -> list[MapOutcome]:
+        """Run ``worker`` over batches of task positions; returns the
+        outcomes ordered like ``tasks``."""
+        outcomes: list[MapOutcome | None] = [None] * len(tasks)
+        results = self._execute(
+            worker, [tuple(tasks[i] for i in batch) for batch in batches],
+            ctx)
+        for batch, batch_outcomes in zip(batches, results, strict=True):
+            for position, outcome in zip(batch, batch_outcomes,
+                                         strict=True):
+                outcomes[position] = outcome
         return outcomes
 
     def map(self, worker, items: list) -> list:

@@ -249,6 +249,22 @@ class RegisterStream:
             return self._local_records()
         return self._full_records()
 
+    def highest_address(self) -> int:
+        """The highest address any record reads, from the registers
+        alone (without generating the records)."""
+        reg = self.registers
+        if reg.offsets:
+            pitch = reg.image_width
+            width = reg.output_width or pitch
+            neuron = max(n // width * pitch + n % width
+                         for n in range(reg.n_neurons)) * reg.stride
+            return (neuron + max(n_y * pitch + n_x
+                                 for n_x, n_y in reg.offsets)
+                    + reg.addr_last)
+        return max(reg.addr_last + reg.n_connections,
+                   reg.weight_base + reg.n_neurons
+                   * reg.n_connections) - 1
+
     def _local_records(self) -> Iterator[EmissionRecord]:
         reg = self.registers
         dst, neurons, n_mac = self.dst, self.neurons, reg.n_mac
@@ -377,7 +393,10 @@ class NeurosequenceGenerator:
             lut: activation look-up table applied to returned states.
             writeback_sink: callback ``(packet, activated_raw)`` invoked
                 for every write-back (the simulator uses it to store the
-                state at the output neuron's address).
+                state at the output neuron's address).  A write-back of
+                a pass shared by several maps carries one value per map;
+                the LUT is applied to each and ``activated_raw`` is the
+                tuple of activated values.
         """
         if not self.done:
             raise ProtocolError(
@@ -648,7 +667,9 @@ class NeurosequenceGenerator:
                     f"{packet}")
             raw = packet.payload
             if self._lut is not None:
-                raw = int(self._lut.lookup_raw(raw))
+                raw = (tuple(self._lut.lookup_raw(raw).tolist())
+                       if isinstance(raw, tuple)
+                       else int(self._lut.lookup_raw(raw)))
             if self._writeback_sink is not None:
                 self._writeback_sink(packet, raw)
             self._expected_writebacks -= 1

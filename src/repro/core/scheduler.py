@@ -68,6 +68,8 @@ class PassPlan:
         expected_writebacks: per-channel write-back counts.
         lut: activation LUT the PNGs apply to returned states.
         total_neurons: output neurons in this pass.
+        maps: output maps sharing the pass (``GroupPlan.maps`` of every
+            group): each write-back carries one value per map.
     """
 
     vault_emissions: list[EmissionSchedule]
@@ -78,6 +80,7 @@ class PassPlan:
     lut: ActivationLUT | None
     total_neurons: int = 0
     stream_items: int = field(default=0)
+    maps: int = 1
 
     def __post_init__(self) -> None:
         """Reject structurally inconsistent plans at construction.
@@ -112,6 +115,11 @@ class PassPlan:
             raise ConfigurationError(
                 f"PassPlan.stream_items must be non-negative, got "
                 f"{self.stream_items}")
+        if any(group.maps != self.maps for groups in self.pe_groups
+               for group in groups):
+            raise ConfigurationError(
+                f"PassPlan for {self.maps} maps holds groups for a "
+                f"different number of maps")
 
     def structural_hash(self) -> str:
         """SHA-256 digest of the plan's timing-relevant structure.
@@ -120,10 +128,12 @@ class PassPlan:
         shapes, the expected write-back counts and the stream totals —
         everything that determines packet timing.  Payload data (vault
         images, biases, weights) is deliberately excluded: it never
-        moves a packet.  Two tasks with equal
-        :func:`repro.core.parallel.structural_key` values build plans
-        with equal hashes, which is the invariant timing-pass
-        memoization relies on (and what its tests pin down).
+        moves a packet.  So is :attr:`maps`: a pass shared by several
+        maps moves exactly the packets of each map's own pass.  Two
+        tasks with equal :func:`repro.core.parallel.structural_key`
+        values build plans with equal hashes, which is the invariant
+        timing-pass memoization relies on (and what its tests pin
+        down).
         """
         digest = hashlib.sha256()
         for channel, records in enumerate(self.vault_emissions):
@@ -178,11 +188,20 @@ def _register_streams(desc: LayerDescriptor, config: NeurocubeConfig,
 
 def build_conv_pass(desc: LayerDescriptor, config: NeurocubeConfig,
                     input_tensor: np.ndarray | None,
-                    kernel_weights: np.ndarray | None,
-                    bias: float | np.ndarray,
+                    kernel_weights: np.ndarray | list | None,
+                    bias: float | np.ndarray | list,
                     lut: ActivationLUT | None,
                     mode: str = "mac") -> PassPlan:
-    """Schedule one pass of a locally connected layer (one output map).
+    """Schedule one pass of a locally connected layer.
+
+    The pass computes one output map, or — given lists of kernels and
+    biases — every map of a list at once: a *shared* pass streams the
+    input once, each MAC lane holds one accumulator per map
+    (``GroupPlan.maps``), and each write-back carries one value per
+    map.  A list of one kernel builds exactly the single-map plan.  The
+    maps of a shared pass share one vault image, so the pass must never
+    read its own output region (which holds no single map's results);
+    that is checked here.
 
     Args:
         desc: the layer descriptor (kind "conv" or "pool").
@@ -191,10 +210,12 @@ def build_conv_pass(desc: LayerDescriptor, config: NeurocubeConfig,
             store); None runs the pass timing-only.  For a sub-passed
             convolution this is the input-map *block* of the sub-pass.
         kernel_weights: ``(C_in, k, k)`` kernel for this output map
-            (ignored for pooling / max mode).
+            (ignored for pooling / max mode), or a list of kernels, one
+            per map sharing the pass.
         bias: accumulator preload — a scalar, or a per-neuron array
             (flattened output order) carrying partial sums between the
-            sub-passes of a blocked convolution.
+            sub-passes of a blocked convolution; a list of them, one
+            per map, with a list of kernels.
         lut: activation LUT for write-backs (None on intermediate
             sub-passes: the raw partial sum is stored).
         mode: "mac" or "max" (max pooling).
@@ -202,6 +223,14 @@ def build_conv_pass(desc: LayerDescriptor, config: NeurocubeConfig,
     layout = desc.layout
     if not isinstance(layout, ConvLayout):
         raise MappingError(f"{desc.name}: conv pass needs a ConvLayout")
+    if isinstance(kernel_weights, list):
+        kernels, biases = kernel_weights, bias
+    else:
+        kernels, biases = [kernel_weights], [bias]
+    maps = len(kernels)
+    if len(biases) != maps:
+        raise MappingError(f"{desc.name}: {len(biases)} biases for "
+                           f"{maps} maps")
     k = desc.kernel
     in_maps = (input_tensor.shape[0] if input_tensor is not None
                else desc.connections // (k * k))
@@ -224,19 +253,29 @@ def build_conv_pass(desc: LayerDescriptor, config: NeurocubeConfig,
     raw_input = (from_float(input_tensor, config.qformat)
                  if functional else None)
 
-    raw_weights = None
+    weights = None
     if mode == "mac":
         # Average pooling rides the MAC datapath with constant 1/k^2
         # coefficients; weighted layers use the pass's kernel.
-        if kernel_weights is None and desc.kind == "pool":
-            kernel_weights = np.full((1, k, k), 1.0 / (k * k))
-        if functional and kernel_weights is None:
-            raise MappingError(f"{desc.name}: functional conv pass needs "
-                               f"kernel weights")
-        if kernel_weights is not None:
-            raw_weights = from_float(kernel_weights, config.qformat).ravel()
-        else:
-            raw_weights = np.zeros(desc.connections, dtype=np.int64)
+        per_map = []
+        for kernel in kernels:
+            if kernel is None and desc.kind == "pool":
+                kernel = np.full((1, k, k), 1.0 / (k * k))
+            if functional and kernel is None:
+                raise MappingError(f"{desc.name}: functional conv pass "
+                                   f"needs kernel weights")
+            per_map.append(
+                tuple(from_float(kernel, config.qformat).ravel().tolist())
+                if kernel is not None else (0,) * desc.connections)
+        weights = (per_map[0] if maps == 1
+                   else tuple(zip(*per_map, strict=True)))
+
+    # ---- accumulator preloads: one per neuron (and map) ----------------
+    preload = np.empty((maps, out_h * out_w))
+    for row, value in zip(preload, biases, strict=True):
+        row[:] = value
+    neuron_bias = (preload[0].tolist() if maps == 1
+                   else [tuple(values) for values in preload.T.tolist()])
 
     # ---- PE ownership and groups ---------------------------------------
     n_pe = config.n_pe
@@ -245,9 +284,6 @@ def build_conv_pass(desc: LayerDescriptor, config: NeurocubeConfig,
     expected = [0] * n_channels
     pe_groups: list[list[GroupPlan]] = [[] for _ in range(n_pe)]
     pe_neurons: list[list[NeuronTag]] = [[] for _ in range(n_pe)]
-    weights_tuple = (tuple(int(w) for w in raw_weights)
-                     if raw_weights is not None else None)
-    bias_array = None if np.isscalar(bias) else np.asarray(bias)
     for pe, rect in enumerate(owned):
         if rect is None:
             continue
@@ -260,21 +296,25 @@ def build_conv_pass(desc: LayerDescriptor, config: NeurocubeConfig,
         expected[home] += len(tags)
         pe_neurons[pe] = tags
         for chunk in _chunk(tags, config.n_mac):
-            slots = tuple(GroupSlot(
-                neuron=tag, home_vault=home,
-                bias=(float(bias) if bias_array is None
-                      else float(bias_array[tag[1]])))
-                for tag in chunk)
+            slots = tuple(GroupSlot(neuron=tag, home_vault=home,
+                                    bias=neuron_bias[tag[1]])
+                          for tag in chunk)
             pe_groups[pe].append(GroupPlan(
                 slots=slots, n_connections=n_conn, mode=mode,
                 weights_resident=(mode == "max" or desc.weights_resident),
-                shared_state=False, weights=weights_tuple))
+                shared_state=False, weights=weights, maps=maps))
 
     if feeds_own_pe_only(desc, config, owned):
         emissions = _register_streams(desc, config, pe_neurons, owned)
     else:
         emissions = _listed_conv_emissions(config, stored, owned, stride,
                                            k, n_conn, out_w)
+    if maps > 1:
+        for channel, schedule in enumerate(emissions):
+            if schedule and _highest_read(schedule) >= vault_sizes[channel]:
+                raise MappingError(
+                    f"{desc.name}: a pass shared by {maps} maps reads "
+                    f"the output region of vault {channel}")
 
     vault_data = []
     for channel, tile in enumerate(stored):
@@ -289,7 +329,14 @@ def build_conv_pass(desc: LayerDescriptor, config: NeurocubeConfig,
         pe_groups=pe_groups, vault_data=vault_data,
         out_addresses=out_addresses, expected_writebacks=expected,
         lut=lut, total_neurons=out_h * out_w,
-        stream_items=out_h * out_w * n_conn)
+        stream_items=out_h * out_w * n_conn, maps=maps)
+
+
+def _highest_read(schedule: EmissionSchedule) -> int:
+    """The highest vault address a schedule reads."""
+    if isinstance(schedule, RegisterStream):
+        return schedule.highest_address()
+    return max(record.address for record in schedule)
 
 
 def _listed_conv_emissions(config: NeurocubeConfig, stored: list[Rect],

@@ -16,9 +16,11 @@ result (see ``docs/simulator_internals.md``):
 * within one pass, the event-horizon scheduler jumps the clock across
   stretches where no agent can act (every PE counting down, every vault
   mid-latency, the NoC empty); every other cycle steps every agent;
-* in timing-only mode, structurally identical passes (conv/pool maps)
-  are simulated once and their outcomes replayed
-  (:mod:`repro.core.parallel` memoization, ``config.sim_memoize``).
+* passes that coincide are simulated once and their outcomes replayed
+  (:mod:`repro.core.parallel` memoization, ``config.sim_memoize``): in
+  timing-only mode every conv/pool map of a layer is structurally
+  identical, and in functional mode a conv layer's output maps stream
+  the same input, so they share one pass with one accumulator per map.
 
 Paper-scale layers are far too large to simulate flit by flit in Python;
 the companion :mod:`repro.core.analytic` model is calibrated against this
@@ -443,15 +445,20 @@ class NeurocubeSimulator:
                                injector=injector)
                   for v in range(config.n_channels)]
         outputs: dict = {}
+        # The maps of a shared pass have one vault image between them,
+        # and the plan guarantees the pass never reads its output
+        # region back: their values are only collected, not stored.
+        single_map = plan.maps == 1
 
         def make_sink(vault_index: int):
-            def sink(packet, activated_raw: int) -> None:
+            def sink(packet, activated_raw) -> None:
                 channel, address = plan.out_addresses[packet.neuron]
                 if channel != vault_index:
                     raise SimulationError(
                         f"write-back for {packet.neuron} landed at vault "
                         f"{vault_index}, home is {channel}")
-                vaults[channel].write_items(address, [activated_raw])
+                if single_map:
+                    vaults[channel].write_items(address, [activated_raw])
                 outputs[packet.neuron] = activated_raw
             return sink
 
@@ -816,21 +823,22 @@ class NeurocubeSimulator:
                    tasks: list[MapTask],
                    ctx: RunContext) -> list[MapOutcome]:
         executor = ParallelPassExecutor(self.config.effective_sim_workers)
-        # Memoization replays one representative outcome per structural
-        # equivalence class.  Functional runs carry per-map tensors (the
-        # classes rarely collapse, and outputs must be assembled per
-        # map anyway) and traced runs must emit every pass's events, so
-        # both disable it — as do nonzero fault rates, where structurally
-        # identical passes carry different fault salts and therefore see
-        # different fault patterns.
-        memoize = (self.config.sim_memoize and not functional
-                   and ctx.trace is None
+        # Memoization shares simulated passes between tasks: it replays
+        # one representative outcome per structural equivalence class
+        # (in timing-only runs, every map of a layer), and runs the maps
+        # that stream the same input as one batch (in functional runs,
+        # the output maps of a conv layer).  Traced runs must emit every
+        # pass's events, so they disable it — as do nonzero fault rates,
+        # where the passes of different maps carry different fault salts
+        # and therefore see different fault patterns.
+        memoize = (self.config.sim_memoize and ctx.trace is None
                    and (ctx.faults is None or not ctx.faults.any_rate))
-        # The persistent store only ever serves memoizable runs, and
-        # never checkpointed ones: a replayed pass writes no snapshots,
-        # so a checkpointed run must actually simulate to keep its
-        # resume contract.
-        if ctx.memo is not None and (not memoize
+        # The persistent store only ever serves timing-only memoizable
+        # runs (functional outcomes carry per-input outputs, which the
+        # store does not key), and never checkpointed ones: a replayed
+        # pass writes no snapshots, so a checkpointed run must actually
+        # simulate to keep its resume contract.
+        if ctx.memo is not None and (not memoize or functional
                                      or ctx.checkpoint is not None):
             ctx = dataclasses.replace(ctx, memo=None)
         return executor.run(self.config, desc, lut, functional, tasks,
@@ -896,6 +904,11 @@ class NeurocubeSimulator:
                         missing_ok: bool = False) -> np.ndarray:
         """Collect write-backs into a flat/2D output array (real values).
 
+        For a pass shared by several maps (``plan.maps > 1``) each
+        write-back holds one value per map, and the result gains a
+        leading map axis: entry ``m`` is assembled from map ``m``'s
+        values alone.
+
         With ``missing_ok`` (degraded fault-injection runs) neurons that
         never wrote back stay zero instead of raising — their loss is
         already recorded as a :class:`repro.faults.DegradedResult`.
@@ -904,10 +917,12 @@ class NeurocubeSimulator:
         if missing and not missing_ok:
             raise SimulationError(
                 f"{desc.name}: {missing} neurons never wrote back")
-        flat = np.zeros(plan.total_neurons, dtype=np.int64)
+        maps = plan.maps
+        flat = np.zeros((plan.total_neurons, maps) if maps > 1
+                        else plan.total_neurons, dtype=np.int64)
         for (_, index), raw in outputs.items():
             flat[index] = raw
-        values = to_float(flat, self.config.qformat)
+        values = to_float(flat.T, self.config.qformat)
         if desc.kind == "fc":
             return values
         if desc.kind == "pool":
@@ -916,7 +931,7 @@ class NeurocubeSimulator:
         else:
             out_h = desc.in_height - desc.kernel + 1
             out_w = desc.in_width - desc.kernel + 1
-        return values.reshape(out_h, out_w)
+        return values.reshape(values.shape[:-1] + (out_h, out_w))
 
     # ------------------------------------------------------------------
     # whole-network runs (small networks only)

@@ -44,13 +44,13 @@ def simulated(monkeypatch):
 
     monkeypatch.delenv(SIM_WORKERS_ENV, raising=False)
     indices: list[int] = []
-    real = parallel_mod.run_map_task
+    real = parallel_mod.run_map_batch
 
-    def counting(config_, desc, lut, functional, task, **kwargs):
-        indices.append(task.index)
-        return real(config_, desc, lut, functional, task, **kwargs)
+    def counting(config_, desc, lut, functional, batch, **kwargs):
+        indices.extend(task.index for task in batch)
+        return real(config_, desc, lut, functional, batch, **kwargs)
 
-    monkeypatch.setattr(parallel_mod, "run_map_task", counting)
+    monkeypatch.setattr(parallel_mod, "run_map_batch", counting)
     return indices
 
 

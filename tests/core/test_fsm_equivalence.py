@@ -125,6 +125,8 @@ def check_schedule(case, monkeypatch):
             assert records == []
             continue
         assert isinstance(schedule, RegisterStream)
+        assert schedule.highest_address() == max(
+            record.address for record in records)
         tags = [slot.neuron for group in plan.pe_groups[vault]
                 for slot in group.slots]
         assert fsm_records(registers, vault, tags) == records, (

@@ -9,9 +9,13 @@ one worker, no memo, untraced and fault-free; its outputs equal
 ``net.forward`` (sub-passed convs within one LSB of partial-sum
 storage).  Skip-ahead, in-process and persistent memo, two workers,
 traced, rate-0 faults, checkpoint resume and 1-/2-cube shards must all
-equal it; deadlocks raise the same error text in every mode.  The
-pinned examples include DDR3 timing draws, whose skip-ahead must
-replay the vault's fractional issue credit and burst position exactly.
+equal it; deadlocks raise the same error text in every mode.  Memo on a
+functional draw runs the output maps of a conv layer as one shared pass
+(one accumulator per map), so it must equal the per-map reference too,
+serially and over two workers.  The pinned examples include DDR3
+timing draws, whose skip-ahead must replay the vault's fractional issue
+credit and burst position exactly, and a sub-passed three-map conv,
+whose shared pass preloads every map's own partial sums.
 ``pytest -m soak`` runs 200 randomized draws.
 """
 
@@ -34,6 +38,7 @@ from repro.core import (
     RunContext,
     compile_inference,
 )
+from repro.core import scheduler
 from repro.core.config import SIM_WORKERS_ENV
 from repro.core.scheduler import build_conv_pass
 from repro.core.shard import ShardedSimulator
@@ -255,6 +260,10 @@ def check_every_mode(w: Workload, ref_config: NeurocubeConfig) -> None:
         assert_equal("checkpoint resume", resumed, ref)
 
         memo = skip.with_(sim_memoize=True)
+        if w.x is not None and w.map_tasks:
+            assert_equal("memo", simulate(memo, w), ref)
+            assert_equal("memo workers=2",
+                         simulate(memo.with_(sim_workers=2), w), ref)
         if w.x is None and w.map_tasks:
             assert_equal("memo", simulate(memo, w), ref)
             with RunContext(memo=MemoDir(Path(scratch) / "memo")):
@@ -289,6 +298,8 @@ def check_every_mode(w: Workload, ref_config: NeurocubeConfig) -> None:
 @example(w=network(), ref_config=config(depth=2, entries=32))
 @example(w=conv(3, 2, duplicate=True, functional=False),
          ref_config=config(memory="ddr3", entries=16))
+@example(w=sub_passed_conv(maps=3),
+         ref_config=config(memory="ddr3", depth=2))
 def test_every_mode_equals_lock_step(w, ref_config):
     check_every_mode(w, ref_config)
 
@@ -300,19 +311,43 @@ def test_every_mode_equals_lock_step_soak(w, ref_config):
     check_every_mode(w, ref_config)
 
 
-def stall_message(config, starve, max_cycles, **hooks) -> str:
-    net = models.single_conv_layer(8, 8, 3, qformat=None)
+def stall_message(config, starve, max_cycles, functional=False,
+                  **hooks) -> str:
+    """The error text of a deadlocked conv pass.  Timing-only, one
+    pass runs straight through ``run_pass``; functionally, the whole
+    three-map layer runs through ``run_descriptor`` (sharing its pass
+    when memo is on) with every plan starved the same way."""
+    net = models.single_conv_layer(8, 8, 3, out_maps=3, qformat=None)
     desc = compile_inference(net, config).descriptors[0]
-    plan = build_conv_pass(desc, config, None, None, 0.0, None)
-    if starve is not None:
-        # One write-back that never comes: once the pass drains,
-        # every agent is passive forever.
-        plan.expected_writebacks[starve % config.n_channels] += 1
-    with pytest.raises(SimulationError, match="stalled") as excinfo:
-        NeurocubeSimulator(config).run_pass(
-            plan, max_cycles=max_cycles,
-            stall_limit=800 if starve is not None else 10**9,
-            ctx=RunContext(**hooks), pass_label="stall")
+    stall_limit = 800 if starve is not None else 10**9
+
+    def starved(plan):
+        if starve is not None:
+            # One write-back that never comes: once the pass drains,
+            # every agent is passive forever.
+            plan.expected_writebacks[starve % config.n_channels] += 1
+        return plan
+
+    if not functional:
+        plan = starved(build_conv_pass(desc, config, None, None, 0.0, None))
+        with pytest.raises(SimulationError, match="stalled") as excinfo:
+            NeurocubeSimulator(config).run_pass(
+                plan, max_cycles=max_cycles, stall_limit=stall_limit,
+                ctx=RunContext(**hooks), pass_label="stall")
+        return str(excinfo.value)
+    build, run_pass = scheduler.build_conv_pass, NeurocubeSimulator.run_pass
+    x = np.random.default_rng(8).uniform(-1.0, 1.0, (1, 8, 8))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scheduler, "build_conv_pass",
+                      lambda *args, **kwargs: starved(build(*args,
+                                                            **kwargs)))
+        patch.setattr(NeurocubeSimulator, "run_pass",
+                      lambda self, plan, **kwargs: run_pass(
+                          self, plan, max_cycles=max_cycles,
+                          stall_limit=stall_limit, **kwargs))
+        with pytest.raises(SimulationError, match="stalled") as excinfo:
+            NeurocubeSimulator(config, **hooks).run_descriptor(
+                desc, net.layers[0], x)
     return str(excinfo.value)
 
 
@@ -332,3 +367,30 @@ def test_deadlocks_raise_identically(ref_config, stall):
         for hooks in ({}, {"trace": TRACED}, {"faults": RATE_ZERO},
                       {"checkpoint": CheckpointSpec(scratch, every=64)}):
             assert stall_message(skip, *stall, **hooks) == expected, hooks
+    for functional in (ref_config, skip.with_(sim_memoize=True)):
+        assert stall_message(functional, *stall,
+                             functional=True) == expected
+
+
+def test_shared_conv_runs_one_pass_per_sub_pass(monkeypatch):
+    """A functional four-map conv shares each sub-pass between its maps
+    under memo, and simulates every map's passes without it."""
+    monkeypatch.delenv(SIM_WORKERS_ENV, raising=False)
+    w = workload([conv_layer(4, 5)], (10, 7, 7), True, seed=9)
+    calls: list[str] = []
+    run_pass = NeurocubeSimulator.run_pass
+
+    def counting(self, plan, **kwargs):
+        calls.append(kwargs["pass_label"])
+        return run_pass(self, plan, **kwargs)
+
+    monkeypatch.setattr(NeurocubeSimulator, "run_pass", counting)
+    outputs = []
+    for memoize, expected in ((True, ["conv.m0.s0", "conv.m0.s1"]),
+                              (False, [f"conv.m{m}.s{j}" for m in range(4)
+                                       for j in range(2)])):
+        calls.clear()
+        outputs.append(simulate(config().with_(sim_memoize=memoize),
+                                w).output)
+        assert calls == expected
+    np.testing.assert_array_equal(*outputs)
