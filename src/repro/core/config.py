@@ -77,11 +77,17 @@ class NeurocubeConfig:
             once and the outcome replayed for the duplicates; in
             functional runs the output maps of a conv layer, which
             stream the same input, run as one pass per sub-pass with
-            one MAC accumulator per map.  Results are identical either
-            way, and False keeps the per-map reference.  It never
-            applies to traced runs, nor to runs with active fault
-            injection (each map's passes see their own fault salt);
-            checkpointed runs never share a pass between several maps.
+            one MAC accumulator per map.  Within one timing-only pass
+            whose traffic stays inside each node, the node slices
+            (vault, PNG, router ports, PE) with equal timing
+            signatures are simulated once per class
+            (:meth:`~repro.core.scheduler.PassPlan.slice_classes`).
+            Results are identical either way, and False keeps the
+            per-map, per-slice reference.  It never applies to traced
+            runs, nor to runs with active fault injection (each map's
+            passes see their own fault salt); checkpointed runs never
+            share a pass between several maps, and traced, faulted
+            (rate 0 included) and checkpointed passes never fold.
         faults: optional :class:`repro.faults.FaultConfig` — when set,
             every pass runs with deterministic fault injection and the
             retry/timeout protocols (see docs/fault_injection.md).

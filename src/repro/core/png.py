@@ -254,27 +254,65 @@ class RegisterStream:
         alone (without generating the records)."""
         reg = self.registers
         if reg.offsets:
-            pitch = reg.image_width
-            width = reg.output_width or pitch
-            neuron = max(n // width * pitch + n % width
-                         for n in range(reg.n_neurons)) * reg.stride
-            return (neuron + max(n_y * pitch + n_x
-                                 for n_x, n_y in reg.offsets)
-                    + reg.addr_last)
+            neuron_base, connection_offset = self._local_terms()
+            return max(neuron_base) + max(connection_offset)
         return max(reg.addr_last + reg.n_connections,
                    reg.weight_base + reg.n_neurons
                    * reg.n_connections) - 1
 
+    def lines(self) -> Iterator[str]:
+        """Every record as an ``address,dst,mac_id,op_id,kind,neuron``
+        line, in record order, one string per neuron group: the text
+        :meth:`~repro.core.scheduler.PassPlan.structural_hash` digests.
+        Built from the registers without building the records, since
+        the memo store hashes every plan it stores or replays."""
+        reg = self.registers
+        dst, neurons, n_mac = self.dst, self.neurons, reg.n_mac
+        n_conn = reg.n_connections
+        state = f",{PacketKind.STATE.value},"
+        if reg.offsets:
+            neuron_base, connection_offset = self._local_terms()
+            for first in range(0, reg.n_neurons, n_mac):
+                lanes = [(base, f",{dst},{lane},", f"{state}{tag}\n")
+                         for lane, (base, tag) in enumerate(zip(
+                             neuron_base[first:first + n_mac],
+                             neurons[first:first + n_mac], strict=True))]
+                op = first // n_mac * n_conn
+                yield "".join([f"{base + offset}{mid}{op + c}{tail}"
+                               for c, offset in enumerate(connection_offset)
+                               for base, mid, tail in lanes])
+            return
+        weight = f",{PacketKind.WEIGHT.value},"
+        for first in range(0, reg.n_neurons, n_mac):
+            tags = neurons[first:first + n_mac]
+            rows = range(reg.weight_base + first * n_conn,
+                         reg.weight_base + (first + len(tags)) * n_conn,
+                         n_conn)
+            lanes = [(row, f",{dst},{lane},", f"{state}{tag}\n",
+                      f"{weight}{tag}\n")
+                     for lane, (row, tag) in enumerate(zip(rows, tags,
+                                                           strict=True))]
+            op = first // n_mac * n_conn
+            yield "".join([f"{c + reg.addr_last}{mid}{op + c}{state_tail}"
+                           f"{row + c}{mid}{op + c}{weight_tail}"
+                           for c in range(n_conn)
+                           for row, mid, state_tail, weight_tail in lanes])
+
+    def _local_terms(self) -> tuple[list[int], list[int]]:
+        """Eq. 5 split into a per-neuron and a per-connection term: a
+        locally connected record reads their sum."""
+        reg = self.registers
+        pitch, stride = reg.image_width, reg.stride
+        width = reg.output_width or pitch
+        return ([(n // width * pitch + n % width) * stride + reg.addr_last
+                 for n in range(reg.n_neurons)],
+                [n_y * pitch + n_x for n_x, n_y in reg.offsets])
+
     def _local_records(self) -> Iterator[EmissionRecord]:
         reg = self.registers
         dst, neurons, n_mac = self.dst, self.neurons, reg.n_mac
-        pitch, stride = reg.image_width, reg.stride
-        width = reg.output_width or pitch
         state = PacketKind.STATE
-        # Eq. 5 split into a per-neuron and a per-connection term.
-        neuron_base = [(n // width * pitch + n % width) * stride
-                       + reg.addr_last for n in range(reg.n_neurons)]
-        connection_offset = [n_y * pitch + n_x for n_x, n_y in reg.offsets]
+        neuron_base, connection_offset = self._local_terms()
         for first in range(0, reg.n_neurons, n_mac):
             lanes = tuple(enumerate(zip(neuron_base[first:first + n_mac],
                                         neurons[first:first + n_mac],

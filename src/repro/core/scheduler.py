@@ -70,6 +70,10 @@ class PassPlan:
         total_neurons: output neurons in this pass.
         maps: output maps sharing the pass (``GroupPlan.maps`` of every
             group): each write-back carries one value per map.
+        timing_only: the pass carries no input data and one accumulator
+            preload for every neuron, so every write-back value depends
+            on its position in its group alone (what lets
+            :meth:`slice_classes` fold it).
     """
 
     vault_emissions: list[EmissionSchedule]
@@ -81,6 +85,7 @@ class PassPlan:
     total_neurons: int = 0
     stream_items: int = field(default=0)
     maps: int = 1
+    timing_only: bool = False
 
     def __post_init__(self) -> None:
         """Reject structurally inconsistent plans at construction.
@@ -138,6 +143,10 @@ class PassPlan:
         digest = hashlib.sha256()
         for channel, records in enumerate(self.vault_emissions):
             digest.update(f"vault {channel}:{len(records)}\n".encode())
+            if isinstance(records, RegisterStream):
+                for block in records.lines():
+                    digest.update(block.encode())
+                continue
             for record in records:
                 digest.update(
                     f"{record.address},{record.dst},{record.mac_id},"
@@ -154,6 +163,56 @@ class PassPlan:
         digest.update(
             f"totals {self.total_neurons},{self.stream_items}\n".encode())
         return digest.hexdigest()
+
+    def slice_classes(self, config: NeurocubeConfig) -> list[list[int]] | None:
+        """The pass's node slices grouped by timing signature, or None.
+
+        A slice is one vault, its PNG, the local ports of its router and
+        its PE.  In a timing-only pass in which every vault's schedule
+        is a :class:`~repro.core.png.RegisterStream` to its own PE and
+        every neuron's output lives in that PE's vault, no packet ever
+        leaves its node, so the slices run independently but for the
+        shared lock-step horizon.  Two slices with equal register
+        counters, write-back counts and PE group shapes then run the
+        same cycles, stalls and statistics, and their write-backs carry
+        equal values position by position.  Returns the classes, each
+        a list of nodes in ascending order, ordered by first node; None
+        when the pass does not qualify or no two slices are alike.
+        """
+        n_pe = config.n_pe
+        if (not self.timing_only or config.n_channels != n_pe
+                or len(self.pe_groups) != n_pe):
+            return None
+        classes: dict[tuple, list[int]] = {}
+        for node in range(n_pe):
+            stream = self.vault_emissions[node]
+            if (not isinstance(stream, RegisterStream)
+                    or stream.dst != node):
+                return None
+            size = len(self.vault_data[node])
+            shapes = []
+            for group in self.pe_groups[node]:
+                for slot in group.slots:
+                    home = self.out_addresses.get(slot.neuron)
+                    if (slot.home_vault != node or home is None
+                            or home[0] != node or not 0 <= home[1] < size):
+                        return None
+                shapes.append((len(group.slots), group.n_connections,
+                               group.mode, group.weights_resident,
+                               group.shared_state, group.maps))
+            # Fewer expected write-backs than neurons could end the pass
+            # with write-backs still in flight.
+            if self.expected_writebacks[node] < sum(
+                    shape[0] for shape in shapes):
+                return None
+            reg = stream.registers
+            signature = (reg.n_neurons, reg.n_connections, reg.n_mac,
+                         bool(reg.offsets), self.expected_writebacks[node],
+                         tuple(shapes))
+            classes.setdefault(signature, []).append(node)
+        if len(classes) == n_pe:
+            return None
+        return list(classes.values())
 
 
 def _chunk(items: Sequence, size: int) -> list[Sequence]:
@@ -329,7 +388,9 @@ def build_conv_pass(desc: LayerDescriptor, config: NeurocubeConfig,
         pe_groups=pe_groups, vault_data=vault_data,
         out_addresses=out_addresses, expected_writebacks=expected,
         lut=lut, total_neurons=out_h * out_w,
-        stream_items=out_h * out_w * n_conn, maps=maps)
+        stream_items=out_h * out_w * n_conn, maps=maps,
+        timing_only=(not functional
+                     and all(np.ndim(value) == 0 for value in biases)))
 
 
 def _highest_read(schedule: EmissionSchedule) -> int:
@@ -464,7 +525,8 @@ def build_fc_pass(desc: LayerDescriptor, config: NeurocubeConfig,
         vault_emissions=emissions,
         pe_groups=pe_groups, vault_data=vault_data,
         out_addresses=out_addresses, expected_writebacks=expected,
-        lut=lut, total_neurons=n_out, stream_items=2 * n_in * n_out)
+        lut=lut, total_neurons=n_out, stream_items=2 * n_in * n_out,
+        timing_only=not functional and biases is None)
 
 
 def _listed_fc_emissions(config: NeurocubeConfig,

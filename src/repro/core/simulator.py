@@ -20,7 +20,10 @@ result (see ``docs/simulator_internals.md``):
   (:mod:`repro.core.parallel` memoization, ``config.sim_memoize``): in
   timing-only mode every conv/pool map of a layer is structurally
   identical, and in functional mode a conv layer's output maps stream
-  the same input, so they share one pass with one accumulator per map.
+  the same input, so they share one pass with one accumulator per map;
+  within a timing-only pass whose packets never leave their node, one
+  node slice per timing class is simulated
+  (:meth:`~repro.core.scheduler.PassPlan.slice_classes`).
 
 Paper-scale layers are far too large to simulate flit by flit in Python;
 the companion :mod:`repro.core.analytic` model is calibrated against this
@@ -60,7 +63,7 @@ from repro.memory.vault import VaultChannel
 from repro.nn.activations import ActivationLUT
 from repro.nn.layers import Flatten, MaxPool2D
 from repro.nn.network import Network
-from repro.noc.interconnect import Interconnect
+from repro.noc.interconnect import FoldedInterconnect, Interconnect
 from repro.noc.topology import FullyConnected, Mesh2D
 from repro.obs.live import attribute_report
 from repro.obs.tracer import Trace, TraceOptions, Tracer
@@ -73,7 +76,10 @@ class PassResult:
     Attributes:
         cycles: reference cycles to layer-done.
         outputs: neuron tag -> activated raw value (functional mode).
-        interconnect: the NoC instance (for its stats).
+        interconnect: the NoC instance (for its stats).  In a pass
+            folded to one node slice per timing class its statistics
+            are the full fabric's, but router-level state (buffers,
+            grants) covers the representatives' routers only.
         pe_stats: per-PE statistics (fires, stalls, cache peaks).
         png_stats: per-PNG statistics (injections, stalls).
         trace: the pass's :class:`repro.obs.Trace` when tracing was on.
@@ -391,6 +397,13 @@ class NeurocubeSimulator:
                  pass_label: str = "pass") -> PassResult:
         """Run one PNG pass to layer-done.
 
+        With ``config.sim_memoize`` on and no trace, fault injector or
+        checkpoint, a timing-only pass whose node slices fall into
+        timing classes (:meth:`PassPlan.slice_classes`) simulates one
+        slice per class and copies its results to the others.  A folded
+        run that stalls or hits its ceiling is re-run in full, so every
+        error comes from the full run.
+
         Args:
             plan: the scheduled pass.
             max_cycles: absolute cycle ceiling (defaults to a generous
@@ -432,25 +445,62 @@ class NeurocubeSimulator:
             from repro.analysis.nccheck import check_plan
 
             check_plan(plan, config, label="pass plan")
+        classes = (plan.slice_classes(config)
+                   if (config.sim_memoize and ctx.trace is None
+                       and ctx.faults is None and ctx.checkpoint is None)
+                   else None)
+        if classes is not None:
+            try:
+                return self._simulate(plan, max_cycles, stall_limit, ctx,
+                                      fault_salt, pass_label, classes)
+            except SimulationError:
+                # A folded pass never reports an error of its own: the
+                # full run below raises the diagnosis every mode gives.
+                pass
+        return self._simulate(plan, max_cycles, stall_limit, ctx,
+                              fault_salt, pass_label, None)
+
+    def _simulate(self, plan: PassPlan, max_cycles: int | None,
+                  stall_limit: int, ctx: RunContext, fault_salt: int,
+                  pass_label: str,
+                  classes: list[list[int]] | None) -> PassResult:
+        """Run one pass: every node slice, or with ``classes`` (from
+        :meth:`PassPlan.slice_classes`) the first slice of each class,
+        whose results :meth:`_unfold` then copies to the others."""
+        config = self.config
         tracer = Tracer(ctx.trace) if ctx.trace is not None else None
         injector = (FaultInjector(ctx.faults, salt=fault_salt,
                                   tracer=tracer)
                     if ctx.faults is not None else None)
-        interconnect = Interconnect(
-            self._topology(), buffer_depth=config.noc_buffer_depth,
-            local_rate=config.items_per_word, tracer=tracer,
-            injector=injector)
+        if classes is None:
+            channels = range(config.n_channels)
+            pe_ids = range(config.n_pe)
+            interconnect = Interconnect(
+                self._topology(), buffer_depth=config.noc_buffer_depth,
+                local_rate=config.items_per_word, tracer=tracer,
+                injector=injector)
+        else:
+            channels = pe_ids = [members[0] for members in classes]
+            weights = [0] * config.n_pe
+            for members in classes:
+                weights[members[0]] = len(members)
+            interconnect = FoldedInterconnect(
+                self._topology(), weights,
+                buffer_depth=config.noc_buffer_depth,
+                local_rate=config.items_per_word)
         vaults = [VaultChannel(config.channel_timing, vault_id=v,
                                data=plan.vault_data[v], tracer=tracer,
                                injector=injector)
-                  for v in range(config.n_channels)]
+                  for v in channels]
         outputs: dict = {}
         # The maps of a shared pass have one vault image between them,
         # and the plan guarantees the pass never reads its output
         # region back: their values are only collected, not stored.
         single_map = plan.maps == 1
 
-        def make_sink(vault_index: int):
+        def make_sink(vault: VaultChannel):
+            vault_index = vault.vault_id
+
             def sink(packet, activated_raw) -> None:
                 channel, address = plan.out_addresses[packet.neuron]
                 if channel != vault_index:
@@ -458,7 +508,7 @@ class NeurocubeSimulator:
                         f"write-back for {packet.neuron} landed at vault "
                         f"{vault_index}, home is {channel}")
                 if single_map:
-                    vaults[channel].write_items(address, [activated_raw])
+                    vault.write_items(address, [activated_raw])
                 outputs[packet.neuron] = activated_raw
             return sink
 
@@ -492,16 +542,16 @@ class NeurocubeSimulator:
             return bound[0]
 
         pngs = []
-        for v in range(config.n_channels):
+        for v, vault in zip(channels, vaults, strict=True):
             png = NeurosequenceGenerator(
-                vaults[v], node=config.pe_of_channel(v),
+                vault, node=config.pe_of_channel(v),
                 interconnect=interconnect, horizon=horizon,
                 tracer=tracer, injector=injector)
             png.program(iter(plan.vault_emissions[v]),
                         plan.expected_writebacks[v], lut=plan.lut,
-                        writeback_sink=make_sink(v))
+                        writeback_sink=make_sink(vault))
             pngs.append(png)
-        for p in range(config.n_pe):
+        for p in pe_ids:
             pe = ProcessingElement(p, config, interconnect,
                                    tracer=tracer, injector=injector)
             pe.program(plan.pe_groups[p])
@@ -611,16 +661,44 @@ class NeurocubeSimulator:
                     f"neurons after {cycles} cycles "
                     f"(occupancy {interconnect.occupancy})\n"
                     + self._stall_detail(interconnect, pngs, vaults, pes))
+        pe_stats = [pe.stats for pe in pes]
+        png_stats = [png.stats for png in pngs]
+        if classes is not None:
+            pe_stats, png_stats = self._unfold(plan, classes, pe_stats,
+                                               png_stats, outputs)
         return PassResult(cycles=cycles, outputs=outputs,
                           interconnect=interconnect,
-                          pe_stats=[pe.stats for pe in pes],
-                          png_stats=[png.stats for png in pngs],
+                          pe_stats=pe_stats, png_stats=png_stats,
                           trace=(tracer.finish(cycles)
                                  if tracer is not None else None),
                           fault_stats=(injector.stats
                                        if injector is not None else None),
                           degraded=(tuple(injector.degraded)
                                     if injector is not None else ()))
+
+    @staticmethod
+    def _unfold(plan: PassPlan, classes: list[list[int]], pe_stats: list,
+                png_stats: list, outputs: dict) -> tuple[list, list]:
+        """Give every member of a slice class its representative's
+        results: copies of its PE and PNG statistics, and at each group
+        slot the representative's write-back value at the same slot.
+        Returns the per-PE and per-PNG statistics in node order."""
+        full_pe: list = [None] * len(plan.pe_groups)
+        full_png: list = [None] * len(plan.pe_groups)
+        for members, pe_stat, png_stat in zip(classes, pe_stats, png_stats,
+                                              strict=True):
+            rep, *others = members
+            full_pe[rep], full_png[rep] = pe_stat, png_stat
+            values = [outputs[slot.neuron] for group in plan.pe_groups[rep]
+                      for slot in group.slots]
+            for member in others:
+                full_pe[member] = dataclasses.replace(pe_stat)
+                full_png[member] = dataclasses.replace(png_stat)
+                slots = [slot for group in plan.pe_groups[member]
+                         for slot in group.slots]
+                for slot, value in zip(slots, values, strict=True):
+                    outputs[slot.neuron] = value
+        return full_pe, full_png
 
     @staticmethod
     def _pass_state(cycles: int, last_progress: int, progress_mark: int,

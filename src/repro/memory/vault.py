@@ -114,13 +114,6 @@ class VaultChannel:
         """True while any request is queued or in flight."""
         return bool(self._queue) or bool(self._in_flight)
 
-    def can_issue_soon(self) -> bool:
-        """True when the next :meth:`step` call would issue a request."""
-        if not self._queue or self._gap_remaining > 0:
-            return False
-        credit = min(2.0, self._issue_credit + self.timing.words_per_cycle)
-        return credit >= 1.0
-
     def next_event_delta(self) -> int | None:
         """Cycles until this vault can next act, or None when fully idle.
 

@@ -16,6 +16,10 @@ buffers directly (bound once at construction), counting each push into
 ``stats.injected`` and each pop through :meth:`Interconnect.record_delivery`;
 :meth:`Interconnect.inject` and :meth:`Interconnect.eject` are the same
 operations addressed by node and port.
+
+:class:`FoldedInterconnect` is the fabric of a pass simulated one node
+slice per timing class: only the representatives' routers switch, and
+each delivery counts once per slice its node stands for.
 """
 
 from __future__ import annotations
@@ -95,6 +99,9 @@ class Interconnect:
                    local_rate=local_rate)
             for node in range(topology.n_nodes)
         ]
+        # The routers each cycle switches (every one here; a folded
+        # fabric narrows it to its representative nodes).
+        self._switching = self.routers
         # Precompute link hookups: (node, out port) -> (node, in port).
         self._links: list[tuple[Router, PortKey, Router, PortKey]] = []
         for router in self.routers:
@@ -200,7 +207,7 @@ class Interconnect:
         if not self.in_fabric:
             # Empty fabric: the link loop cannot move anything and every
             # switch would only advance its router's rotation counter.
-            for router in self.routers:
+            for router in self._switching:
                 router.advance_idle(1)
             return
         if self.link_resident:
@@ -209,7 +216,7 @@ class Interconnect:
             else:
                 self._step_links()
         resident = self.link_resident
-        for router in self.routers:
+        for router in self._switching:
             if router.switch():
                 resident += router.link_moves
         self.link_resident = resident
@@ -330,7 +337,7 @@ class Interconnect:
             raise SimulationError(
                 f"skip({cycles}) with {self.in_fabric} packets in flight")
         self.cycle += cycles
-        for router in self.routers:
+        for router in self._switching:
             router.advance_idle(cycles)
 
     @property
@@ -415,3 +422,36 @@ class Interconnect:
     def __repr__(self) -> str:
         return (f"Interconnect({self.topology!r}, cycle={self.cycle}, "
                 f"occupancy={self.occupancy})")
+
+
+class FoldedInterconnect(Interconnect):
+    """The fabric of a pass that simulates one slice per timing class.
+
+    ``weights[node]`` is how many identical node slices ``node`` stands
+    for, 0 for a node that is not simulated.  Only the routers of
+    weighted nodes switch, so every packet must stay inside its node:
+    the caller folds only passes whose traffic is local.  Each packet
+    delivered at a node counts ``weights[node]`` times in the delivered,
+    lateral and latency totals, so the statistics equal the full
+    fabric's.  ``injected`` takes the members' copies of a packet when
+    it is delivered, which keeps :attr:`in_fabric` the count of packets
+    actually resident, and ``injected == delivered`` once the pass ends.
+    A folded pass runs hook-free, so deliveries emit no trace events.
+    """
+
+    def __init__(self, topology: Topology, weights: list[int],
+                 **kwargs) -> None:
+        super().__init__(topology, **kwargs)
+        self._weights = weights
+        self._switching = [router for router, weight
+                           in zip(self.routers, weights, strict=True)
+                           if weight]
+
+    def record_delivery(self, node: int, packet: Packet) -> None:
+        weight = self._weights[node]
+        stats = self.stats
+        stats.injected += weight - 1
+        stats.delivered += weight
+        if packet.src != node:
+            stats.lateral += weight
+        stats.total_latency += weight * (self.cycle - packet.inject_cycle)

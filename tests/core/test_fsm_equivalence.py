@@ -109,6 +109,8 @@ def check_schedule(case, monkeypatch):
                         lambda *args: False)
     reference = build(desc, config, case.mode)
     assert plan.stream_items == reference.stream_items
+    # RegisterStream.lines() must hash exactly like the listed records.
+    assert plan.structural_hash() == reference.structural_hash()
     assert plan.out_addresses == reference.out_addresses
     assert plan.expected_writebacks == reference.expected_writebacks
     streamed = 0

@@ -10,13 +10,15 @@ one worker, no memo, untraced and fault-free; its outputs equal
 storage).  Skip-ahead, in-process and persistent memo, two workers,
 traced, rate-0 faults, checkpoint resume and 1-/2-cube shards must all
 equal it; deadlocks raise the same error text in every mode.  Memo on a
-functional draw runs the output maps of a conv layer as one shared pass
-(one accumulator per map), so it must equal the per-map reference too,
-serially and over two workers.  The pinned examples include DDR3
-timing draws, whose skip-ahead must replay the vault's fractional issue
-credit and burst position exactly, and a sub-passed three-map conv,
-whose shared pass preloads every map's own partial sums.
-``pytest -m soak`` runs 200 randomized draws.
+timing-only draw simulates one node slice per timing class of each pass
+(``PassPlan.slice_classes``).  Memo on a functional draw runs the
+output maps of a conv layer as one shared pass (one accumulator per
+map), so it must equal the per-map reference too, serially and over two
+workers.  The pinned examples include DDR3 timing draws, whose
+skip-ahead must replay the vault's fractional issue credit and burst
+position exactly, and a sub-passed three-map conv, whose shared pass
+preloads every map's own partial sums.  ``pytest -m soak`` runs 200
+randomized draws.
 """
 
 from __future__ import annotations
@@ -40,7 +42,8 @@ from repro.core import (
 )
 from repro.core import scheduler
 from repro.core.config import SIM_WORKERS_ENV
-from repro.core.scheduler import build_conv_pass
+from repro.core.pe import ProcessingElement
+from repro.core.scheduler import build_conv_pass, build_fc_pass
 from repro.core.shard import ShardedSimulator
 from repro.errors import SimulationError
 from repro.faults import CheckpointSpec, FaultConfig
@@ -264,8 +267,11 @@ def check_every_mode(w: Workload, ref_config: NeurocubeConfig) -> None:
             assert_equal("memo", simulate(memo, w), ref)
             assert_equal("memo workers=2",
                          simulate(memo.with_(sim_workers=2), w), ref)
-        if w.x is None and w.map_tasks:
+        if w.x is None:
+            # Timing-only passes fold their node slices under memo,
+            # FC and LSTM passes included.
             assert_equal("memo", simulate(memo, w), ref)
+        if w.x is None and w.map_tasks:
             with RunContext(memo=MemoDir(Path(scratch) / "memo")):
                 assert_equal("memo cold", simulate(memo, w), ref)
                 warm = simulate(memo, w)
@@ -367,6 +373,9 @@ def test_deadlocks_raise_identically(ref_config, stall):
         for hooks in ({}, {"trace": TRACED}, {"faults": RATE_ZERO},
                       {"checkpoint": CheckpointSpec(scratch, every=64)}):
             assert stall_message(skip, *stall, **hooks) == expected, hooks
+    # Memo folds the timing-only pass's node slices; its stall re-runs
+    # the pass in full.
+    assert stall_message(skip.with_(sim_memoize=True), *stall) == expected
     for functional in (ref_config, skip.with_(sim_memoize=True)):
         assert stall_message(functional, *stall,
                              functional=True) == expected
@@ -394,3 +403,50 @@ def test_shared_conv_runs_one_pass_per_sub_pass(monkeypatch):
                                 w).output)
         assert calls == expected
     np.testing.assert_array_equal(*outputs)
+
+
+def smoke_conv_plan(config):
+    net = models.single_conv_layer(24, 24, 3, qformat=None)
+    desc = compile_inference(net, config).descriptors[0]
+    return build_conv_pass(desc, config, None, None, 0.0, None)
+
+
+def mlp_hidden_plan(config):
+    desc = compile_inference(models.mnist_mlp(16), config).descriptors[0]
+    return build_fc_pass(desc, config, None, None, None, None)
+
+
+@pytest.mark.parametrize(("build", "representatives"), [
+    # 22x22 outputs over a 4x4 PE grid: 6x6, 6x5 or 5x6, and 5x5 each.
+    (smoke_conv_plan, {0, 1, 5}),
+    # One hidden neuron per PE.
+    (mlp_hidden_plan, {0}),
+])
+def test_symmetric_timing_pass_steps_one_pe_per_class(build,
+                                                      representatives,
+                                                      monkeypatch):
+    """With memo on, a timing-only pass whose node slices are alike
+    steps one PE per timing class, and its result equals the full
+    run's: cycles, every neuron's write-back, per-PE and per-PNG
+    statistics and the NoC totals."""
+    stepped: set[int] = set()
+    step = ProcessingElement.step
+
+    def recording(self):
+        stepped.add(self.pe_id)
+        step(self)
+
+    monkeypatch.setattr(ProcessingElement, "step", recording)
+    results = {}
+    for memoize in (False, True):
+        stepped.clear()
+        cfg = config().with_(sim_skip_ahead=True, sim_memoize=memoize)
+        results[memoize] = NeurocubeSimulator(cfg).run_pass(build(cfg))
+        assert stepped == (representatives if memoize else set(range(16)))
+    full, folded = results[False], results[True]
+    assert folded.cycles == full.cycles
+    assert folded.outputs == full.outputs
+    assert folded.pe_stats == full.pe_stats
+    assert folded.png_stats == full.png_stats
+    assert folded.interconnect.stats == full.interconnect.stats
+    assert not folded.interconnect.in_fabric
