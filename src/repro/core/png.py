@@ -254,7 +254,7 @@ class RegisterStream:
         alone (without generating the records)."""
         reg = self.registers
         if reg.offsets:
-            neuron_base, connection_offset = self._local_terms()
+            neuron_base, connection_offset = self.local_terms()
             return max(neuron_base) + max(connection_offset)
         return max(reg.addr_last + reg.n_connections,
                    reg.weight_base + reg.n_neurons
@@ -271,7 +271,7 @@ class RegisterStream:
         n_conn = reg.n_connections
         state = f",{PacketKind.STATE.value},"
         if reg.offsets:
-            neuron_base, connection_offset = self._local_terms()
+            neuron_base, connection_offset = self.local_terms()
             for first in range(0, reg.n_neurons, n_mac):
                 lanes = [(base, f",{dst},{lane},", f"{state}{tag}\n")
                          for lane, (base, tag) in enumerate(zip(
@@ -298,7 +298,7 @@ class RegisterStream:
                            for c in range(n_conn)
                            for row, mid, state_tail, weight_tail in lanes])
 
-    def _local_terms(self) -> tuple[list[int], list[int]]:
+    def local_terms(self) -> tuple[list[int], list[int]]:
         """Eq. 5 split into a per-neuron and a per-connection term: a
         locally connected record reads their sum."""
         reg = self.registers
@@ -312,7 +312,7 @@ class RegisterStream:
         reg = self.registers
         dst, neurons, n_mac = self.dst, self.neurons, reg.n_mac
         state = PacketKind.STATE
-        neuron_base, connection_offset = self._local_terms()
+        neuron_base, connection_offset = self.local_terms()
         for first in range(0, reg.n_neurons, n_mac):
             lanes = tuple(enumerate(zip(neuron_base[first:first + n_mac],
                                         neurons[first:first + n_mac],

@@ -72,8 +72,8 @@ class PassPlan:
             group): each write-back carries one value per map.
         timing_only: the pass carries no input data and one accumulator
             preload for every neuron, so every write-back value depends
-            on its position in its group alone (what lets
-            :meth:`slice_classes` fold it).
+            on its position in its group alone (a folded pass copies
+            its representative's values, :meth:`slice_classes`).
     """
 
     vault_emissions: list[EmissionSchedule]
@@ -168,20 +168,26 @@ class PassPlan:
         """The pass's node slices grouped by timing signature, or None.
 
         A slice is one vault, its PNG, the local ports of its router and
-        its PE.  In a timing-only pass in which every vault's schedule
-        is a :class:`~repro.core.png.RegisterStream` to its own PE and
-        every neuron's output lives in that PE's vault, no packet ever
-        leaves its node, so the slices run independently but for the
-        shared lock-step horizon.  Two slices with equal register
-        counters, write-back counts and PE group shapes then run the
-        same cycles, stalls and statistics, and their write-backs carry
-        equal values position by position.  Returns the classes, each
-        a list of nodes in ascending order, ordered by first node; None
-        when the pass does not qualify or no two slices are alike.
+        its PE.  In a pass in which every vault's schedule is a
+        :class:`~repro.core.png.RegisterStream` to its own PE and every
+        neuron's output lives in that PE's vault, no packet ever leaves
+        its node, so the slices run independently but for the shared
+        lock-step horizon.  Two slices with equal register counters,
+        write-back counts and PE group shapes then run the same cycles,
+        stalls and statistics.  In a timing-only pass their write-backs
+        also carry equal values position by position.  Any other pass
+        qualifies when each stream walks its PE's slots in order (the
+        neuron counter's ``i``-th tag is the ``i``-th slot, every group
+        but the last fills ``n_mac`` lanes, all alike) and reads only
+        addresses below its vault's write-back addresses, so no
+        write-back feeds a read and each slice's values follow from its
+        own vault image (:func:`repro.core.fold.unfold`).  Returns the
+        classes, each a list of nodes in ascending order, ordered by
+        first node; None when the pass does not qualify or no two
+        slices are alike.
         """
         n_pe = config.n_pe
-        if (not self.timing_only or config.n_channels != n_pe
-                or len(self.pe_groups) != n_pe):
+        if config.n_channels != n_pe or len(self.pe_groups) != n_pe:
             return None
         classes: dict[tuple, list[int]] = {}
         for node in range(n_pe):
@@ -190,6 +196,7 @@ class PassPlan:
                     or stream.dst != node):
                 return None
             size = len(self.vault_data[node])
+            lowest = size
             shapes = []
             for group in self.pe_groups[node]:
                 for slot in group.slots:
@@ -197,6 +204,7 @@ class PassPlan:
                     if (slot.home_vault != node or home is None
                             or home[0] != node or not 0 <= home[1] < size):
                         return None
+                    lowest = min(lowest, home[1])
                 shapes.append((len(group.slots), group.n_connections,
                                group.mode, group.weights_resident,
                                group.shared_state, group.maps))
@@ -206,6 +214,10 @@ class PassPlan:
                     shape[0] for shape in shapes):
                 return None
             reg = stream.registers
+            if not self.timing_only and not (
+                    _walks_slots(stream, self.pe_groups[node], shapes)
+                    and stream.highest_address() < lowest):
+                return None
             signature = (reg.n_neurons, reg.n_connections, reg.n_mac,
                          bool(reg.offsets), self.expected_writebacks[node],
                          tuple(shapes))
@@ -213,6 +225,26 @@ class PassPlan:
         if len(classes) == n_pe:
             return None
         return list(classes.values())
+
+
+def _walks_slots(stream: RegisterStream, groups: list[GroupPlan],
+                 shapes: list[tuple]) -> bool:
+    """Whether a stream's neuron counter walks ``groups`` slot by slot:
+    tag ``i`` is slot ``i``, every group but the last fills ``n_mac``
+    lanes, and all groups share one per-lane operand stream (the
+    stream's connections, one state per lane, weights resident or
+    streamed, but streamed only by a fully connected stream)."""
+    reg = stream.registers
+    if not shapes or any(shape[0] != reg.n_mac for shape in shapes[:-1]):
+        return False
+    if len({shape[1:] for shape in shapes}) != 1:
+        return False
+    _, n_connections, mode, resident, shared, _ = shapes[0]
+    if (n_connections != reg.n_connections or shared
+            or (mode == "mac" and not resident and reg.offsets)):
+        return False
+    return stream.neurons == tuple(slot.neuron for group in groups
+                                   for slot in group.slots)
 
 
 def _chunk(items: Sequence, size: int) -> list[Sequence]:

@@ -21,9 +21,11 @@ result (see ``docs/simulator_internals.md``):
   timing-only mode every conv/pool map of a layer is structurally
   identical, and in functional mode a conv layer's output maps stream
   the same input, so they share one pass with one accumulator per map;
-  within a timing-only pass whose packets never leave their node, one
+  within a duplicated pass whose packets never leave their node, one
   node slice per timing class is simulated
-  (:meth:`~repro.core.scheduler.PassPlan.slice_classes`).
+  (:meth:`~repro.core.scheduler.PassPlan.slice_classes`) and the
+  others' write-backs are copied or evaluated from their own vault
+  images (:mod:`repro.core.fold`).
 
 Paper-scale layers are far too large to simulate flit by flit in Python;
 the companion :mod:`repro.core.analytic` model is calibrated against this
@@ -41,6 +43,7 @@ import numpy as np
 from repro.core.compiler import compile_inference
 from repro.core.config import NeurocubeConfig
 from repro.core.context import RunContext, RunRecord, resolve
+from repro.core.fold import unfold
 from repro.core.layerdesc import LayerDescriptor
 from repro.core.metrics import LayerStats, RunReport, StreamReport
 from repro.core.parallel import (
@@ -398,9 +401,10 @@ class NeurocubeSimulator:
         """Run one PNG pass to layer-done.
 
         With ``config.sim_memoize`` on and no trace, fault injector or
-        checkpoint, a timing-only pass whose node slices fall into
-        timing classes (:meth:`PassPlan.slice_classes`) simulates one
-        slice per class and copies its results to the others.  A folded
+        checkpoint, a pass whose node slices fall into timing classes
+        (:meth:`PassPlan.slice_classes`) simulates one slice per class
+        and gives the others its timing and statistics, and their own
+        write-back values (:func:`repro.core.fold.unfold`).  A folded
         run that stalls or hits its ceiling is re-run in full, so every
         error comes from the full run.
 
@@ -466,7 +470,8 @@ class NeurocubeSimulator:
                   classes: list[list[int]] | None) -> PassResult:
         """Run one pass: every node slice, or with ``classes`` (from
         :meth:`PassPlan.slice_classes`) the first slice of each class,
-        whose results :meth:`_unfold` then copies to the others."""
+        whose results :func:`~repro.core.fold.unfold` then extends to
+        the others."""
         config = self.config
         tracer = Tracer(ctx.trace) if ctx.trace is not None else None
         injector = (FaultInjector(ctx.faults, salt=fault_salt,
@@ -664,8 +669,8 @@ class NeurocubeSimulator:
         pe_stats = [pe.stats for pe in pes]
         png_stats = [png.stats for png in pngs]
         if classes is not None:
-            pe_stats, png_stats = self._unfold(plan, classes, pe_stats,
-                                               png_stats, outputs)
+            pe_stats, png_stats = unfold(plan, classes, pe_stats,
+                                         png_stats, outputs, config.qformat)
         return PassResult(cycles=cycles, outputs=outputs,
                           interconnect=interconnect,
                           pe_stats=pe_stats, png_stats=png_stats,
@@ -675,30 +680,6 @@ class NeurocubeSimulator:
                                        if injector is not None else None),
                           degraded=(tuple(injector.degraded)
                                     if injector is not None else ()))
-
-    @staticmethod
-    def _unfold(plan: PassPlan, classes: list[list[int]], pe_stats: list,
-                png_stats: list, outputs: dict) -> tuple[list, list]:
-        """Give every member of a slice class its representative's
-        results: copies of its PE and PNG statistics, and at each group
-        slot the representative's write-back value at the same slot.
-        Returns the per-PE and per-PNG statistics in node order."""
-        full_pe: list = [None] * len(plan.pe_groups)
-        full_png: list = [None] * len(plan.pe_groups)
-        for members, pe_stat, png_stat in zip(classes, pe_stats, png_stats,
-                                              strict=True):
-            rep, *others = members
-            full_pe[rep], full_png[rep] = pe_stat, png_stat
-            values = [outputs[slot.neuron] for group in plan.pe_groups[rep]
-                      for slot in group.slots]
-            for member in others:
-                full_pe[member] = dataclasses.replace(pe_stat)
-                full_png[member] = dataclasses.replace(png_stat)
-                slots = [slot for group in plan.pe_groups[member]
-                         for slot in group.slots]
-                for slot, value in zip(slots, values, strict=True):
-                    outputs[slot.neuron] = value
-        return full_pe, full_png
 
     @staticmethod
     def _pass_state(cycles: int, last_progress: int, progress_mark: int,

@@ -20,13 +20,28 @@ def saturate(raw: RawArray, fmt: QFormat = Q_1_7_8) -> RawArray:
     return np.clip(raw, fmt.min_raw, fmt.max_raw)
 
 
+def _rounded(values: np.ndarray | float, fmt: QFormat) -> np.ndarray:
+    """``values`` as a fresh float64 array of raw values: scaled,
+    rounded to nearest (ties to even) and clipped to the raw range, all
+    in place.  Clipping comes before any integer cast, which would wrap
+    beyond ±2^63.  ``fmax`` returns its non-NaN operand, so NaN becomes
+    ``fmt.min_raw``."""
+    raw = np.array(values, dtype=np.float64)
+    raw *= fmt.scale
+    np.rint(raw, out=raw)
+    np.fmax(raw, fmt.min_raw, out=raw)
+    return np.fmin(raw, fmt.max_raw, out=raw)
+
+
 def from_float(values: np.ndarray | float, fmt: QFormat = Q_1_7_8) -> RawArray:
     """Quantise real values to raw fixed-point integers (round-to-nearest).
 
-    Values outside the representable range saturate, as the hardware would.
+    Values outside the representable range saturate, as the hardware
+    would, however large (infinities included); NaN maps to
+    ``fmt.min_raw``.
     """
-    scaled = np.rint(np.asarray(values, dtype=np.float64) * fmt.scale)
-    return saturate(scaled.astype(np.int64), fmt)
+    raw = _rounded(values, fmt).astype(np.int64)
+    return raw if raw.ndim else raw[()]
 
 
 def to_float(raw: RawArray, fmt: QFormat = Q_1_7_8) -> np.ndarray:
@@ -39,9 +54,14 @@ def quantize_float(values: np.ndarray | float,
     """Round real values to the nearest representable value of ``fmt``.
 
     Convenience for "simulate fixed-point error while staying in floats",
-    which is how the training path models quantisation.
+    which is how the training path models quantisation.  Equal to
+    ``to_float(from_float(values, fmt), fmt)``, but built in one fresh
+    float64 array (the caller's is never changed), which matters for
+    the hundred-megabyte weight matrices of paper-scale layers.
     """
-    return to_float(from_float(values, fmt), fmt)
+    raw = _rounded(values, fmt)
+    raw /= fmt.scale
+    return raw if raw.ndim else raw[()]
 
 
 def add(a: RawArray, b: RawArray, fmt: QFormat = Q_1_7_8) -> RawArray:

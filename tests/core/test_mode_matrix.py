@@ -10,19 +10,21 @@ one worker, no memo, untraced and fault-free; its outputs equal
 storage).  Skip-ahead, in-process and persistent memo, two workers,
 traced, rate-0 faults, checkpoint resume and 1-/2-cube shards must all
 equal it; deadlocks raise the same error text in every mode.  Memo on a
-timing-only draw simulates one node slice per timing class of each pass
-(``PassPlan.slice_classes``).  Memo on a functional draw runs the
-output maps of a conv layer as one shared pass (one accumulator per
-map), so it must equal the per-map reference too, serially and over two
-workers.  The pinned examples include DDR3 timing draws, whose
-skip-ahead must replay the vault's fractional issue credit and burst
-position exactly, and a sub-passed three-map conv, whose shared pass
-preloads every map's own partial sums.  ``pytest -m soak`` runs 200
-randomized draws.
+draw simulates one node slice per timing class of each duplicated pass
+(``PassPlan.slice_classes``), functional or timing-only.  Memo on a
+functional draw also runs the output maps of a conv layer as one shared
+pass (one accumulator per map), so it must equal the per-map reference
+too, serially and over two workers.  The pinned examples include DDR3
+timing draws, whose skip-ahead must replay the vault's fractional issue
+credit and burst position exactly, a sub-passed three-map conv, whose
+shared pass preloads every map's own partial sums, a functional FC
+whose duplicated pass folds, and a network whose two-map shared conv
+folds.  ``pytest -m soak`` runs 200 randomized draws.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -43,6 +45,7 @@ from repro.core import (
 from repro.core import scheduler
 from repro.core.config import SIM_WORKERS_ENV
 from repro.core.pe import ProcessingElement
+from repro.core.png import RegisterStream
 from repro.core.scheduler import build_conv_pass, build_fc_pass
 from repro.core.shard import ShardedSimulator
 from repro.errors import SimulationError
@@ -262,15 +265,14 @@ def check_every_mode(w: Workload, ref_config: NeurocubeConfig) -> None:
             ckpt, resume=True))
         assert_equal("checkpoint resume", resumed, ref)
 
+        # Memo folds the node slices of duplicated passes, functional
+        # or timing-only, FC and LSTM passes included; functionally, a
+        # conv layer's output maps also share one pass.
         memo = skip.with_(sim_memoize=True)
-        if w.x is not None and w.map_tasks:
-            assert_equal("memo", simulate(memo, w), ref)
+        assert_equal("memo", simulate(memo, w), ref)
+        if w.x is not None:
             assert_equal("memo workers=2",
                          simulate(memo.with_(sim_workers=2), w), ref)
-        if w.x is None:
-            # Timing-only passes fold their node slices under memo,
-            # FC and LSTM passes included.
-            assert_equal("memo", simulate(memo, w), ref)
         if w.x is None and w.map_tasks:
             with RunContext(memo=MemoDir(Path(scratch) / "memo")):
                 assert_equal("memo cold", simulate(memo, w), ref)
@@ -405,15 +407,49 @@ def test_shared_conv_runs_one_pass_per_sub_pass(monkeypatch):
     np.testing.assert_array_equal(*outputs)
 
 
-def smoke_conv_plan(config):
+def smoke_conv_plan(config, maps=None):
+    """The smoke conv layer's pass: timing-only, or with input and a
+    kernel, or with ``maps`` kernels sharing the pass."""
     net = models.single_conv_layer(24, 24, 3, qformat=None)
     desc = compile_inference(net, config).descriptors[0]
-    return build_conv_pass(desc, config, None, None, 0.0, None)
+    if maps is None:
+        return build_conv_pass(desc, config, None, None, 0.0, None)
+    rng = np.random.default_rng(maps)
+    x = rng.uniform(-1.0, 1.0, (1, 24, 24))
+    kernels = [rng.uniform(-0.5, 0.5, (1, 3, 3)) for _ in range(maps)]
+    biases = [float(rng.uniform(-0.2, 0.2)) for _ in range(maps)]
+    if maps == 1:
+        kernels, biases = kernels[0], biases[0]
+    return build_conv_pass(desc, config, x, kernels, biases,
+                           ActivationLUT(Tanh()))
 
 
-def mlp_hidden_plan(config):
-    desc = compile_inference(models.mnist_mlp(16), config).descriptors[0]
-    return build_fc_pass(desc, config, None, None, None, None)
+def mlp_hidden_plan(config, functional=False):
+    """The MNIST MLP's hidden layer: timing-only, or with input,
+    weights and biases."""
+    net = models.mnist_mlp(16)
+    desc = compile_inference(net, config).descriptors[0]
+    if not functional:
+        return build_fc_pass(desc, config, None, None, None, None)
+    rng = np.random.default_rng(11)
+    x = rng.uniform(-1.0, 1.0, desc.connections)
+    weights = rng.uniform(-0.1, 0.1, (desc.neurons_per_pass,
+                                      desc.connections))
+    biases = rng.uniform(-0.2, 0.2, desc.neurons_per_pass)
+    return build_fc_pass(desc, config, x, weights, biases,
+                         ActivationLUT(Tanh()))
+
+
+def functional_conv_plan(config):
+    return smoke_conv_plan(config, maps=1)
+
+
+def shared_conv_plan(config):
+    return smoke_conv_plan(config, maps=3)
+
+
+def functional_mlp_hidden_plan(config):
+    return mlp_hidden_plan(config, functional=True)
 
 
 @pytest.mark.parametrize(("build", "representatives"), [
@@ -421,14 +457,19 @@ def mlp_hidden_plan(config):
     (smoke_conv_plan, {0, 1, 5}),
     # One hidden neuron per PE.
     (mlp_hidden_plan, {0}),
+    # The same passes carrying data: each member's write-backs come
+    # from its own vault image.
+    (functional_conv_plan, {0, 1, 5}),
+    (functional_mlp_hidden_plan, {0}),
+    (shared_conv_plan, {0, 1, 5}),
 ])
 def test_symmetric_timing_pass_steps_one_pe_per_class(build,
                                                       representatives,
                                                       monkeypatch):
-    """With memo on, a timing-only pass whose node slices are alike
-    steps one PE per timing class, and its result equals the full
-    run's: cycles, every neuron's write-back, per-PE and per-PNG
-    statistics and the NoC totals."""
+    """With memo on, a pass whose node slices are alike steps one PE
+    per timing class, and its result equals the full run's: cycles,
+    every neuron's write-back, per-PE and per-PNG statistics, the NoC
+    totals and, when the pass carries data, every vault image."""
     stepped: set[int] = set()
     step = ProcessingElement.step
 
@@ -437,11 +478,13 @@ def test_symmetric_timing_pass_steps_one_pe_per_class(build,
         step(self)
 
     monkeypatch.setattr(ProcessingElement, "step", recording)
-    results = {}
+    results, images = {}, {}
     for memoize in (False, True):
         stepped.clear()
         cfg = config().with_(sim_skip_ahead=True, sim_memoize=memoize)
-        results[memoize] = NeurocubeSimulator(cfg).run_pass(build(cfg))
+        plan = build(cfg)
+        results[memoize] = NeurocubeSimulator(cfg).run_pass(plan)
+        images[memoize] = plan.vault_data
         assert stepped == (representatives if memoize else set(range(16)))
     full, folded = results[False], results[True]
     assert folded.cycles == full.cycles
@@ -450,3 +493,27 @@ def test_symmetric_timing_pass_steps_one_pe_per_class(build,
     assert folded.png_stats == full.png_stats
     assert folded.interconnect.stats == full.interconnect.stats
     assert not folded.interconnect.in_fabric
+    if not plan.timing_only:
+        assert len(set(full.outputs.values())) > 1
+        for got, want in zip(images[True], images[False], strict=True):
+            np.testing.assert_array_equal(got, want)
+
+
+def test_pass_reading_its_output_region_folds_only_timing_only():
+    """A pass carrying data folds only when no stream reads an address
+    its vault's write-backs land on; a timing-only pass, whose values
+    never depend on what it reads, still folds."""
+    cfg = config().with_(sim_memoize=True)
+    for functional in (True, False):
+        plan = mlp_hidden_plan(cfg, functional)
+        assert plan.slice_classes(cfg) == [list(range(16))]
+        for node, stream in enumerate(plan.vault_emissions):
+            first_output = min(address for channel, address
+                               in plan.out_addresses.values()
+                               if channel == node)
+            plan.vault_emissions[node] = RegisterStream(
+                dataclasses.replace(stream.registers,
+                                    addr_last=first_output),
+                stream.dst, stream.neurons)
+        assert plan.timing_only is not functional
+        assert ((plan.slice_classes(cfg) is None) is functional)

@@ -39,6 +39,43 @@ class TestConversion:
     def test_negative_saturation(self):
         assert from_float(-500.0) == Q_1_7_8.min_raw
 
+    def test_saturates_to_the_right_end_beyond_int64(self):
+        # rint(x * scale) overflows int64 here; the clip must come first.
+        huge = np.array([1e17, 1e300, np.inf, -1e17, -1e300, -np.inf])
+        assert from_float(huge).tolist() == [Q_1_7_8.max_raw] * 3 + [
+            Q_1_7_8.min_raw] * 3
+        assert from_float(np.inf) == Q_1_7_8.max_raw
+        assert from_float(-np.inf) == Q_1_7_8.min_raw
+
+    def test_nan_maps_to_min_raw(self):
+        assert from_float(np.nan) == Q_1_7_8.min_raw
+        assert from_float(np.array([np.nan, 1.0])).tolist() == [
+            Q_1_7_8.min_raw, 256]
+        assert quantize_float(np.nan) == Q_1_7_8.min_value
+
+    def test_half_lsb_ties_round_to_even(self):
+        lsb = Q_1_7_8.resolution
+        ties = np.array([0.5, 1.5, 2.5, -0.5, -1.5, -2.5]) * lsb
+        assert from_float(ties).tolist() == [0, 2, 2, 0, -2, -2]
+        # The largest and smallest raw values are reached exactly.
+        assert from_float(Q_1_7_8.max_value + 0.5 * lsb) == Q_1_7_8.max_raw
+        assert from_float(Q_1_7_8.min_value - 0.5 * lsb) == Q_1_7_8.min_raw
+
+    def test_scalar_in_scalar_out(self):
+        assert isinstance(from_float(0.5), np.int64)
+        assert isinstance(quantize_float(0.3), np.float64)
+
+    def test_quantize_equals_round_trip_and_keeps_input(self):
+        rng = np.random.default_rng(3)
+        values = np.concatenate([rng.normal(0.0, 60.0, 4000),
+                                 [np.inf, -np.inf, np.nan, 1e300, -0.0]])
+        before = values.copy()
+        quantized = quantize_float(values)
+        np.testing.assert_array_equal(
+            quantized, to_float(from_float(values)))
+        np.testing.assert_array_equal(values, before)
+        assert quantized is not values
+
     def test_array_shape_preserved(self):
         x = np.zeros((3, 4, 5))
         assert from_float(x).shape == (3, 4, 5)
