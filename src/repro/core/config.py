@@ -77,7 +77,8 @@ class NeurocubeConfig:
             once and the outcome replayed for the duplicates; in
             functional runs the output maps of a conv layer, which
             stream the same input, run as one pass per sub-pass with
-            one MAC accumulator per map.  Within one duplicated pass
+            one MAC accumulator per map, and the maps of a pooling
+            layer run on the first map's pass.  Within one duplicated pass
             whose traffic stays inside each node, the node slices
             (vault, PNG, router ports, PE) with equal timing
             signatures are simulated once per class

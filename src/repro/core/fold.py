@@ -8,7 +8,9 @@ cycles, stalls and statistics.  Write-back values are either copied
 slot by slot (a timing-only pass, whose values depend on the slot
 alone) or computed from the member's own vault image by
 :func:`_evaluate`, which runs the PE's arithmetic on every neuron of a
-class at once.
+class at once.  A pass carrying data that is not simulated at all (a
+pooling map sharing the first map's pass) gets all its write-backs
+from :func:`evaluate`.
 """
 
 from __future__ import annotations
@@ -36,8 +38,9 @@ def unfold(plan: PassPlan, classes: list[list[int]], pe_stats: list,
     write-back value at the same slot; otherwise every member's
     write-backs are evaluated from its own vault image, stored in
     ``outputs`` and, for a single-map pass, written into that image at
-    their output addresses, as the write-back sink would.  Returns the
-    per-PE and per-PNG statistics in node order.
+    their output addresses, as the write-back sink would.  The idle
+    class has no write-backs to give.  Returns the per-PE and per-PNG
+    statistics in node order.
     """
     full_pe: list = [None] * len(plan.pe_groups)
     full_png: list = [None] * len(plan.pe_groups)
@@ -45,10 +48,12 @@ def unfold(plan: PassPlan, classes: list[list[int]], pe_stats: list,
                                           strict=True):
         rep, *others = members
         full_pe[rep], full_png[rep] = pe_stat, png_stat
-        if not others:
+        for member in others:
+            full_pe[member] = dataclasses.replace(pe_stat)
+            full_png[member] = dataclasses.replace(png_stat)
+        if not others or not plan.pe_groups[rep]:
             continue
-        slots = [[slot for group in plan.pe_groups[member]
-                  for slot in group.slots] for member in others]
+        slots = _slots(plan, others)
         if plan.timing_only:
             copied = [outputs[slot.neuron] for group in plan.pe_groups[rep]
                       for slot in group.slots]
@@ -57,8 +62,6 @@ def unfold(plan: PassPlan, classes: list[list[int]], pe_stats: list,
             values = _evaluate(plan, others, slots, fmt)
         for member, member_slots, member_values in zip(
                 others, slots, values, strict=True):
-            full_pe[member] = dataclasses.replace(pe_stat)
-            full_png[member] = dataclasses.replace(png_stat)
             for slot, value in zip(member_slots, member_values,
                                    strict=True):
                 outputs[slot.neuron] = value
@@ -67,6 +70,30 @@ def unfold(plan: PassPlan, classes: list[list[int]], pe_stats: list,
                 image[[plan.out_addresses[slot.neuron][1]
                        for slot in member_slots]] = member_values
     return full_pe, full_png
+
+
+def evaluate(plan: PassPlan, classes: list[list[int]],
+             fmt: QFormat) -> dict:
+    """Every write-back value of a pass carrying data, by neuron tag,
+    evaluated class by class from the slices' own vault images as
+    :func:`unfold` evaluates a class's members; ``classes`` are the
+    plan's :meth:`~repro.core.scheduler.PassPlan.slice_classes`."""
+    outputs: dict = {}
+    for members in classes:
+        if not plan.pe_groups[members[0]]:
+            continue
+        slots = _slots(plan, members)
+        for member_slots, values in zip(
+                slots, _evaluate(plan, members, slots, fmt), strict=True):
+            outputs.update(zip((slot.neuron for slot in member_slots),
+                               values, strict=True))
+    return outputs
+
+
+def _slots(plan: PassPlan, members: list[int]) -> list[list]:
+    """Each member's group slots, in order."""
+    return [[slot for group in plan.pe_groups[member]
+             for slot in group.slots] for member in members]
 
 
 def _evaluate(plan: PassPlan, members: list[int], slots: list[list],

@@ -31,7 +31,13 @@ between tasks whose passes provably coincide, in two steps:
   kernel and bias resident in the PEs — run as one batch: one
   simulated pass per sub-pass, with one accumulator per map in every
   MAC lane.  Its pass outcome is replayed for each map, and each map's
-  output is assembled from its own write-back values.
+  output is assembled from its own write-back values;
+* the maps of a pooling layer with equal :func:`shape_key` run the
+  same PNG program on their own data, so they too run as one batch:
+  only the first map's pass is simulated and replayed for each map,
+  and every other map's write-backs are evaluated from its own vault
+  image (:func:`repro.core.fold.evaluate`), when the maps' passes
+  fold into equal node-slice classes.
 """
 
 from __future__ import annotations
@@ -178,6 +184,15 @@ def stream_key(task: MapTask) -> tuple:
         for spec in task.sub_passes))
 
 
+def shape_key(task: MapTask) -> tuple:
+    """Hashable key under which two tasks run the same PNG program:
+    mode, per-sub-pass input shapes and final flags.  Pooling maps
+    with equal keys differ only in the data they read."""
+    return (task.mode, tuple(
+        (np.shape(spec.input_tensor), bool(spec.final))
+        for spec in task.sub_passes))
+
+
 def task_plan_hashes(config: NeurocubeConfig, desc: LayerDescriptor,
                      lut: ActivationLUT | None,
                      task: MapTask) -> tuple[str, ...]:
@@ -245,6 +260,12 @@ def run_map_batch(config: NeurocubeConfig, desc: LayerDescriptor,
     identical faults and share one checkpoint namespace.  (Traced,
     faulty and checkpointed runs never batch several maps, so there
     the lead is the only task.)
+
+    A batch of pooling maps shares the lead's pass when every map's
+    plan folds into the lead's node-slice classes: each map gets the
+    lead's pass outcome and its own write-backs, evaluated from its own
+    vault image (:func:`repro.core.fold.evaluate`).  Otherwise each map
+    runs as a batch of its own.
     """
     # Imported here, not at module top: the simulator imports this
     # module for the task/outcome types.
@@ -252,6 +273,13 @@ def run_map_batch(config: NeurocubeConfig, desc: LayerDescriptor,
     from repro.core.simulator import NeurocubeSimulator
 
     simulator = NeurocubeSimulator(config)
+    if desc.kind == "pool" and len(batch) > 1:
+        return (_share_pool_pass(simulator, desc, lut, functional, batch,
+                                 ctx, label_base)
+                or [outcome for task in batch
+                    for outcome in run_map_batch(
+                        config, desc, lut, functional, (task,), ctx,
+                        label_base)])
     degraded_ok = ctx.faults is not None and ctx.faults.any_rate
     lead = batch[0]
     # One row per map: the maps' partial sums, then their outputs.
@@ -280,22 +308,65 @@ def run_map_batch(config: NeurocubeConfig, desc: LayerDescriptor,
             for m, task in enumerate(batch)]
 
 
+def _share_pool_pass(simulator, desc: LayerDescriptor,
+                     lut: ActivationLUT | None, functional: bool,
+                     batch: tuple[MapTask, ...], ctx: RunContext,
+                     label_base: str) -> list[MapOutcome] | None:
+    """Run a batch of pooling maps on the lead map's simulated pass;
+    None when some map's plan does not fold into the lead's node-slice
+    classes."""
+    from repro.core.fold import evaluate
+    from repro.core.scheduler import build_conv_pass
+
+    config = simulator.config
+    plans = []
+    for task in batch:
+        spec, = task.sub_passes
+        plans.append(build_conv_pass(desc, config, spec.input_tensor,
+                                     spec.kernel, spec.bias,
+                                     lut if spec.final else None,
+                                     mode=task.mode))
+    classes = plans[0].slice_classes(config)
+    if classes is None or any(plan.slice_classes(config) != classes
+                              for plan in plans[1:]):
+        return None
+    lead = batch[0]
+    result = simulator.run_pass(plans[0], ctx=ctx,
+                                fault_salt=pass_salt(lead.index, 0),
+                                pass_label=f"{label_base}.m{lead.index}.s0")
+    passes = (snapshot_pass(result),)
+    outcomes = []
+    for position, (task, plan) in enumerate(zip(batch, plans,
+                                                strict=True)):
+        output = None
+        if functional:
+            values = (result.outputs if position == 0
+                      else evaluate(plan, classes, config.qformat))
+            output = simulator.assemble_output(desc, plan, values)
+        outcomes.append(MapOutcome(index=task.index, passes=passes,
+                                   output=output))
+    return outcomes
+
+
 def share_batches(desc: LayerDescriptor,
                   tasks: list[MapTask]) -> list[list[int]]:
     """Group task positions into batches that can share their passes.
 
-    Tasks share when their :func:`stream_key` values are equal and
+    Conv tasks share when their :func:`stream_key` values are equal and
     their weights stay in the PEs (``desc.weights_resident``): streamed
-    weights would differ per map.  Max pooling never shares — it has
-    no per-map weights or biases, so two max tasks with equal streams
-    are duplicates under :func:`structural_key` instead.  Batches come
+    weights would differ per map.  Pooling tasks (max and average)
+    share when their :func:`shape_key` values are equal: they run one
+    program on different data (:func:`run_map_batch`).  Batches come
     in order of their first task.
     """
     batches: dict[object, list[int]] = {}
     for position, task in enumerate(tasks):
-        key = (stream_key(task)
-               if task.mode == "mac" and desc.weights_resident
-               else position)
+        if desc.kind == "pool":
+            key = shape_key(task)
+        elif task.mode == "mac" and desc.weights_resident:
+            key = stream_key(task)
+        else:
+            key = position
         batches.setdefault(key, []).append(position)
     return list(batches.values())
 

@@ -181,8 +181,10 @@ class PassPlan:
         but the last fills ``n_mac`` lanes, all alike) and reads only
         addresses below its vault's write-back addresses, so no
         write-back feeds a read and each slice's values follow from its
-        own vault image (:func:`repro.core.fold.unfold`).  Returns the
-        classes, each a list of nodes in ascending order, ordered by
+        own vault image (:func:`repro.core.fold.unfold`).  An idle
+        slice (empty schedule, no groups, no write-backs expected) does
+        nothing in any pass, so all idle slices form one class.  Returns
+        the classes, each a list of nodes in ascending order, ordered by
         first node; None when the pass does not qualify or no two
         slices are alike.
         """
@@ -192,6 +194,10 @@ class PassPlan:
         classes: dict[tuple, list[int]] = {}
         for node in range(n_pe):
             stream = self.vault_emissions[node]
+            if not (stream or self.pe_groups[node]
+                    or self.expected_writebacks[node]):
+                classes.setdefault((), []).append(node)
+                continue
             if (not isinstance(stream, RegisterStream)
                     or stream.dst != node):
                 return None

@@ -20,9 +20,11 @@ result (see ``docs/simulator_internals.md``):
   (:mod:`repro.core.parallel` memoization, ``config.sim_memoize``): in
   timing-only mode every conv/pool map of a layer is structurally
   identical, and in functional mode a conv layer's output maps stream
-  the same input, so they share one pass with one accumulator per map;
-  within a duplicated pass whose packets never leave their node, one
-  node slice per timing class is simulated
+  the same input, so they share one pass with one accumulator per map,
+  and a pooling layer's maps share the first map's pass, the others'
+  write-backs evaluated from their own vault images; within a
+  duplicated pass whose packets never leave their node, one node slice
+  per timing class is simulated
   (:meth:`~repro.core.scheduler.PassPlan.slice_classes`) and the
   others' write-backs are copied or evaluated from their own vault
   images (:mod:`repro.core.fold`).
@@ -886,10 +888,12 @@ class NeurocubeSimulator:
         # one representative outcome per structural equivalence class
         # (in timing-only runs, every map of a layer), and runs the maps
         # that stream the same input as one batch (in functional runs,
-        # the output maps of a conv layer).  Traced runs must emit every
-        # pass's events, so they disable it — as do nonzero fault rates,
-        # where the passes of different maps carry different fault salts
-        # and therefore see different fault patterns.
+        # the output maps of a conv layer), as it does the maps of a
+        # pooling layer, which run one program on their own data.
+        # Traced runs must emit every pass's events, so they disable
+        # it — as do nonzero fault rates, where the passes of different
+        # maps carry different fault salts and therefore see different
+        # fault patterns.
         memoize = (self.config.sim_memoize and ctx.trace is None
                    and (ctx.faults is None or not ctx.faults.any_rate))
         # The persistent store only ever serves timing-only memoizable

@@ -13,13 +13,15 @@ equal it; deadlocks raise the same error text in every mode.  Memo on a
 draw simulates one node slice per timing class of each duplicated pass
 (``PassPlan.slice_classes``), functional or timing-only.  Memo on a
 functional draw also runs the output maps of a conv layer as one shared
-pass (one accumulator per map), so it must equal the per-map reference
-too, serially and over two workers.  The pinned examples include DDR3
-timing draws, whose skip-ahead must replay the vault's fractional issue
-credit and burst position exactly, a sub-passed three-map conv, whose
-shared pass preloads every map's own partial sums, a functional FC
-whose duplicated pass folds, and a network whose two-map shared conv
-folds.  ``pytest -m soak`` runs 200 randomized draws.
+pass (one accumulator per map), and the maps of a pooling layer on the
+first map's pass, so it must equal the per-map reference too, serially
+and over two workers.  The pinned examples include DDR3 timing draws,
+whose skip-ahead must replay the vault's fractional issue credit and
+burst position exactly, a sub-passed three-map conv, whose shared pass
+preloads every map's own partial sums, a functional FC whose
+duplicated pass folds, a network whose two-map shared conv folds and
+whose two-map max pool shares one pass, and a three-map average pool
+that shares one pass.  ``pytest -m soak`` runs 200 randomized draws.
 """
 
 from __future__ import annotations
@@ -267,7 +269,8 @@ def check_every_mode(w: Workload, ref_config: NeurocubeConfig) -> None:
 
         # Memo folds the node slices of duplicated passes, functional
         # or timing-only, FC and LSTM passes included; functionally, a
-        # conv layer's output maps also share one pass.
+        # conv layer's output maps also share one pass, and so do a
+        # pooling layer's maps.
         memo = skip.with_(sim_memoize=True)
         assert_equal("memo", simulate(memo, w), ref)
         if w.x is not None:
@@ -304,6 +307,7 @@ def check_every_mode(w: Workload, ref_config: NeurocubeConfig) -> None:
          ref_config=config(memory="ddr3", depth=2))
 @example(w=lstm(), ref_config=config(topology="fully_connected"))
 @example(w=network(), ref_config=config(depth=2, entries=32))
+@example(w=pool(AvgPool2D, 3), ref_config=config())
 @example(w=conv(3, 2, duplicate=True, functional=False),
          ref_config=config(memory="ddr3", entries=16))
 @example(w=sub_passed_conv(maps=3),
@@ -383,11 +387,10 @@ def test_deadlocks_raise_identically(ref_config, stall):
                              functional=True) == expected
 
 
-def test_shared_conv_runs_one_pass_per_sub_pass(monkeypatch):
-    """A functional four-map conv shares each sub-pass between its maps
-    under memo, and simulates every map's passes without it."""
+@pytest.fixture
+def pass_labels(monkeypatch) -> list[str]:
+    """The label of every pass ``run_pass`` simulates, in order."""
     monkeypatch.delenv(SIM_WORKERS_ENV, raising=False)
-    w = workload([conv_layer(4, 5)], (10, 7, 7), True, seed=9)
     calls: list[str] = []
     run_pass = NeurocubeSimulator.run_pass
 
@@ -396,15 +399,41 @@ def test_shared_conv_runs_one_pass_per_sub_pass(monkeypatch):
         return run_pass(self, plan, **kwargs)
 
     monkeypatch.setattr(NeurocubeSimulator, "run_pass", counting)
+    return calls
+
+
+def test_shared_conv_runs_one_pass_per_sub_pass(pass_labels):
+    """A functional four-map conv shares each sub-pass between its maps
+    under memo, and simulates every map's passes without it."""
+    w = workload([conv_layer(4, 5)], (10, 7, 7), True, seed=9)
     outputs = []
     for memoize, expected in ((True, ["conv.m0.s0", "conv.m0.s1"]),
                               (False, [f"conv.m{m}.s{j}" for m in range(4)
                                        for j in range(2)])):
-        calls.clear()
+        pass_labels.clear()
         outputs.append(simulate(config().with_(sim_memoize=memoize),
                                 w).output)
-        assert calls == expected
+        assert pass_labels == expected
     np.testing.assert_array_equal(*outputs)
+
+
+@pytest.mark.parametrize("kind", [MaxPool2D, AvgPool2D])
+def test_pool_maps_share_the_first_maps_pass(kind, pass_labels):
+    """A functional four-map pool simulates only its first map's pass
+    under memo, the other maps' write-backs evaluated from their own
+    vault images, and every map's pass without memo; on DDR3, whose
+    passes never fold, every map is simulated even under memo."""
+    w = pool(kind, 4, seed=10)
+    every_map = [f"pool.m{m}.s0" for m in range(4)]
+    expected = w.net.forward(w.x[np.newaxis])[0]
+    assert len({output.tobytes() for output in expected}) == 4
+    for cfg, labels in (
+            (config().with_(sim_memoize=True), ["pool.m0.s0"]),
+            (config(), every_map),
+            (config("ddr3").with_(sim_memoize=True), every_map)):
+        pass_labels.clear()
+        np.testing.assert_array_equal(simulate(cfg, w).output, expected)
+        assert pass_labels == labels
 
 
 def smoke_conv_plan(config, maps=None):
@@ -424,11 +453,11 @@ def smoke_conv_plan(config, maps=None):
                            ActivationLUT(Tanh()))
 
 
-def mlp_hidden_plan(config, functional=False):
-    """The MNIST MLP's hidden layer: timing-only, or with input,
-    weights and biases."""
-    net = models.mnist_mlp(16)
-    desc = compile_inference(net, config).descriptors[0]
+def mlp_hidden_plan(config, functional=False, hidden_units=16, layer=0):
+    """The MNIST MLP's hidden layer (or its ``layer``-th layer):
+    timing-only, or with input, weights and biases."""
+    net = models.mnist_mlp(hidden_units)
+    desc = compile_inference(net, config).descriptors[layer]
     if not functional:
         return build_fc_pass(desc, config, None, None, None, None)
     rng = np.random.default_rng(11)
@@ -452,6 +481,16 @@ def functional_mlp_hidden_plan(config):
     return mlp_hidden_plan(config, functional=True)
 
 
+def mlp_output_plan(config, functional=False):
+    """The 64-unit MNIST MLP's 64 -> 10 output layer: ten PEs own one
+    neuron each, and six are idle."""
+    return mlp_hidden_plan(config, functional, hidden_units=64, layer=1)
+
+
+def functional_mlp_output_plan(config):
+    return mlp_output_plan(config, functional=True)
+
+
 @pytest.mark.parametrize(("build", "representatives"), [
     # 22x22 outputs over a 4x4 PE grid: 6x6, 6x5 or 5x6, and 5x5 each.
     (smoke_conv_plan, {0, 1, 5}),
@@ -462,6 +501,9 @@ def functional_mlp_hidden_plan(config):
     (functional_conv_plan, {0, 1, 5}),
     (functional_mlp_hidden_plan, {0}),
     (shared_conv_plan, {0, 1, 5}),
+    # Ten alike slices and one class of six idle ones.
+    (mlp_output_plan, {0, 10}),
+    (functional_mlp_output_plan, {0, 10}),
 ])
 def test_symmetric_timing_pass_steps_one_pe_per_class(build,
                                                       representatives,
@@ -517,3 +559,19 @@ def test_pass_reading_its_output_region_folds_only_timing_only():
                 stream.dst, stream.neurons)
         assert plan.timing_only is not functional
         assert ((plan.slice_classes(cfg) is None) is functional)
+
+
+def test_idle_slice_expects_nothing():
+    """A slice is idle only when it has no schedule, no groups and no
+    write-backs to wait for: an empty schedule with a group or an
+    expected write-back left over keeps the pass from folding."""
+    cfg = config().with_(sim_memoize=True)
+    plan = mlp_output_plan(cfg)
+    assert plan.slice_classes(cfg) == [list(range(10)), list(range(10, 16))]
+    writes_back = mlp_output_plan(cfg)
+    writes_back.expected_writebacks[10] = 1
+    owns_group = mlp_output_plan(cfg)
+    owns_group.pe_groups[10] = owns_group.pe_groups[9]
+    for plan in (writes_back, owns_group):
+        assert not plan.vault_emissions[10]
+        assert plan.slice_classes(cfg) is None
