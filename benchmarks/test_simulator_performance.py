@@ -61,7 +61,7 @@ def test_parallel_conv_speedup(speedup_gate):
     """Multi-output-map conv: 4 workers vs serial, bit-identical.
 
     Eight independent output maps fan out over the process pool.  With
-    memoization on they would share one pass instead (see
+    memoization on only the first map's pass would be simulated (see
     :func:`test_batched_functional_conv_speedup`), so it is off here:
     this measures the pool.  The wall-clock speedup assertion only
     fires on hosts with at least four usable cores (CI runners qualify;
@@ -141,12 +141,12 @@ def test_memoized_conv_speedup():
 
 
 def test_batched_functional_conv_speedup():
-    """Functional conv with 8 output maps: sharing one pass between the
-    maps (one accumulator per map in every MAC lane) must be at least
-    3x faster than simulating each map's pass, with identical outputs,
-    cycles and folded statistics.  The acceptance benchmark for
-    functional map batching: the maps stream the same input, so the
-    shared run moves one map's packets instead of eight."""
+    """Functional conv with 8 output maps: simulating the first map's
+    pass and evaluating the other seven maps' write-backs from their
+    own plans must be at least 3x faster than simulating each map's
+    pass, with identical outputs, cycles and folded statistics.  The
+    acceptance benchmark for functional map batching: the batched run
+    moves one map's packets instead of eight."""
     base = NeurocubeConfig.hmc_15nm()
     net = models.single_conv_layer(20, 20, 5, in_maps=1, out_maps=8,
                                    seed=7)

@@ -75,10 +75,10 @@ class NeurocubeConfig:
             identical :class:`~repro.core.parallel.MapTask` units (conv
             output maps, pool maps in timing-only mode) are simulated
             once and the outcome replayed for the duplicates; in
-            functional runs the output maps of a conv layer, which
-            stream the same input, run as one pass per sub-pass with
-            one MAC accumulator per map, and the maps of a pooling
-            layer run on the first map's pass.  Within one duplicated pass
+            functional runs the maps of a conv or pooling layer run on
+            the first map's pass (one per sub-pass), the other maps'
+            write-backs evaluated from their own vault images, when
+            the passes fold.  Within one duplicated pass
             whose traffic stays inside each node, the node slices
             (vault, PNG, router ports, PE) with equal timing
             signatures are simulated once per class

@@ -9,7 +9,8 @@ slot by slot (a timing-only pass, whose values depend on the slot
 alone) or computed from the member's own vault image by
 :func:`_evaluate`, which runs the PE's arithmetic on every neuron of a
 class at once.  A pass carrying data that is not simulated at all (a
-pooling map sharing the first map's pass) gets all its write-backs
+conv or pooling map sharing the pass of its batch's lead map,
+:func:`repro.core.parallel.run_map_batch`) gets all its write-backs
 from :func:`evaluate`.
 """
 
@@ -37,8 +38,8 @@ def unfold(plan: PassPlan, classes: list[list[int]], pe_stats: list,
     In a timing-only plan each member slot takes the representative's
     write-back value at the same slot; otherwise every member's
     write-backs are evaluated from its own vault image, stored in
-    ``outputs`` and, for a single-map pass, written into that image at
-    their output addresses, as the write-back sink would.  The idle
+    ``outputs`` and written into that image at their output addresses,
+    as the write-back sink would.  The idle
     class has no write-backs to give.  Returns the per-PE and per-PNG
     statistics in node order.
     """
@@ -65,7 +66,7 @@ def unfold(plan: PassPlan, classes: list[list[int]], pe_stats: list,
             for slot, value in zip(member_slots, member_values,
                                    strict=True):
                 outputs[slot.neuron] = value
-            if not plan.timing_only and plan.maps == 1:
+            if not plan.timing_only:
                 image = plan.vault_data[member]
                 image[[plan.out_addresses[slot.neuron][1]
                        for slot in member_slots]] = member_values
@@ -109,13 +110,12 @@ def _evaluate(plan: PassPlan, members: list[int], slots: list[list],
     (w/scale)·(s/scale)`` or ``max(acc, s/scale)``, with resident
     weights from the group and streamed ones read from the vault, and
     reads outside the image as 0; ``round`` half to even and clamp
-    (:func:`~repro.fixedpoint.from_float`), then the LUT, per map.
+    (:func:`~repro.fixedpoint.from_float`), then the LUT.
     The numpy operations are the same IEEE-754 double operations in
     the same order as :class:`~repro.core.mac.MACUnit`'s, so the values
     are bit-identical to the simulated ones.
     """
     scale = fmt.scale
-    maps = plan.maps
     streams = [plan.vault_emissions[member] for member in members]
     images = [plan.vault_data[member] for member in members]
     first = plan.pe_groups[members[0]][0]
@@ -124,10 +124,9 @@ def _evaluate(plan: PassPlan, members: list[int], slots: list[list],
     rows = len(members) * n_neurons
     flat = [slot for member_slots in slots for slot in member_slots]
     if first.mode == "max":
-        acc = np.full((rows, 1), fmt.min_value)
+        acc = np.full(rows, fmt.min_value)
     else:
-        acc = np.array([slot.bias for slot in flat],
-                       dtype=np.float64).reshape(rows, maps)
+        acc = np.array([slot.bias for slot in flat], dtype=np.float64)
     resident = first.mode == "mac" and first.weights_resident
     if resident:
         # One weight table per distinct group kernel, and each row's.
@@ -138,9 +137,8 @@ def _evaluate(plan: PassPlan, members: list[int], slots: list[list],
             for group in plan.pe_groups[member]:
                 index = tables.setdefault(id(group.weights), len(kernels))
                 if index == len(kernels):
-                    kernels.append(np.asarray(
-                        group.weights, dtype=np.float64).reshape(
-                            n_conn, maps) / scale)
+                    kernels.append(np.asarray(group.weights,
+                                              dtype=np.float64) / scale)
                 row_table.extend([index] * len(group.slots))
         weight_tables = np.stack(kernels)
         row_table = np.asarray(row_table)
@@ -171,20 +169,19 @@ def _evaluate(plan: PassPlan, members: list[int], slots: list[list],
                 weights.append(_read(image, weight_rows + connections))
         state = np.concatenate(states) / scale
         if first.mode == "max":
-            acc = np.maximum(acc, state.max(axis=1, keepdims=True))
+            acc = np.maximum(acc, state.max(axis=1))
             continue
         if resident:
             weight = weight_tables[:, connections][row_table]
         else:
-            weight = (np.concatenate(weights) / scale)[..., np.newaxis]
-        terms = weight * state[..., np.newaxis]
+            weight = np.concatenate(weights) / scale
+        terms = weight * state
         terms[:, 0] += acc
         acc = np.add.accumulate(terms, axis=1)[:, -1]
     raw = from_float(acc, fmt)
     if plan.lut is not None:
         raw = plan.lut.lookup_raw(raw)
-    values = raw[:, 0].tolist() if maps == 1 else list(map(tuple,
-                                                           raw.tolist()))
+    values = raw.tolist()
     return [values[i:i + n_neurons] for i in range(0, rows, n_neurons)]
 
 

@@ -13,11 +13,6 @@ exact (a small integer over a power of two) and the product and sum are
 the same IEEE-754 double operations numpy performs, so results are
 bit-identical to :func:`repro.fixedpoint.to_float` — without building a
 0-d array per operand — and the accumulator is always a plain ``float``.
-
-A pass shared by several output maps (one PNG/NoC/vault run for maps
-that stream the same input, :mod:`repro.core.parallel`) gives each MAC
-lane one accumulator per map: :class:`MultiMapMAC` runs the identical
-arithmetic on every accumulator, each with its own map's weight.
 """
 
 from __future__ import annotations
@@ -32,9 +27,6 @@ class MACUnit:
         fmt: operand/result fixed-point format.
         mac_id: identifier used in packets and error messages.
     """
-
-    #: Output maps the unit accumulates: one (see :class:`MultiMapMAC`).
-    maps = 1
 
     def __init__(self, fmt: QFormat = Q_1_7_8, mac_id: int = 0) -> None:
         self.fmt = fmt
@@ -92,78 +84,3 @@ class MACUnit:
 
     def __repr__(self) -> str:
         return f"MACUnit(id={self.mac_id}, acc={self._acc:.6f})"
-
-
-class MultiMapMAC:
-    """One MAC lane shared by the output maps of a batched pass.
-
-    Every map's accumulator sees the lane's state operand; each map
-    brings its own weight and bias.  Per accumulator the arithmetic is
-    exactly :class:`MACUnit`'s, so map ``m``'s result equals what a
-    :class:`MACUnit` fed map ``m``'s operands alone would write back.
-    The interface mirrors :class:`MACUnit` with one value per map
-    wherever a value is map-specific: :meth:`reset` takes the maps'
-    biases, :meth:`accumulate_raw` the maps' weights for the operation,
-    and :attr:`result_raw` is the tuple of per-map write-backs.
-
-    Args:
-        maps: output maps sharing the lane (accumulators held).
-        fmt: operand/result fixed-point format.
-        mac_id: identifier used in packets and error messages.
-    """
-
-    def __init__(self, maps: int, fmt: QFormat = Q_1_7_8,
-                 mac_id: int = 0) -> None:
-        self.maps = maps
-        self.fmt = fmt
-        self.mac_id = mac_id
-        self._scale = fmt.scale
-        self._min_raw = fmt.min_raw
-        self._max_raw = fmt.max_raw
-        self._accs = [0.0] * maps
-        self.operations = 0
-
-    def reset(self, bias: tuple[float, ...]) -> None:
-        """Pre-load each map's accumulator with that map's bias (or its
-        partial sum from the previous sub-pass)."""
-        self._accs = [float(b) for b in bias]
-
-    def accumulate_raw(self, weight_raw: tuple[int, ...],
-                       state_raw: int) -> None:
-        """One MAC step per map: map ``m`` multiplies ``weight_raw[m]``
-        by the shared state."""
-        scale = self._scale
-        state = state_raw / scale
-        self._accs = [acc + (weight / scale) * state
-                      for acc, weight in zip(self._accs, weight_raw,
-                                             strict=True)]
-        self.operations += 1
-
-    @property
-    def accumulator(self) -> tuple[float, ...]:
-        """Every map's wide accumulator value."""
-        return tuple(self._accs)
-
-    @property
-    def result_raw(self) -> tuple[int, ...]:
-        """Each map's accumulator quantised as :attr:`MACUnit.result_raw`
-        quantises its one."""
-        scale, low, high = self._scale, self._min_raw, self._max_raw
-        return tuple(min(high, max(low, round(acc * scale)))
-                     for acc in self._accs)
-
-    def state_dict(self) -> dict:
-        """Picklable snapshot for checkpointing."""
-        return {"accs": list(self._accs), "operations": self.operations}
-
-    def load_state(self, state: dict) -> None:
-        self._accs = [float(acc) for acc in state["accs"]]
-        self.operations = state["operations"]
-
-
-def mac_lanes(fmt: QFormat, n_mac: int,
-              maps: int = 1) -> list[MACUnit] | list[MultiMapMAC]:
-    """A PE's ``n_mac`` MAC lanes, each holding one accumulator per map."""
-    if maps == 1:
-        return [MACUnit(fmt, mac_id=i) for i in range(n_mac)]
-    return [MultiMapMAC(maps, fmt, mac_id=i) for i in range(n_mac)]

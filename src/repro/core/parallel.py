@@ -26,18 +26,14 @@ between tasks whose passes provably coincide, in two steps:
   representative per class is simulated and its outcome replayed,
   re-indexed, for the others — in timing-only mode every map of a
   layer carries the same tensor-free chain and collapses into one;
-* representatives with equal :func:`stream_key` — the output maps of a
-  conv layer, which stream the same input and differ only in the
-  kernel and bias resident in the PEs — run as one batch: one
-  simulated pass per sub-pass, with one accumulator per map in every
-  MAC lane.  Its pass outcome is replayed for each map, and each map's
-  output is assembled from its own write-back values;
-* the maps of a pooling layer with equal :func:`shape_key` run the
-  same PNG program on their own data, so they too run as one batch:
-  only the first map's pass is simulated and replayed for each map,
-  and every other map's write-backs are evaluated from its own vault
-  image (:func:`repro.core.fold.evaluate`), when the maps' passes
-  fold into equal node-slice classes.
+* representatives with equal :func:`shape_key` — the output maps of a
+  conv layer, or the maps of a pooling layer — run one PNG program on
+  their own data, so they run as one batch.  When the lead map's
+  passes fold into node-slice classes, only the lead's pass is
+  simulated per sub-pass and replayed for each map, and every other
+  map's write-backs are evaluated from its own plan and vault image
+  (:func:`repro.core.fold.evaluate`).  Otherwise every map of the
+  batch is simulated on its own.
 """
 
 from __future__ import annotations
@@ -170,24 +166,11 @@ def structural_key(task: MapTask) -> tuple:
         for spec in task.sub_passes))
 
 
-def stream_key(task: MapTask) -> tuple:
-    """Hashable key under which two tasks stream identical data.
-
-    Mode, per-sub-pass input tensors (by raw bytes) and final flags:
-    everything but the kernels and biases.  With weights resident in
-    the PEs these never move a packet, so tasks with equal keys run
-    the same PNG, vault, NoC and PE timing and can share their passes
-    (:func:`run_map_batch`).
-    """
-    return (task.mode, tuple(
-        (_tensor_key(spec.input_tensor), bool(spec.final))
-        for spec in task.sub_passes))
-
-
 def shape_key(task: MapTask) -> tuple:
     """Hashable key under which two tasks run the same PNG program:
-    mode, per-sub-pass input shapes and final flags.  Pooling maps
-    with equal keys differ only in the data they read."""
+    mode, per-sub-pass input shapes and final flags.  Conv or pooling
+    maps with equal keys differ only in their data: kernels, biases
+    and the inputs they read."""
     return (task.mode, tuple(
         (np.shape(spec.input_tensor), bool(spec.final))
         for spec in task.sub_passes))
@@ -207,18 +190,9 @@ def task_plan_hashes(config: NeurocubeConfig, desc: LayerDescriptor,
     is only ever replayed for a task whose plans hash identically to
     the ones it was simulated from.
     """
-    # Imported here, not at module top: the scheduler imports nothing
-    # from this module, but keeping the executor import-light lets the
-    # memo store depend on the task/outcome types without cycles.
-    from repro.core.scheduler import build_conv_pass
-
-    hashes = []
-    for spec in task.sub_passes:
-        plan = build_conv_pass(desc, config, spec.input_tensor,
-                               spec.kernel, spec.bias,
-                               lut if spec.final else None, mode=task.mode)
-        hashes.append(plan.structural_hash())
-    return tuple(hashes)
+    return tuple(_sub_pass_plan(config, desc, lut, task, j,
+                                None).structural_hash()
+                 for j in range(len(task.sub_passes)))
 
 
 def snapshot_pass(result) -> PassOutcome:
@@ -240,134 +214,127 @@ def run_map_batch(config: NeurocubeConfig, desc: LayerDescriptor,
                   label_base: str = "") -> list[MapOutcome]:
     """Run the sub-pass chains of a batch of maps (worker entry point).
 
-    The tasks of a batch share one simulated pass per sub-pass: their
-    equal :func:`stream_key` means the input streams identically, and
-    each MAC lane holds one accumulator per map, reset to that map's
-    bias (later sub-passes: its partial sums) and accumulated with that
-    map's resident kernel.  A batch of one is a map's own pass chain.
-    Sub-passes run serially: only the final one goes through the
-    activation LUT — exactly the serial simulator's schedule, so every
-    map's outputs and statistics match its own simulation bit for bit.
-    Returns one :class:`MapOutcome` per task, all carrying the shared
-    pass outcomes.
+    The tasks of a batch (equal :func:`shape_key`) run one PNG program
+    on their own data.  The batch shares its lead map's passes when the
+    lead's first plan folds into node-slice classes
+    (:meth:`~repro.core.scheduler.PassPlan.slice_classes`): per
+    sub-pass, only the lead's pass is simulated, its outcome is
+    replayed for every map, and every other map's write-backs are
+    evaluated from its own plan and vault image
+    (:func:`repro.core.fold.evaluate`), its later sub-passes preloading
+    its own partial sums.  The decision is made once, before any pass
+    runs; a batch that does not share runs each map's chain on its
+    own, so no pass is ever simulated twice.  A batch of one is a map's
+    own chain.  Sub-passes run serially: only the final one goes
+    through the activation LUT — exactly the serial simulator's
+    schedule, so every map's outputs and statistics match its own
+    simulation bit for bit.  Returns one :class:`MapOutcome` per task.
 
     ``ctx`` carries the run's hooks into every sub-pass.  Each traced
     pass's trace rides back on its :class:`PassOutcome` with a local
     clock the parent offsets into the run-global one.  Both the fault
-    salt and the checkpoint label derive from the lead task's *logical*
-    identity — ``(label_base, task.index, sub-pass)`` — never from
-    worker identity, so serial, parallel and resumed runs inject
-    identical faults and share one checkpoint namespace.  (Traced,
-    faulty and checkpointed runs never batch several maps, so there
-    the lead is the only task.)
-
-    A batch of pooling maps shares the lead's pass when every map's
-    plan folds into the lead's node-slice classes: each map gets the
-    lead's pass outcome and its own write-backs, evaluated from its own
-    vault image (:func:`repro.core.fold.evaluate`).  Otherwise each map
-    runs as a batch of its own.
+    salt and the checkpoint label derive from the simulated task's
+    *logical* identity — ``(label_base, task.index, sub-pass)`` —
+    never from worker identity, so serial, parallel and resumed runs
+    inject identical faults and share one checkpoint namespace.
+    (Traced, faulty and checkpointed runs never batch several maps.)
     """
     # Imported here, not at module top: the simulator imports this
     # module for the task/outcome types.
-    from repro.core.scheduler import build_conv_pass
     from repro.core.simulator import NeurocubeSimulator
 
     simulator = NeurocubeSimulator(config)
-    if desc.kind == "pool" and len(batch) > 1:
-        return (_share_pool_pass(simulator, desc, lut, functional, batch,
-                                 ctx, label_base)
-                or [outcome for task in batch
-                    for outcome in run_map_batch(
-                        config, desc, lut, functional, (task,), ctx,
-                        label_base)])
-    degraded_ok = ctx.faults is not None and ctx.faults.any_rate
     lead = batch[0]
-    # One row per map: the maps' partial sums, then their outputs.
-    partial_sums: np.ndarray | None = None
-    passes = []
-    for j, specs in enumerate(zip(*(task.sub_passes for task in batch),
-                                  strict=True)):
-        biases = ([spec.bias for spec in specs] if partial_sums is None
-                  else [row.ravel() for row in partial_sums])
-        plan = build_conv_pass(desc, config, specs[0].input_tensor,
-                               [spec.kernel for spec in specs], biases,
-                               lut if specs[0].final else None,
-                               mode=lead.mode)
-        result = simulator.run_pass(
-            plan, ctx=ctx, fault_salt=pass_salt(lead.index, j),
-            pass_label=f"{label_base}.m{lead.index}.s{j}")
-        passes.append(snapshot_pass(result))
-        if functional:
-            values = simulator.assemble_output(
-                desc, plan, result.outputs, missing_ok=degraded_ok)
-            partial_sums = values if plan.maps > 1 else values[np.newaxis]
-    shared = tuple(passes)
-    return [MapOutcome(index=task.index, passes=shared,
-                       output=(partial_sums[m] if partial_sums is not None
-                               else None))
-            for m, task in enumerate(batch)]
+    first = _sub_pass_plan(config, desc, lut, lead, 0, None)
+    # The other maps' plans reuse the lead's first schedule on every
+    # sub-pass, so the chain's input blocks must share one shape.
+    classes = (first.slice_classes(config)
+               if len(batch) > 1 and len({np.shape(spec.input_tensor)
+                                          for spec in lead.sub_passes}) == 1
+               else None)
+    if classes is None:
+        return [_run_chain(simulator, desc, lut, functional, task, ctx,
+                           label_base, first if task is lead else None)
+                for task in batch]
+    shared = _run_chain(simulator, desc, lut, functional, lead, ctx,
+                        label_base, first)
+    return [shared] + [
+        MapOutcome(index=task.index, passes=shared.passes,
+                   output=(_evaluate_chain(simulator, desc, lut, task,
+                                           first, classes)
+                           if functional else None))
+        for task in batch[1:]]
 
 
-def _share_pool_pass(simulator, desc: LayerDescriptor,
-                     lut: ActivationLUT | None, functional: bool,
-                     batch: tuple[MapTask, ...], ctx: RunContext,
-                     label_base: str) -> list[MapOutcome] | None:
-    """Run a batch of pooling maps on the lead map's simulated pass;
-    None when some map's plan does not fold into the lead's node-slice
-    classes."""
-    from repro.core.fold import evaluate
+def _sub_pass_plan(config: NeurocubeConfig, desc: LayerDescriptor,
+                   lut: ActivationLUT | None, task: MapTask, j: int,
+                   partial_sums: np.ndarray | None, like=None):
+    """The plan of sub-pass ``j`` of ``task``: preloaded with the spec's
+    bias, or with the previous sub-pass's ``partial_sums``; ``like`` is
+    a plan whose schedule it shares
+    (:func:`~repro.core.scheduler.build_conv_pass`)."""
+    # Imported here, not at module top: the scheduler imports nothing
+    # from this module, but keeping the executor import-light lets the
+    # memo store depend on the task/outcome types without cycles.
     from repro.core.scheduler import build_conv_pass
 
+    spec = task.sub_passes[j]
+    return build_conv_pass(
+        desc, config, spec.input_tensor, spec.kernel,
+        spec.bias if partial_sums is None else partial_sums.ravel(),
+        lut if spec.final else None, mode=task.mode, like=like)
+
+
+def _run_chain(simulator, desc: LayerDescriptor, lut: ActivationLUT | None,
+               functional: bool, task: MapTask, ctx: RunContext,
+               label_base: str, first=None) -> MapOutcome:
+    """Simulate every sub-pass of one map's chain; ``first`` is its
+    first sub-pass's plan when already built."""
     config = simulator.config
-    plans = []
-    for task in batch:
-        spec, = task.sub_passes
-        plans.append(build_conv_pass(desc, config, spec.input_tensor,
-                                     spec.kernel, spec.bias,
-                                     lut if spec.final else None,
-                                     mode=task.mode))
-    classes = plans[0].slice_classes(config)
-    if classes is None or any(plan.slice_classes(config) != classes
-                              for plan in plans[1:]):
-        return None
-    lead = batch[0]
-    result = simulator.run_pass(plans[0], ctx=ctx,
-                                fault_salt=pass_salt(lead.index, 0),
-                                pass_label=f"{label_base}.m{lead.index}.s0")
-    passes = (snapshot_pass(result),)
-    outcomes = []
-    for position, (task, plan) in enumerate(zip(batch, plans,
-                                                strict=True)):
-        output = None
+    degraded_ok = ctx.faults is not None and ctx.faults.any_rate
+    output = None
+    passes = []
+    for j in range(len(task.sub_passes)):
+        plan = (first if j == 0 and first is not None
+                else _sub_pass_plan(config, desc, lut, task, j, output))
+        result = simulator.run_pass(
+            plan, ctx=ctx, fault_salt=pass_salt(task.index, j),
+            pass_label=f"{label_base}.m{task.index}.s{j}")
+        passes.append(snapshot_pass(result))
         if functional:
-            values = (result.outputs if position == 0
-                      else evaluate(plan, classes, config.qformat))
-            output = simulator.assemble_output(desc, plan, values)
-        outcomes.append(MapOutcome(index=task.index, passes=passes,
-                                   output=output))
-    return outcomes
+            output = simulator.assemble_output(desc, plan, result.outputs,
+                                               missing_ok=degraded_ok)
+    return MapOutcome(index=task.index, passes=tuple(passes),
+                      output=output)
 
 
-def share_batches(desc: LayerDescriptor,
-                  tasks: list[MapTask]) -> list[list[int]]:
-    """Group task positions into batches that can share their passes.
+def _evaluate_chain(simulator, desc: LayerDescriptor,
+                    lut: ActivationLUT | None, task: MapTask, like,
+                    classes: list[list[int]]) -> np.ndarray:
+    """One map's output, evaluated sub-pass by sub-pass from its own
+    plans (on the schedule of ``like``, whose node-slice ``classes``
+    they share) by :func:`repro.core.fold.evaluate`: each later
+    sub-pass preloads the map's own partial sums."""
+    from repro.core.fold import evaluate
 
-    Conv tasks share when their :func:`stream_key` values are equal and
-    their weights stay in the PEs (``desc.weights_resident``): streamed
-    weights would differ per map.  Pooling tasks (max and average)
-    share when their :func:`shape_key` values are equal: they run one
-    program on different data (:func:`run_map_batch`).  Batches come
-    in order of their first task.
-    """
-    batches: dict[object, list[int]] = {}
+    config = simulator.config
+    output = None
+    for j in range(len(task.sub_passes)):
+        plan = _sub_pass_plan(config, desc, lut, task, j, output,
+                              like=like)
+        output = simulator.assemble_output(
+            desc, plan, evaluate(plan, classes, config.qformat))
+    return output
+
+
+def share_batches(tasks: list[MapTask]) -> list[list[int]]:
+    """Group task positions by :func:`shape_key`: conv and pooling maps
+    with equal keys run one PNG program on their own data, so a batch
+    may share its lead's passes (:func:`run_map_batch`).  Batches come
+    in order of their first task."""
+    batches: dict[tuple, list[int]] = {}
     for position, task in enumerate(tasks):
-        if desc.kind == "pool":
-            key = shape_key(task)
-        elif task.mode == "mac" and desc.weights_resident:
-            key = stream_key(task)
-        else:
-            key = position
-        batches.setdefault(key, []).append(position)
+        batches.setdefault(shape_key(task), []).append(position)
     return list(batches.values())
 
 
@@ -395,8 +362,9 @@ class ParallelPassExecutor:
         one representative per equivalence class is simulated, and its
         outcome is replayed — re-indexed — for every duplicate.  The
         representatives are then grouped by :func:`share_batches`, and
-        each batch shares one simulated pass per sub-pass; its pass
-        outcomes are replayed for every map of the batch.  The caller
+        each batch shares its lead's simulated passes when they fold
+        (:func:`run_map_batch`); their outcomes are replayed for every
+        map of the batch.  The caller
         must only enable this when outcomes are a pure function of the
         tasks: untraced runs (a replayed trace would duplicate events on
         the merged clock) at zero fault rates (the fault salt differs
@@ -455,7 +423,7 @@ class ParallelPassExecutor:
         else:
             to_run = unique
             run_slots = list(range(len(unique)))
-        batches = (share_batches(desc, to_run) if ctx.checkpoint is None
+        batches = (share_batches(to_run) if ctx.checkpoint is None
                    else [[i] for i in range(len(to_run))])
         for slot, outcome in zip(
                 run_slots, self._run_batches(worker, to_run, batches, ctx),

@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass, replace
 
 from repro.core.config import NeurocubeConfig
-from repro.core.mac import mac_lanes
+from repro.core.mac import MACUnit
 from repro.errors import ConfigurationError, ProtocolError
 from repro.noc.interconnect import Interconnect
 from repro.noc.packet import Packet, PacketKind, packet_crc
@@ -33,14 +33,12 @@ class GroupSlot:
     Attributes:
         neuron: opaque neuron tag (echoed in the write-back packet).
         home_vault: vault that stores this neuron's output state.
-        bias: real-valued bias pre-loaded into the accumulator; in a
-            group shared by several maps (``GroupPlan.maps > 1``) the
-            tuple of the maps' biases, one per accumulator.
+        bias: real-valued bias pre-loaded into the accumulator.
     """
 
     neuron: object
     home_vault: int
-    bias: float | tuple[float, ...] = 0.0
+    bias: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -56,15 +54,7 @@ class GroupPlan:
         shared_state: True when one state item per operation feeds every
             lane (fully connected layers: all neurons read input ``c``).
         weights: raw resident weights indexed by connection (shared
-            across lanes, as in a convolution kernel); with ``maps > 1``
-            each entry is the tuple of the maps' weights for that
-            connection.
-        maps: output maps sharing the group's state stream.  Each lane
-            then holds one accumulator per map
-            (:class:`~repro.core.mac.MultiMapMAC`) and writes back one
-            value per map; every slot's ``bias`` and every resident
-            weight carries one value per map.  Only resident-weight MAC
-            groups can be shared: streamed weights would differ per map.
+            across lanes, as in a convolution kernel).
     """
 
     slots: tuple[GroupSlot, ...]
@@ -72,8 +62,7 @@ class GroupPlan:
     mode: str = "mac"
     weights_resident: bool = True
     shared_state: bool = False
-    weights: tuple[int, ...] | tuple[tuple[int, ...], ...] | None = None
-    maps: int = 1
+    weights: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         if not self.slots:
@@ -86,24 +75,6 @@ class GroupPlan:
             if self.weights is None or len(self.weights) != self.n_connections:
                 raise ConfigurationError(
                     "resident-weight group needs one weight per connection")
-        if self.maps < 1:
-            raise ConfigurationError(f"group for {self.maps} maps")
-        if self.maps > 1:
-            if self.mode != "mac" or not self.weights_resident:
-                raise ConfigurationError(
-                    "only resident-weight MAC groups can be shared by "
-                    "several maps")
-            if not all(isinstance(weights, tuple)
-                       and len(weights) == self.maps
-                       for weights in self.weights):
-                raise ConfigurationError(
-                    f"shared group needs {self.maps} weights per "
-                    f"connection")
-            if not all(isinstance(slot.bias, tuple)
-                       and len(slot.bias) == self.maps
-                       for slot in self.slots):
-                raise ConfigurationError(
-                    f"shared group needs {self.maps} biases per slot")
 
 
 @dataclass
@@ -150,7 +121,8 @@ class ProcessingElement:
         # step() and skip(), reset whenever an operand lands or an
         # operation fires.
         self._waiting_cycles = 0
-        self.macs = mac_lanes(config.qformat, config.n_mac)
+        self.macs = [MACUnit(config.qformat, mac_id=i)
+                     for i in range(config.n_mac)]
         self._groups: list[GroupPlan] = []
         self._group_idx = 0
         self._conn = 0
@@ -187,10 +159,6 @@ class ProcessingElement:
             raise ProtocolError(
                 f"PE {self.pe_id} reprogrammed while layer in progress")
         self._groups = list(groups)
-        maps = self._groups[0].maps if self._groups else 1
-        if maps != self.macs[0].maps:
-            self.macs = mac_lanes(self.config.qformat, self.config.n_mac,
-                                  maps)
         self._group_idx = 0
         self._conn = 0
         self._sync_op()

@@ -431,10 +431,7 @@ class NeurosequenceGenerator:
             lut: activation look-up table applied to returned states.
             writeback_sink: callback ``(packet, activated_raw)`` invoked
                 for every write-back (the simulator uses it to store the
-                state at the output neuron's address).  A write-back of
-                a pass shared by several maps carries one value per map;
-                the LUT is applied to each and ``activated_raw`` is the
-                tuple of activated values.
+                state at the output neuron's address).
         """
         if not self.done:
             raise ProtocolError(
@@ -705,9 +702,7 @@ class NeurosequenceGenerator:
                     f"{packet}")
             raw = packet.payload
             if self._lut is not None:
-                raw = (tuple(self._lut.lookup_raw(raw).tolist())
-                       if isinstance(raw, tuple)
-                       else int(self._lut.lookup_raw(raw)))
+                raw = int(self._lut.lookup_raw(raw))
             if self._writeback_sink is not None:
                 self._writeback_sink(packet, raw)
             self._expected_writebacks -= 1

@@ -68,8 +68,6 @@ class PassPlan:
         expected_writebacks: per-channel write-back counts.
         lut: activation LUT the PNGs apply to returned states.
         total_neurons: output neurons in this pass.
-        maps: output maps sharing the pass (``GroupPlan.maps`` of every
-            group): each write-back carries one value per map.
         timing_only: the pass carries no input data and one accumulator
             preload for every neuron, so every write-back value depends
             on its position in its group alone (a folded pass copies
@@ -84,7 +82,6 @@ class PassPlan:
     lut: ActivationLUT | None
     total_neurons: int = 0
     stream_items: int = field(default=0)
-    maps: int = 1
     timing_only: bool = False
 
     def __post_init__(self) -> None:
@@ -120,11 +117,6 @@ class PassPlan:
             raise ConfigurationError(
                 f"PassPlan.stream_items must be non-negative, got "
                 f"{self.stream_items}")
-        if any(group.maps != self.maps for groups in self.pe_groups
-               for group in groups):
-            raise ConfigurationError(
-                f"PassPlan for {self.maps} maps holds groups for a "
-                f"different number of maps")
 
     def structural_hash(self) -> str:
         """SHA-256 digest of the plan's timing-relevant structure.
@@ -133,12 +125,10 @@ class PassPlan:
         shapes, the expected write-back counts and the stream totals —
         everything that determines packet timing.  Payload data (vault
         images, biases, weights) is deliberately excluded: it never
-        moves a packet.  So is :attr:`maps`: a pass shared by several
-        maps moves exactly the packets of each map's own pass.  Two
-        tasks with equal :func:`repro.core.parallel.structural_key`
-        values build plans with equal hashes, which is the invariant
-        timing-pass memoization relies on (and what its tests pin
-        down).
+        moves a packet.  Two tasks with equal
+        :func:`repro.core.parallel.structural_key` values build plans
+        with equal hashes, which is the invariant timing-pass
+        memoization relies on (and what its tests pin down).
         """
         digest = hashlib.sha256()
         for channel, records in enumerate(self.vault_emissions):
@@ -213,7 +203,7 @@ class PassPlan:
                     lowest = min(lowest, home[1])
                 shapes.append((len(group.slots), group.n_connections,
                                group.mode, group.weights_resident,
-                               group.shared_state, group.maps))
+                               group.shared_state))
             # Fewer expected write-backs than neurons could end the pass
             # with write-backs still in flight.
             if self.expected_writebacks[node] < sum(
@@ -245,7 +235,7 @@ def _walks_slots(stream: RegisterStream, groups: list[GroupPlan],
         return False
     if len({shape[1:] for shape in shapes}) != 1:
         return False
-    _, n_connections, mode, resident, shared, _ = shapes[0]
+    _, n_connections, mode, resident, shared = shapes[0]
     if (n_connections != reg.n_connections or shared
             or (mode == "mac" and not resident and reg.offsets)):
         return False
@@ -285,20 +275,12 @@ def _register_streams(desc: LayerDescriptor, config: NeurocubeConfig,
 
 def build_conv_pass(desc: LayerDescriptor, config: NeurocubeConfig,
                     input_tensor: np.ndarray | None,
-                    kernel_weights: np.ndarray | list | None,
-                    bias: float | np.ndarray | list,
+                    kernel_weights: np.ndarray | None,
+                    bias: float | np.ndarray,
                     lut: ActivationLUT | None,
-                    mode: str = "mac") -> PassPlan:
-    """Schedule one pass of a locally connected layer.
-
-    The pass computes one output map, or — given lists of kernels and
-    biases — every map of a list at once: a *shared* pass streams the
-    input once, each MAC lane holds one accumulator per map
-    (``GroupPlan.maps``), and each write-back carries one value per
-    map.  A list of one kernel builds exactly the single-map plan.  The
-    maps of a shared pass share one vault image, so the pass must never
-    read its own output region (which holds no single map's results);
-    that is checked here.
+                    mode: str = "mac",
+                    like: PassPlan | None = None) -> PassPlan:
+    """Schedule one pass of a locally connected layer (one output map).
 
     Args:
         desc: the layer descriptor (kind "conv" or "pool").
@@ -307,27 +289,22 @@ def build_conv_pass(desc: LayerDescriptor, config: NeurocubeConfig,
             store); None runs the pass timing-only.  For a sub-passed
             convolution this is the input-map *block* of the sub-pass.
         kernel_weights: ``(C_in, k, k)`` kernel for this output map
-            (ignored for pooling / max mode), or a list of kernels, one
-            per map sharing the pass.
+            (ignored for pooling / max mode).
         bias: accumulator preload — a scalar, or a per-neuron array
             (flattened output order) carrying partial sums between the
-            sub-passes of a blocked convolution; a list of them, one
-            per map, with a list of kernels.
+            sub-passes of a blocked convolution.
         lut: activation LUT for write-backs (None on intermediate
             sub-passes: the raw partial sum is stored).
         mode: "mac" or "max" (max pooling).
+        like: a plan this function built for the same layer, mode and
+            input shape.  The new plan shares its emission schedules,
+            output addresses and write-back counts, which depend on
+            nothing else, and builds only its own vault images, weights
+            and preloads.
     """
     layout = desc.layout
     if not isinstance(layout, ConvLayout):
         raise MappingError(f"{desc.name}: conv pass needs a ConvLayout")
-    if isinstance(kernel_weights, list):
-        kernels, biases = kernel_weights, bias
-    else:
-        kernels, biases = [kernel_weights], [bias]
-    maps = len(kernels)
-    if len(biases) != maps:
-        raise MappingError(f"{desc.name}: {len(biases)} biases for "
-                           f"{maps} maps")
     k = desc.kernel
     in_maps = (input_tensor.shape[0] if input_tensor is not None
                else desc.connections // (k * k))
@@ -354,64 +331,62 @@ def build_conv_pass(desc: LayerDescriptor, config: NeurocubeConfig,
     if mode == "mac":
         # Average pooling rides the MAC datapath with constant 1/k^2
         # coefficients; weighted layers use the pass's kernel.
-        per_map = []
-        for kernel in kernels:
-            if kernel is None and desc.kind == "pool":
-                kernel = np.full((1, k, k), 1.0 / (k * k))
-            if functional and kernel is None:
-                raise MappingError(f"{desc.name}: functional conv pass "
-                                   f"needs kernel weights")
-            per_map.append(
-                tuple(from_float(kernel, config.qformat).ravel().tolist())
-                if kernel is not None else (0,) * desc.connections)
-        weights = (per_map[0] if maps == 1
-                   else tuple(zip(*per_map, strict=True)))
+        if kernel_weights is None and desc.kind == "pool":
+            kernel_weights = np.full((1, k, k), 1.0 / (k * k))
+        if functional and kernel_weights is None:
+            raise MappingError(f"{desc.name}: functional conv pass needs "
+                               f"kernel weights")
+        weights = (tuple(from_float(kernel_weights,
+                                    config.qformat).ravel().tolist())
+                   if kernel_weights is not None
+                   else (0,) * desc.connections)
 
-    # ---- accumulator preloads: one per neuron (and map) ----------------
-    preload = np.empty((maps, out_h * out_w))
-    for row, value in zip(preload, biases, strict=True):
-        row[:] = value
-    neuron_bias = (preload[0].tolist() if maps == 1
-                   else [tuple(values) for values in preload.T.tolist()])
-
-    # ---- PE ownership and groups ---------------------------------------
+    # ---- PE ownership, write-back addresses and schedules --------------
     n_pe = config.n_pe
-    owned = pe_output_rects(desc, n_pe)
-    out_addresses: dict[NeuronTag, tuple[int, int]] = {}
-    expected = [0] * n_channels
-    pe_groups: list[list[GroupPlan]] = [[] for _ in range(n_pe)]
-    pe_neurons: list[list[NeuronTag]] = [[] for _ in range(n_pe)]
-    for pe, rect in enumerate(owned):
-        if rect is None:
-            continue
-        home = config.channel_of_pe(pe)
-        tags = [(0, oy * out_w + ox) for oy in range(rect.y0, rect.y1)
-                for ox in range(rect.x0, rect.x1)]
-        first = vault_sizes[home] + expected[home]
-        for offset, tag in enumerate(tags):
-            out_addresses[tag] = (home, first + offset)
-        expected[home] += len(tags)
-        pe_neurons[pe] = tags
-        for chunk in _chunk(tags, config.n_mac):
-            slots = tuple(GroupSlot(neuron=tag, home_vault=home,
-                                    bias=neuron_bias[tag[1]])
-                          for tag in chunk)
-            pe_groups[pe].append(GroupPlan(
-                slots=slots, n_connections=n_conn, mode=mode,
-                weights_resident=(mode == "max" or desc.weights_resident),
-                shared_state=False, weights=weights, maps=maps))
-
-    if feeds_own_pe_only(desc, config, owned):
-        emissions = _register_streams(desc, config, pe_neurons, owned)
+    if like is None:
+        owned = pe_output_rects(desc, n_pe)
+        out_addresses: dict[NeuronTag, tuple[int, int]] = {}
+        expected = [0] * n_channels
+        pe_neurons: list[list[NeuronTag]] = [[] for _ in range(n_pe)]
+        for pe, rect in enumerate(owned):
+            if rect is None:
+                continue
+            home = config.channel_of_pe(pe)
+            tags = [(0, oy * out_w + ox) for oy in range(rect.y0, rect.y1)
+                    for ox in range(rect.x0, rect.x1)]
+            first = vault_sizes[home] + expected[home]
+            for offset, tag in enumerate(tags):
+                out_addresses[tag] = (home, first + offset)
+            expected[home] += len(tags)
+            pe_neurons[pe] = tags
+        if feeds_own_pe_only(desc, config, owned):
+            emissions = _register_streams(desc, config, pe_neurons, owned)
+        else:
+            emissions = _listed_conv_emissions(config, stored, owned,
+                                               stride, k, n_conn, out_w)
     else:
-        emissions = _listed_conv_emissions(config, stored, owned, stride,
-                                           k, n_conn, out_w)
-    if maps > 1:
-        for channel, schedule in enumerate(emissions):
-            if schedule and _highest_read(schedule) >= vault_sizes[channel]:
-                raise MappingError(
-                    f"{desc.name}: a pass shared by {maps} maps reads "
-                    f"the output region of vault {channel}")
+        out_addresses = like.out_addresses
+        expected = list(like.expected_writebacks)
+        emissions = list(like.vault_emissions)
+        pe_neurons = [[slot.neuron for group in groups
+                       for slot in group.slots]
+                      for groups in like.pe_groups]
+
+    # ---- groups, with one accumulator preload per neuron ---------------
+    preload = np.empty(out_h * out_w)
+    preload[:] = bias
+    neuron_bias = preload.tolist()
+    resident = mode == "max" or desc.weights_resident
+    pe_groups: list[list[GroupPlan]] = []
+    for pe, tags in enumerate(pe_neurons):
+        home = config.channel_of_pe(pe)
+        pe_groups.append([GroupPlan(
+            slots=tuple(GroupSlot(neuron=tag, home_vault=home,
+                                  bias=neuron_bias[tag[1]])
+                        for tag in chunk),
+            n_connections=n_conn, mode=mode, weights_resident=resident,
+            shared_state=False, weights=weights)
+            for chunk in _chunk(tags, config.n_mac)])
 
     vault_data = []
     for channel, tile in enumerate(stored):
@@ -426,16 +401,8 @@ def build_conv_pass(desc: LayerDescriptor, config: NeurocubeConfig,
         pe_groups=pe_groups, vault_data=vault_data,
         out_addresses=out_addresses, expected_writebacks=expected,
         lut=lut, total_neurons=out_h * out_w,
-        stream_items=out_h * out_w * n_conn, maps=maps,
-        timing_only=(not functional
-                     and all(np.ndim(value) == 0 for value in biases)))
-
-
-def _highest_read(schedule: EmissionSchedule) -> int:
-    """The highest vault address a schedule reads."""
-    if isinstance(schedule, RegisterStream):
-        return schedule.highest_address()
-    return max(record.address for record in schedule)
+        stream_items=out_h * out_w * n_conn,
+        timing_only=not functional and np.ndim(bias) == 0)
 
 
 def _listed_conv_emissions(config: NeurocubeConfig, stored: list[Rect],

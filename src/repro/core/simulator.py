@@ -19,10 +19,9 @@ result (see ``docs/simulator_internals.md``):
 * passes that coincide are simulated once and their outcomes replayed
   (:mod:`repro.core.parallel` memoization, ``config.sim_memoize``): in
   timing-only mode every conv/pool map of a layer is structurally
-  identical, and in functional mode a conv layer's output maps stream
-  the same input, so they share one pass with one accumulator per map,
-  and a pooling layer's maps share the first map's pass, the others'
-  write-backs evaluated from their own vault images; within a
+  identical, and in functional mode the maps of a conv or pooling
+  layer share the first map's passes, the others' write-backs
+  evaluated from their own vault images; within a
   duplicated pass whose packets never leave their node, one node slice
   per timing class is simulated
   (:meth:`~repro.core.scheduler.PassPlan.slice_classes`) and the
@@ -500,22 +499,17 @@ class NeurocubeSimulator:
                                injector=injector)
                   for v in channels]
         outputs: dict = {}
-        # The maps of a shared pass have one vault image between them,
-        # and the plan guarantees the pass never reads its output
-        # region back: their values are only collected, not stored.
-        single_map = plan.maps == 1
 
         def make_sink(vault: VaultChannel):
             vault_index = vault.vault_id
 
-            def sink(packet, activated_raw) -> None:
+            def sink(packet, activated_raw: int) -> None:
                 channel, address = plan.out_addresses[packet.neuron]
                 if channel != vault_index:
                     raise SimulationError(
                         f"write-back for {packet.neuron} landed at vault "
                         f"{vault_index}, home is {channel}")
-                if single_map:
-                    vault.write_items(address, [activated_raw])
+                vault.write_items(address, [activated_raw])
                 outputs[packet.neuron] = activated_raw
             return sink
 
@@ -887,9 +881,8 @@ class NeurocubeSimulator:
         # Memoization shares simulated passes between tasks: it replays
         # one representative outcome per structural equivalence class
         # (in timing-only runs, every map of a layer), and runs the maps
-        # that stream the same input as one batch (in functional runs,
-        # the output maps of a conv layer), as it does the maps of a
-        # pooling layer, which run one program on their own data.
+        # of a conv or pooling layer, which run one program on their
+        # own data, on the first map's passes when they fold.
         # Traced runs must emit every pass's events, so they disable
         # it — as do nonzero fault rates, where the passes of different
         # maps carry different fault salts and therefore see different
@@ -967,11 +960,6 @@ class NeurocubeSimulator:
                         missing_ok: bool = False) -> np.ndarray:
         """Collect write-backs into a flat/2D output array (real values).
 
-        For a pass shared by several maps (``plan.maps > 1``) each
-        write-back holds one value per map, and the result gains a
-        leading map axis: entry ``m`` is assembled from map ``m``'s
-        values alone.
-
         With ``missing_ok`` (degraded fault-injection runs) neurons that
         never wrote back stay zero instead of raising — their loss is
         already recorded as a :class:`repro.faults.DegradedResult`.
@@ -980,12 +968,10 @@ class NeurocubeSimulator:
         if missing and not missing_ok:
             raise SimulationError(
                 f"{desc.name}: {missing} neurons never wrote back")
-        maps = plan.maps
-        flat = np.zeros((plan.total_neurons, maps) if maps > 1
-                        else plan.total_neurons, dtype=np.int64)
+        flat = np.zeros(plan.total_neurons, dtype=np.int64)
         for (_, index), raw in outputs.items():
             flat[index] = raw
-        values = to_float(flat.T, self.config.qformat)
+        values = to_float(flat, self.config.qformat)
         if desc.kind == "fc":
             return values
         if desc.kind == "pool":
@@ -994,7 +980,7 @@ class NeurocubeSimulator:
         else:
             out_h = desc.in_height - desc.kernel + 1
             out_w = desc.in_width - desc.kernel + 1
-        return values.reshape(values.shape[:-1] + (out_h, out_w))
+        return values.reshape(out_h, out_w)
 
     # ------------------------------------------------------------------
     # whole-network runs (small networks only)

@@ -37,20 +37,18 @@ _KIND_CODE = {PacketKind.WEIGHT: 0, PacketKind.STATE: 1,
 
 
 def packet_crc(src: int, dst: int, mac_id: int, op_id: int,
-               kind: PacketKind, payload: int | tuple[int, ...]) -> int:
+               kind: PacketKind, payload: int) -> int:
     """CRC-8 over a packet's wire fields (header + 16-bit payload).
 
     Used by the fault-injection link protocol: the sender stamps the
     packet at creation, the receiving link port recomputes and compares.
     CRC-8 detects every single-bit payload corruption, so with
     ``crc=True`` a corrupted flit always turns into a retry rather than
-    silent data corruption.  A write-back of a pass shared by several
-    maps covers every map's 16-bit value in map order.
+    silent data corruption.
     """
-    data = [src & 0xF, dst & 0xF, mac_id & 0xF, op_id & 0xFF,
-            _KIND_CODE[kind]]
-    for value in payload if isinstance(payload, tuple) else (payload,):
-        data += ((value >> 8) & 0xFF, value & 0xFF)
+    data = bytes((src & 0xF, dst & 0xF, mac_id & 0xF, op_id & 0xFF,
+                  _KIND_CODE[kind], (payload >> 8) & 0xFF,
+                  payload & 0xFF))
     crc = 0
     for byte in data:
         crc ^= byte
@@ -78,11 +76,7 @@ class Packet:
             256 (8 bits in hardware; stored un-wrapped here with
             :meth:`op_id_field` giving the wire value).
         kind: weight / state / writeback.
-        payload: raw 16-bit fixed-point value.  A write-back from a
-            pass shared by several output maps carries the tuple of the
-            maps' values (one per accumulator of the MAC lane); the
-            simulation stands in for one such packet per map, which
-            would differ only in payload.
+        payload: raw 16-bit fixed-point value.
         neuron: opaque tag identifying the output neuron (functional mode
             bookkeeping; not a hardware field).
         inject_cycle: cycle the packet entered the NoC (for latency stats).

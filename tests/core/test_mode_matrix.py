@@ -12,16 +12,17 @@ traced, rate-0 faults, checkpoint resume and 1-/2-cube shards must all
 equal it; deadlocks raise the same error text in every mode.  Memo on a
 draw simulates one node slice per timing class of each duplicated pass
 (``PassPlan.slice_classes``), functional or timing-only.  Memo on a
-functional draw also runs the output maps of a conv layer as one shared
-pass (one accumulator per map), and the maps of a pooling layer on the
-first map's pass, so it must equal the per-map reference too, serially
-and over two workers.  The pinned examples include DDR3 timing draws,
-whose skip-ahead must replay the vault's fractional issue credit and
-burst position exactly, a sub-passed three-map conv, whose shared pass
-preloads every map's own partial sums, a functional FC whose
-duplicated pass folds, a network whose two-map shared conv folds and
-whose two-map max pool shares one pass, and a three-map average pool
-that shares one pass.  ``pytest -m soak`` runs 200 randomized draws.
+functional draw also runs the maps of a conv or pooling layer on the
+first map's passes, the other maps evaluated from their own vault
+images, so it must equal the per-map reference too, serially and over
+two workers.  The pinned examples include DDR3 timing draws, whose
+skip-ahead must replay the vault's fractional issue credit and burst
+position exactly, a two-map sub-passed conv whose evaluated map
+preloads its own partial sums, a three-map sub-passed conv on DDR3,
+where every map is simulated, a functional FC whose duplicated pass
+folds, a network whose two-map conv and two-map max pool each share
+their first map's pass, and a three-map average pool that shares one
+pass.  ``pytest -m soak`` runs 200 randomized draws.
 """
 
 from __future__ import annotations
@@ -269,8 +270,8 @@ def check_every_mode(w: Workload, ref_config: NeurocubeConfig) -> None:
 
         # Memo folds the node slices of duplicated passes, functional
         # or timing-only, FC and LSTM passes included; functionally, a
-        # conv layer's output maps also share one pass, and so do a
-        # pooling layer's maps.
+        # conv or pooling layer's maps also share their first map's
+        # passes.
         memo = skip.with_(sim_memoize=True)
         assert_equal("memo", simulate(memo, w), ref)
         if w.x is not None:
@@ -403,18 +404,33 @@ def pass_labels(monkeypatch) -> list[str]:
 
 
 def test_shared_conv_runs_one_pass_per_sub_pass(pass_labels):
-    """A functional four-map conv shares each sub-pass between its maps
-    under memo, and simulates every map's passes without it."""
-    w = workload([conv_layer(4, 5)], (10, 7, 7), True, seed=9)
-    outputs = []
-    for memoize, expected in ((True, ["conv.m0.s0", "conv.m0.s1"]),
-                              (False, [f"conv.m{m}.s{j}" for m in range(4)
-                                       for j in range(2)])):
-        pass_labels.clear()
-        outputs.append(simulate(config().with_(sim_memoize=memoize),
-                                w).output)
-        assert pass_labels == expected
-    np.testing.assert_array_equal(*outputs)
+    """A functional conv simulates only its lead map's pass per
+    sub-pass under memo, the other maps' write-backs evaluated from
+    their own plans and partial sums; without memo, and on DDR3, whose
+    passes never fold, every map's passes are simulated.  The outputs
+    are equal in every case."""
+    for w, maps, sub_passes in (
+            (workload([conv_layer(4, 5)], (10, 7, 7), True, seed=9), 4, 2),
+            # 7x7 over 16 input maps: four sub-passes, so the evaluated
+            # maps' partial sums cross three preload boundaries.
+            (workload([conv_layer(3, 7)], (16, 9, 9), True, seed=12), 3,
+             4)):
+        every_map = [f"conv.m{m}.s{j}" for m in range(maps)
+                     for j in range(sub_passes)]
+        outputs = []
+        for cfg, labels in (
+                (config().with_(sim_memoize=True), every_map[:sub_passes]),
+                (config(), every_map),
+                (config("ddr3").with_(sim_memoize=True), every_map)):
+            pass_labels.clear()
+            outputs.append(simulate(cfg, w).output)
+            assert pass_labels == labels
+        for output in outputs[1:]:
+            np.testing.assert_array_equal(output, outputs[0])
+        assert len({output.tobytes() for output in outputs[0]}) == maps
+        # Each sub-pass boundary rounds the stored partial sums.
+        expected = w.net.forward(w.x[np.newaxis])[0]
+        assert np.abs(outputs[0] - expected).max() <= 2 * Q.resolution
 
 
 @pytest.mark.parametrize("kind", [MaxPool2D, AvgPool2D])
@@ -436,20 +452,18 @@ def test_pool_maps_share_the_first_maps_pass(kind, pass_labels):
         assert pass_labels == labels
 
 
-def smoke_conv_plan(config, maps=None):
-    """The smoke conv layer's pass: timing-only, or with input and a
-    kernel, or with ``maps`` kernels sharing the pass."""
+def smoke_conv_plan(config, functional=False):
+    """The smoke conv layer's pass: timing-only, or with input, a
+    kernel and a bias."""
     net = models.single_conv_layer(24, 24, 3, qformat=None)
     desc = compile_inference(net, config).descriptors[0]
-    if maps is None:
+    if not functional:
         return build_conv_pass(desc, config, None, None, 0.0, None)
-    rng = np.random.default_rng(maps)
+    rng = np.random.default_rng(1)
     x = rng.uniform(-1.0, 1.0, (1, 24, 24))
-    kernels = [rng.uniform(-0.5, 0.5, (1, 3, 3)) for _ in range(maps)]
-    biases = [float(rng.uniform(-0.2, 0.2)) for _ in range(maps)]
-    if maps == 1:
-        kernels, biases = kernels[0], biases[0]
-    return build_conv_pass(desc, config, x, kernels, biases,
+    kernel = rng.uniform(-0.5, 0.5, (1, 3, 3))
+    bias = float(rng.uniform(-0.2, 0.2))
+    return build_conv_pass(desc, config, x, kernel, bias,
                            ActivationLUT(Tanh()))
 
 
@@ -470,11 +484,7 @@ def mlp_hidden_plan(config, functional=False, hidden_units=16, layer=0):
 
 
 def functional_conv_plan(config):
-    return smoke_conv_plan(config, maps=1)
-
-
-def shared_conv_plan(config):
-    return smoke_conv_plan(config, maps=3)
+    return smoke_conv_plan(config, functional=True)
 
 
 def functional_mlp_hidden_plan(config):
@@ -500,7 +510,6 @@ def functional_mlp_output_plan(config):
     # from its own vault image.
     (functional_conv_plan, {0, 1, 5}),
     (functional_mlp_hidden_plan, {0}),
-    (shared_conv_plan, {0, 1, 5}),
     # Ten alike slices and one class of six idle ones.
     (mlp_output_plan, {0, 10}),
     (functional_mlp_output_plan, {0, 10}),

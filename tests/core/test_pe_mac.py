@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import NeurocubeConfig
-from repro.core.mac import MACUnit, MultiMapMAC
+from repro.core.mac import MACUnit
 from repro.core.pe import GroupPlan, GroupSlot, ProcessingElement
 from repro.errors import ConfigurationError, ProtocolError
 from repro.fixedpoint import Q_1_7_8, QFormat, from_float, to_float
@@ -106,30 +106,6 @@ class TestMACUnit:
         assert mac.result_raw == fmt.max_raw
         mac.reset(bias=fmt.min_value * 3)
         assert mac.result_raw == fmt.min_raw
-
-
-class TestMultiMapMAC:
-    def test_each_map_equals_its_own_mac(self):
-        """Map m's accumulator and write-back equal a MACUnit fed map
-        m's bias and weights with the shared states — including
-        saturation at both ends of the range."""
-        rng = np.random.default_rng(5)
-        biases = (0.25, -3.0, 120.0, -120.0)
-        shared = MultiMapMAC(len(biases))
-        alone = [MACUnit() for _ in biases]
-        shared.reset(bias=biases)
-        for mac, bias in zip(alone, biases, strict=True):
-            mac.reset(bias=bias)
-        for _ in range(50):
-            state = int(rng.integers(-600, 600))
-            weights = tuple(int(w) for w in rng.integers(-600, 600, 4))
-            shared.accumulate_raw(weights, state)
-            for mac, weight in zip(alone, weights, strict=True):
-                mac.accumulate_raw(weight, state)
-        assert shared.accumulator == tuple(mac.accumulator
-                                           for mac in alone)
-        assert shared.result_raw == tuple(mac.result_raw for mac in alone)
-        assert shared.operations == 50
 
 
 def make_pe(groups, config=None):
@@ -303,31 +279,3 @@ class TestProcessingElement:
             GroupPlan(slots=(), n_connections=1)
         with pytest.raises(ConfigurationError):
             group(n_conn=3, weights=(1,), resident=True)
-
-    def test_shared_group_writes_back_one_value_per_map(self):
-        """Two maps share the states: each lane writes back both maps'
-        sums, map 1 with doubled weights and its own bias."""
-        one, two = from_float(1.0), from_float(2.0)
-        slots = tuple(GroupSlot(neuron=("n", i), home_vault=0,
-                                bias=(0.0, 0.5)) for i in range(2))
-        pe, ic = make_pe([GroupPlan(slots=slots, n_connections=3,
-                                    weights=((one, two),) * 3, maps=2)])
-        feed = []
-        for op in range(3):
-            feed.append(state_packet(0, op, 1.0))
-            feed.append(state_packet(1, op, 2.0))
-        writebacks = run_to_done(pe, ic, feed)
-        values = {p.mac_id: p.payload for p in writebacks}
-        assert values[0] == (from_float(3.0), from_float(6.5))
-        assert values[1] == (from_float(6.0), from_float(12.5))
-
-    def test_shared_group_validation(self):
-        slots = (GroupSlot(neuron=0, home_vault=0, bias=(0.0, 0.0)),)
-        with pytest.raises(ConfigurationError, match="weights per"):
-            GroupPlan(slots=slots, n_connections=1, weights=((1,),),
-                      maps=2)
-        with pytest.raises(ConfigurationError, match="biases per"):
-            GroupPlan(slots=(GroupSlot(neuron=0, home_vault=0),),
-                      n_connections=1, weights=((1, 1),), maps=2)
-        with pytest.raises(ConfigurationError, match="resident-weight"):
-            GroupPlan(slots=slots, n_connections=1, mode="max", maps=2)

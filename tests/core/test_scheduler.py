@@ -92,48 +92,23 @@ class TestConvPass:
         assert all(np.all(data[:10] == 0) or len(data) >= 0
                    for data in plan.vault_data)
 
-
-class TestSharedConvPass:
-    """A pass shared by several output maps: one plan, one weight and
-    one bias per map in every group."""
-
-    def test_shared_plan_moves_the_single_map_packets(self, config,
-                                                      conv_setup):
+    def test_like_shares_the_schedule(self, config, conv_setup):
+        """A plan built ``like`` another map's shares its schedule
+        objects and equals the plan built from scratch."""
         desc, x, kernel = conv_setup
-        single = build_conv_pass(desc, config, x, kernel, 0.5, None)
-        shared = build_conv_pass(desc, config, x, [kernel, -kernel],
-                                 [0.5, np.arange(100.0)], None)
-        assert (single.maps, shared.maps) == (1, 2)
-        assert shared.structural_hash() == single.structural_hash()
-        group = shared.pe_groups[0][0]
-        assert group.maps == 2
-        assert group.weights == tuple(zip(
-            single.pe_groups[0][0].weights,
-            (-w for w in single.pe_groups[0][0].weights), strict=True))
-        for slot in group.slots:
-            assert slot.bias == (0.5, float(slot.neuron[1]))
-
-    def test_list_of_one_builds_the_single_map_plan(self, config,
-                                                    conv_setup):
-        desc, x, kernel = conv_setup
-        single = build_conv_pass(desc, config, x, kernel, 0.5, None)
-        listed = build_conv_pass(desc, config, x, [kernel], [0.5], None)
-        assert listed.pe_groups == single.pe_groups
-        assert listed.maps == 1
-
-    def test_shared_pass_must_not_read_its_outputs(self, config,
-                                                   conv_setup,
-                                                   monkeypatch):
-        from repro.core import scheduler
-        from repro.errors import MappingError
-
-        desc, x, kernel = conv_setup
-        monkeypatch.setattr(scheduler, "_highest_read",
-                            lambda schedule: 10**9)
-        build_conv_pass(desc, config, x, [kernel], [0.0], None)
-        with pytest.raises(MappingError, match="output region"):
-            build_conv_pass(desc, config, x, [kernel, kernel],
-                            [0.0, 0.0], None)
+        lead = build_conv_pass(desc, config, x, kernel, 0.5, None)
+        args = (desc, config, -x, -kernel, np.arange(100.0), None)
+        fresh = build_conv_pass(*args)
+        shared = build_conv_pass(*args, like=lead)
+        assert shared.out_addresses is lead.out_addresses
+        assert all(got is want for got, want in zip(
+            shared.vault_emissions, lead.vault_emissions, strict=True))
+        assert shared.pe_groups == fresh.pe_groups
+        assert shared.expected_writebacks == fresh.expected_writebacks
+        assert shared.structural_hash() == fresh.structural_hash()
+        for got, want in zip(shared.vault_data, fresh.vault_data,
+                             strict=True):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestFcPass:
