@@ -67,9 +67,13 @@ class NeurocubeConfig:
             ``NEUROCUBE_SIM_WORKERS`` environment variable — see
             :attr:`effective_sim_workers`.
         sim_skip_ahead: enable the simulator's event-horizon scheduler
-            (jump the clock over stretches where no agent can act).  Results are identical
-            either way; the knob exists so equivalence tests can compare
-            the scheduler against the lock-step reference path.
+            (jump the clock over stretches where no agent can act) and,
+            in a pass folded by ``sim_memoize``, the steady-state jump
+            over whole periods of a repeated timing state inside a
+            neuron group (:mod:`repro.core.forward`).  Results are
+            identical either way; the knob exists so equivalence tests
+            can compare both jumps against the lock-step reference
+            path.
         sim_memoize: share simulated passes between map tasks whose
             passes coincide (:mod:`repro.core.parallel`).  Structurally
             identical :class:`~repro.core.parallel.MapTask` units (conv
@@ -82,7 +86,9 @@ class NeurocubeConfig:
             whose traffic stays inside each node, the node slices
             (vault, PNG, router ports, PE) with equal timing
             signatures are simulated once per class
-            (:meth:`~repro.core.scheduler.PassPlan.slice_classes`).
+            (:meth:`~repro.core.scheduler.PassPlan.slice_classes`), and
+            with ``sim_skip_ahead`` such a pass fast-forwards through
+            its periodic steady states.
             Results are identical either way, and False keeps the
             per-map, per-slice reference.  It never applies to traced
             runs, nor to runs with active fault injection (each map's

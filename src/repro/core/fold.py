@@ -30,8 +30,8 @@ _BLOCK = 1 << 18
 
 
 def unfold(plan: PassPlan, classes: list[list[int]], pe_stats: list,
-           png_stats: list, outputs: dict,
-           fmt: QFormat) -> tuple[list, list]:
+           png_stats: list, outputs: dict, fmt: QFormat,
+           forwarded: bool = False) -> tuple[list, list]:
     """Give every member of a slice class its results.
 
     Members get copies of the representative's PE and PNG statistics.
@@ -39,9 +39,11 @@ def unfold(plan: PassPlan, classes: list[list[int]], pe_stats: list,
     write-back value at the same slot; otherwise every member's
     write-backs are evaluated from its own vault image, stored in
     ``outputs`` and written into that image at their output addresses,
-    as the write-back sink would.  The idle
-    class has no write-backs to give.  Returns the per-PE and per-PNG
-    statistics in node order.
+    as the write-back sink would.  A ``forwarded`` pass
+    (:mod:`repro.core.forward`) did not accumulate the operations it
+    jumped, so a plan carrying data evaluates its representatives'
+    write-backs the same way.  The idle class has no write-backs to
+    give.  Returns the per-PE and per-PNG statistics in node order.
     """
     full_pe: list = [None] * len(plan.pe_groups)
     full_png: list = [None] * len(plan.pe_groups)
@@ -52,17 +54,19 @@ def unfold(plan: PassPlan, classes: list[list[int]], pe_stats: list,
         for member in others:
             full_pe[member] = dataclasses.replace(pe_stat)
             full_png[member] = dataclasses.replace(png_stat)
-        if not others or not plan.pe_groups[rep]:
+        targets = (members if forwarded and not plan.timing_only
+                   else others)
+        if not targets or not plan.pe_groups[rep]:
             continue
-        slots = _slots(plan, others)
+        slots = _slots(plan, targets)
         if plan.timing_only:
             copied = [outputs[slot.neuron] for group in plan.pe_groups[rep]
                       for slot in group.slots]
-            values = [copied] * len(others)
+            values = [copied] * len(targets)
         else:
-            values = _evaluate(plan, others, slots, fmt)
+            values = _evaluate(plan, targets, slots, fmt)
         for member, member_slots, member_values in zip(
-                others, slots, values, strict=True):
+                targets, slots, values, strict=True):
             for slot, value in zip(member_slots, member_values,
                                    strict=True):
                 outputs[slot.neuron] = value

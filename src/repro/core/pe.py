@@ -275,6 +275,82 @@ class ProcessingElement:
             self.stats.idle_cycles += cycles
             self._waiting_cycles += cycles
 
+    # -- steady-state fast-forward (repro.core.forward) ----------------
+
+    #: :meth:`state_dict` entries :meth:`timing_signature` leaves out.
+    SIGNATURE_EXEMPT = {
+        "macs": "data: the MAC accumulators",
+        "conn": "position: the OP-counter the signature is relative to",
+        "stats": "statistics: a jump adds their per-period gain",
+    }
+
+    #: The statistics a jump adds its per-period gain to; the cache
+    #: peak is a maximum, which the repeated periods cannot raise.
+    _COUNTERS = ("macs_fired", "idle_cycles", "busy_cycles",
+                 "search_stall_cycles", "packets_received")
+
+    @property
+    def ops_left_in_group(self) -> int | None:
+        """Operations after the current one in the current group; None
+        when every group is done."""
+        if self._group_idx >= len(self._groups):
+            return None
+        return self._groups[self._group_idx].n_connections - 1 - self._conn
+
+    def timing_signature(self) -> dict:
+        """The PE's timing state relative to its OP-counter, keyed like
+        :meth:`state_dict`: countdowns, queued write-backs
+        (:meth:`~repro.noc.Packet.timing_key`), parked packets by op
+        offset, lane, kind and source (sub-banks in op order from the
+        current operation's; a packet's op offset names its sub-bank),
+        and which operand lanes the temporal buffer holds, not their
+        values."""
+        op = self._op
+        cycle = self.interconnect.cycle
+        cache = self._cache
+        subbanks = len(cache)
+        return {
+            "group_idx": self._group_idx,
+            "busy": self._busy,
+            "advance_pending": self._advance_pending,
+            "writebacks": tuple(packet.timing_key(op, cycle)
+                                for packet in self._writebacks),
+            "cache": tuple((packet.op_id - op, packet.mac_id, packet.kind,
+                            packet.src)
+                           for i in range(subbanks)
+                           for packet in cache[(op + i) % subbanks]),
+            "weight_slots": frozenset(self._weight_slots),
+            "state_slots": frozenset(self._state_slots),
+            "shared_state": self._shared_state is not None,
+            "waiting_cycles": self._waiting_cycles,
+        }
+
+    def counters(self) -> tuple[int, ...]:
+        """The additive statistics, in :meth:`fast_forward`'s order."""
+        stats = self.stats
+        return tuple(getattr(stats, name) for name in self._COUNTERS)
+
+    def fast_forward(self, cycles: int, ops: int,
+                     gained: tuple[int, ...]) -> None:
+        """Jump ``cycles`` cycles and ``ops`` operations ahead inside
+        the current group, as whole periods of a steady state would:
+        the OP- and connection counters advance, every parked packet
+        moves by :meth:`~repro.noc.Packet.shifted` into the sub-bank of
+        its new OP-ID, and ``gained`` adds to :meth:`counters`.
+        Countdowns and operand lanes recur; the accumulators are not
+        extrapolated (only timing is)."""
+        self._conn += ops
+        self._sync_op()
+        cache: list[list[Packet]] = [[] for _ in self._cache]
+        for bank in self._cache:
+            for packet in bank:
+                packet = packet.shifted(ops, cycles)
+                cache[packet.op_id % len(cache)].append(packet)
+        self._cache = cache
+        stats = self.stats
+        for name, gain in zip(self._COUNTERS, gained, strict=True):
+            setattr(stats, name, getattr(stats, name) + gain)
+
     # -- packet intake --------------------------------------------------
 
     def _receive_packets(self) -> None:

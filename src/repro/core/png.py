@@ -20,8 +20,9 @@ Two layers of modelling live here:
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, replace
+from itertools import islice
 
 from repro.errors import ConfigurationError, ProtocolError
 from repro.memory.vault import VaultChannel
@@ -227,7 +228,7 @@ class RegisterStream:
         neurons: the neuron tag of each value of the neuron counter.
     """
 
-    __slots__ = ("registers", "dst", "neurons")
+    __slots__ = ("registers", "dst", "neurons", "_terms")
 
     def __init__(self, registers: PNGRegisters, dst: int,
                  neurons: tuple) -> None:
@@ -238,6 +239,7 @@ class RegisterStream:
         self.registers = registers
         self.dst = dst
         self.neurons = neurons
+        self._terms: tuple[list[int], list[int]] | None = None
 
     def __len__(self) -> int:
         reg = self.registers
@@ -245,9 +247,57 @@ class RegisterStream:
         return reg.n_neurons * reg.n_connections * per_event
 
     def __iter__(self) -> Iterator[EmissionRecord]:
-        if self.registers.offsets:
-            return self._local_records()
-        return self._full_records()
+        return self.records()
+
+    def records(self, start: int = 0) -> Iterator[EmissionRecord]:
+        """The records from the ``start``-th on, in FSM order, generated
+        from the operation ``start`` falls in (at most ``2 * n_mac``
+        records are generated only to be passed over)."""
+        if start >= len(self):
+            return iter(())
+        op = self.op_of(start)
+        records = (self._local_records if self.registers.offsets
+                   else self._full_records)(op)
+        skip = start - self.position(op)
+        return islice(records, skip, None) if skip else records
+
+    def record(self, op: int, lane: int,
+               kind: PacketKind) -> EmissionRecord:
+        """The record the counters give for operation ``op``, MAC lane
+        ``lane`` and ``kind`` (a weight only in a fully connected
+        stream), without generating the ones before it."""
+        reg = self.registers
+        group, connection = divmod(op, reg.n_connections)
+        neuron = group * reg.n_mac + lane
+        if reg.offsets:
+            neuron_base, connection_offset = self.local_terms()
+            address = neuron_base[neuron] + connection_offset[connection]
+        elif kind is PacketKind.STATE:
+            address = reg.addr_last + connection
+        else:
+            address = (reg.weight_base + neuron * reg.n_connections
+                       + connection)
+        return EmissionRecord(address, self.dst, lane, op, kind,
+                              self.neurons[neuron])
+
+    def position(self, op: int) -> int:
+        """Index of operation ``op``'s first record: every group before
+        its own fills ``n_mac`` lanes."""
+        reg = self.registers
+        per_event = 1 if reg.offsets else 2
+        group, connection = divmod(op, reg.n_connections)
+        first = group * reg.n_mac
+        lanes = min(reg.n_mac, reg.n_neurons - first)
+        return (first * reg.n_connections + connection * lanes) * per_event
+
+    def op_of(self, index: int) -> int:
+        """The operation of the ``index``-th record."""
+        reg = self.registers
+        per_event = 1 if reg.offsets else 2
+        group, rest = divmod(index,
+                             reg.n_mac * reg.n_connections * per_event)
+        lanes = min(reg.n_mac, reg.n_neurons - group * reg.n_mac)
+        return group * reg.n_connections + rest // (lanes * per_event)
 
     def highest_address(self) -> int:
         """The highest address any record reads, from the registers
@@ -300,50 +350,61 @@ class RegisterStream:
 
     def local_terms(self) -> tuple[list[int], list[int]]:
         """Eq. 5 split into a per-neuron and a per-connection term: a
-        locally connected record reads their sum."""
-        reg = self.registers
-        pitch, stride = reg.image_width, reg.stride
-        width = reg.output_width or pitch
-        return ([(n // width * pitch + n % width) * stride + reg.addr_last
+        locally connected record reads their sum.  Computed once per
+        stream; callers share the lists and must not change them."""
+        if self._terms is None:
+            reg = self.registers
+            pitch, stride = reg.image_width, reg.stride
+            width = reg.output_width or pitch
+            self._terms = (
+                [(n // width * pitch + n % width) * stride + reg.addr_last
                  for n in range(reg.n_neurons)],
                 [n_y * pitch + n_x for n_x, n_y in reg.offsets])
+        return self._terms
 
-    def _local_records(self) -> Iterator[EmissionRecord]:
+    def _local_records(self, start: int = 0) -> Iterator[EmissionRecord]:
+        """Records from the first of operation ``start`` on."""
         reg = self.registers
         dst, neurons, n_mac = self.dst, self.neurons, reg.n_mac
         state = PacketKind.STATE
         neuron_base, connection_offset = self.local_terms()
-        for first in range(0, reg.n_neurons, n_mac):
+        group, skip = divmod(start, reg.n_connections)
+        for first in range(group * n_mac, reg.n_neurons, n_mac):
             lanes = tuple(enumerate(zip(neuron_base[first:first + n_mac],
                                         neurons[first:first + n_mac],
                                         strict=True)))
-            op = first // n_mac * reg.n_connections
-            for offset in connection_offset:
+            op = first // n_mac * reg.n_connections + skip
+            for offset in (connection_offset[skip:] if skip
+                           else connection_offset):
                 for lane, (base, tag) in lanes:
                     yield EmissionRecord(base + offset, dst, lane, op,
                                          state, tag)
                 op += 1
+            skip = 0
 
-    def _full_records(self) -> Iterator[EmissionRecord]:
+    def _full_records(self, start: int = 0) -> Iterator[EmissionRecord]:
+        """Records from the first of operation ``start`` on."""
         reg = self.registers
         dst, neurons, n_mac = self.dst, self.neurons, reg.n_mac
         n_conn = reg.n_connections
         state, weight = PacketKind.STATE, PacketKind.WEIGHT
-        for first in range(0, reg.n_neurons, n_mac):
+        group, skip = divmod(start, n_conn)
+        for first in range(group * n_mac, reg.n_neurons, n_mac):
             tags = neurons[first:first + n_mac]
             # Each neuron's weight row: weight_base + neuron * N_conn.
             rows = range(reg.weight_base + first * n_conn,
                          reg.weight_base + (first + len(tags)) * n_conn,
                          n_conn)
             lanes = tuple(enumerate(zip(rows, tags, strict=True)))
-            op = first // n_mac * n_conn
-            for connection in range(n_conn):
+            op = first // n_mac * n_conn + skip
+            for connection in range(skip, n_conn):
                 address = connection + reg.addr_last
                 for lane, (row, tag) in lanes:
                     yield EmissionRecord(address, dst, lane, op, state, tag)
                     yield EmissionRecord(row + connection, dst, lane, op,
                                          weight, tag)
                 op += 1
+            skip = 0
 
 
 @dataclass
@@ -402,6 +463,9 @@ class NeurosequenceGenerator:
         self._rx_buffer = router.outputs[Port.MEM]
         self._tx_buffer = router.inputs[Port.MEM]
         self._held: EmissionRecord | None = None
+        # The schedule as programmed (a steady-state jump re-seeks a
+        # RegisterStream) and the iterator the PNG pulls records from.
+        self._schedule: Iterable[EmissionRecord] = ()
         self._emissions: Iterator[EmissionRecord] | None = None
         self._emissions_exhausted = True
         # Records pulled off the emission iterator so far — the resume
@@ -418,7 +482,7 @@ class NeurosequenceGenerator:
     # programming interface (the host writes these "registers")
     # ------------------------------------------------------------------
 
-    def program(self, emissions: Iterator[EmissionRecord],
+    def program(self, emissions: Iterable[EmissionRecord],
                 expected_writebacks: int,
                 lut: ActivationLUT | None = None,
                 writeback_sink: Callable[[Packet, int], None] | None = None,
@@ -426,7 +490,8 @@ class NeurosequenceGenerator:
         """Load one layer's schedule (the host's configuration write).
 
         Args:
-            emissions: packet source schedule, in generation order.
+            emissions: packet source schedule, in generation order;
+                :meth:`fast_forward` needs a :class:`RegisterStream`.
             expected_writebacks: write-backs to await before layer-done.
             lut: activation look-up table applied to returned states.
             writeback_sink: callback ``(packet, activated_raw)`` invoked
@@ -436,6 +501,7 @@ class NeurosequenceGenerator:
         if not self.done:
             raise ProtocolError(
                 f"PNG at node {self.node} reprogrammed before layer_done")
+        self._schedule = emissions
         self._emissions = iter(emissions)
         self._held = None
         self._emissions_exhausted = False
@@ -516,6 +582,98 @@ class NeurosequenceGenerator:
         is exactly the vault's skip.
         """
         self.vault.skip(cycles)
+
+    # ------------------------------------------------------------------
+    # steady-state fast-forward (repro.core.forward)
+    # ------------------------------------------------------------------
+
+    #: :meth:`state_dict` entries :meth:`timing_signature` leaves out.
+    SIGNATURE_EXEMPT = {
+        "stats": "statistics: a jump adds their per-period gain",
+    }
+
+    def timing_signature(self, op: int) -> dict:
+        """The PNG's timing state relative to its PE's operation ``op``,
+        keyed like :meth:`state_dict` (the vault's is its own): the held
+        record by op offset, lane, kind and target, the schedule
+        position from ``op``'s first record, the ready packets by
+        :meth:`~repro.noc.Packet.timing_key`.  Addresses and payloads
+        are left out: no timing path reads them."""
+        held = self._held
+        schedule = self._schedule
+        origin = (schedule.position(op)
+                  if isinstance(schedule, RegisterStream) else 0)
+        cycle = self.interconnect.cycle
+        return {
+            "held": (None if held is None else
+                     (held.op_id - op, held.mac_id, held.kind, held.dst)),
+            "consumed": self._consumed - origin,
+            "emissions_exhausted": self._emissions_exhausted,
+            "ready": tuple(packet.timing_key(op, cycle)
+                           for packet in self._ready),
+            "expected_writebacks": self._expected_writebacks,
+        }
+
+    @staticmethod
+    def tag_key(op: int) -> Callable[[tuple], tuple]:
+        """How a vault's timing signature sees a read this PNG queued:
+        its first record by op offset from ``op``, lane, kind and
+        target, and its record count.  A read packs consecutive
+        schedule records, which within one neuron group follow from the
+        first."""
+        def key(tag: tuple) -> tuple:
+            first = tag[0]
+            return (first.op_id - op, first.mac_id, first.kind, first.dst,
+                    len(tag))
+        return key
+
+    def lookahead_op(self) -> int | None:
+        """The operation of the last record taken off the schedule (a
+        :class:`RegisterStream`), or None before the first."""
+        if not self._consumed:
+            return None
+        return self._schedule.op_of(self._consumed - 1)
+
+    def counters(self) -> tuple[int, int, int]:
+        """The statistics, in :meth:`fast_forward`'s order."""
+        stats = self.stats
+        return (stats.packets_injected, stats.writebacks_received,
+                stats.inject_stall_cycles)
+
+    def fast_forward(self, cycles: int, ops: int, gained: tuple,
+                     vault_gained: tuple) -> None:
+        """Jump ``cycles`` cycles and ``ops`` operations ahead, as whole
+        periods of a steady state would move the pair, within one
+        neuron group of a :class:`RegisterStream` schedule: the held
+        record and every queued or in-flight read's records are rebuilt
+        from the counters ``ops`` operations on, the schedule re-seeks
+        past them, ready packets move by
+        :meth:`~repro.noc.Packet.shifted`, and ``gained`` and
+        ``vault_gained`` add to the PNG's and the vault's
+        :meth:`counters`."""
+        schedule = self._schedule
+
+        def moved(record: EmissionRecord) -> EmissionRecord:
+            return schedule.record(record.op_id + ops, record.mac_id,
+                                   record.kind)
+
+        def retag(address: int, tag: tuple) -> tuple[int, tuple]:
+            tag = tuple(moved(record) for record in tag)
+            return max(0, tag[0].address), tag
+
+        self.vault.fast_forward(cycles, retag, vault_gained)
+        if self._held is not None:
+            self._held = moved(self._held)
+        self._ready = deque(packet.shifted(ops, cycles)
+                            for packet in self._ready)
+        last = schedule.op_of(self._consumed - 1)
+        self._consumed += (schedule.position(last + ops)
+                           - schedule.position(last))
+        self._emissions = schedule.records(self._consumed)
+        injected, received, stalls = gained
+        self.stats.packets_injected += injected
+        self.stats.writebacks_received += received
+        self.stats.inject_stall_cycles += stalls
 
     # ------------------------------------------------------------------
     # simulation

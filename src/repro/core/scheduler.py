@@ -83,6 +83,8 @@ class PassPlan:
     total_neurons: int = 0
     stream_items: int = field(default=0)
     timing_only: bool = False
+    _classes: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     def __post_init__(self) -> None:
         """Reject structurally inconsistent plans at construction.
@@ -176,8 +178,17 @@ class PassPlan:
         nothing in any pass, so all idle slices form one class.  Returns
         the classes, each a list of nodes in ascending order, ordered by
         first node; None when the pass does not qualify or no two
-        slices are alike.
+        slices are alike.  Computed once per plan and node count (a
+        plan is not edited once it runs): a shared batch asks for its
+        lead plan's classes before the pass that folds them.
         """
+        key = (config.n_pe, config.n_channels)
+        if key not in self._classes:
+            self._classes[key] = self._slice_classes(config)
+        return self._classes[key]
+
+    def _slice_classes(self, config: NeurocubeConfig
+                       ) -> list[list[int]] | None:
         n_pe = config.n_pe
         if config.n_channels != n_pe or len(self.pe_groups) != n_pe:
             return None

@@ -15,7 +15,9 @@ result (see ``docs/simulator_internals.md``):
   :mod:`repro.core.parallel` process pool (``config.sim_workers``);
 * within one pass, the event-horizon scheduler jumps the clock across
   stretches where no agent can act (every PE counting down, every vault
-  mid-latency, the NoC empty); every other cycle steps every agent;
+  mid-latency, the NoC empty), and a folded pass (below) also jumps
+  whole periods of a steady state inside its neuron groups
+  (:mod:`repro.core.forward`); every other cycle steps every agent;
 * passes that coincide are simulated once and their outcomes replayed
   (:mod:`repro.core.parallel` memoization, ``config.sim_memoize``): in
   timing-only mode every conv/pool map of a layer is structurally
@@ -45,6 +47,7 @@ from repro.core.compiler import compile_inference
 from repro.core.config import NeurocubeConfig
 from repro.core.context import RunContext, RunRecord, resolve
 from repro.core.fold import unfold
+from repro.core.forward import SteadyState
 from repro.core.layerdesc import LayerDescriptor
 from repro.core.metrics import LayerStats, RunReport, StreamReport
 from repro.core.parallel import (
@@ -91,6 +94,8 @@ class PassResult:
             injector was active (even at all-zero rates), else None.
         degraded: :class:`repro.faults.DegradedResult` records for
             outputs the retry/watchdog protocols had to degrade.
+        forwarded: cycles crossed by steady-state jumps
+            (:mod:`repro.core.forward`) instead of being stepped.
     """
 
     cycles: int
@@ -101,6 +106,7 @@ class PassResult:
     trace: Trace | None = None
     fault_stats: FaultStats | None = None
     degraded: tuple = ()
+    forwarded: int = 0
 
 
 def _build_sampler(pes, vaults, interconnect):
@@ -405,9 +411,12 @@ class NeurocubeSimulator:
         checkpoint, a pass whose node slices fall into timing classes
         (:meth:`PassPlan.slice_classes`) simulates one slice per class
         and gives the others its timing and statistics, and their own
-        write-back values (:func:`repro.core.fold.unfold`).  A folded
-        run that stalls or hits its ceiling is re-run in full, so every
-        error comes from the full run.
+        write-back values (:func:`repro.core.fold.unfold`).  With
+        ``config.sim_skip_ahead`` too, such a pass jumps whole periods
+        of a repeated timing state inside its neuron groups
+        (:class:`repro.core.forward.SteadyState`).  A folded run that
+        stalls or hits its ceiling is re-run in full, so every error
+        comes from the full run.
 
         Args:
             plan: the scheduled pass.
@@ -548,7 +557,7 @@ class NeurocubeSimulator:
                 vault, node=config.pe_of_channel(v),
                 interconnect=interconnect, horizon=horizon,
                 tracer=tracer, injector=injector)
-            png.program(iter(plan.vault_emissions[v]),
+            png.program(plan.vault_emissions[v],
                         plan.expected_writebacks[v], lut=plan.lut,
                         writeback_sink=make_sink(vault))
             pngs.append(png)
@@ -567,6 +576,11 @@ class NeurocubeSimulator:
             max_cycles = 200 * work + 500_000
         scheduler = (_EventHorizonScheduler(pngs, pes, interconnect)
                      if config.sim_skip_ahead else None)
+        # A folded pass runs hook-free; with skip-ahead it also jumps
+        # whole periods of a steady state inside neuron groups.
+        forward = (SteadyState(pngs, pes, interconnect)
+                   if classes is not None and scheduler is not None
+                   else None)
         cycles = 0
         last_progress = 0
         progress_mark = -1
@@ -647,9 +661,19 @@ class NeurocubeSimulator:
                 tracer.on_cycle(cycles)
             done_now = len(outputs)
             if done_now != progress_mark or pe_mark[0] != op_mark:
+                advanced = pe_mark[0] != op_mark
                 progress_mark = done_now
                 op_mark = pe_mark[0]
                 last_progress = cycles
+                if advanced and forward is not None:
+                    # A jump lands on the cycle that repeats this one:
+                    # an OP-counter advances there too.
+                    jump = forward.observe(cycles, max_cycles)
+                    if jump:
+                        cycles += jump
+                        refresh_horizon()
+                        op_mark = pe_mark[0]
+                        last_progress = cycles
             if store is not None and every and cycles % every == 0:
                 store.save(pass_label, cycles, self._pass_state(
                     cycles, last_progress, progress_mark, interconnect,
@@ -664,9 +688,11 @@ class NeurocubeSimulator:
                     + self._stall_detail(interconnect, pngs, vaults, pes))
         pe_stats = [pe.stats for pe in pes]
         png_stats = [png.stats for png in pngs]
+        forwarded = forward.forwarded if forward is not None else 0
         if classes is not None:
             pe_stats, png_stats = unfold(plan, classes, pe_stats,
-                                         png_stats, outputs, config.qformat)
+                                         png_stats, outputs, config.qformat,
+                                         forwarded=bool(forwarded))
         return PassResult(cycles=cycles, outputs=outputs,
                           interconnect=interconnect,
                           pe_stats=pe_stats, png_stats=png_stats,
@@ -675,7 +701,8 @@ class NeurocubeSimulator:
                           fault_stats=(injector.stats
                                        if injector is not None else None),
                           degraded=(tuple(injector.degraded)
-                                    if injector is not None else ()))
+                                    if injector is not None else ()),
+                          forwarded=forwarded)
 
     @staticmethod
     def _pass_state(cycles: int, last_progress: int, progress_mark: int,

@@ -10,7 +10,7 @@ layer outputs through the full PNG -> NoC -> PE path.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,6 +179,62 @@ class VaultChannel:
             idle_after_gap = cycles > 0
         if idle_after_gap:
             self._burst_pos = 0
+
+    #: :meth:`state_dict` entries :meth:`timing_signature` leaves out.
+    SIGNATURE_EXEMPT = {
+        "cycle": "position: the clock the signature is relative to",
+        "words_served": "statistics: a jump adds their per-period gain",
+        "busy_cycles": "statistics: a jump adds their per-period gain",
+        "stall_cycles": "statistics: a jump adds their per-period gain",
+        "data": "data: no timing path reads the backing store",
+    }
+
+    def timing_signature(self, tag_key: Callable[[object], object]) -> dict:
+        """The channel's timing state relative to its clock, keyed like
+        :meth:`state_dict`: queued reads by ``tag_key`` of their tag
+        (the requester's canonical form), in-flight reads also by their
+        completion and issue cycles from now, and the burst, gap and
+        credit state.  Addresses are left out: the channel's timing
+        never reads them."""
+        cycle = self.cycle
+        return {
+            "queue": tuple(tag_key(tag) for _, tag in self._queue),
+            "in_flight": tuple((read.completed_cycle - cycle,
+                                read.issued_cycle - cycle,
+                                tag_key(read.tag))
+                               for read in self._in_flight),
+            "burst_pos": self._burst_pos,
+            "gap_remaining": self._gap_remaining,
+            "issue_credit": self._issue_credit,
+        }
+
+    def counters(self) -> tuple[int, int, int]:
+        """The statistics, in :meth:`fast_forward`'s order."""
+        return self.words_served, self.busy_cycles, self.stall_cycles
+
+    def fast_forward(self, cycles: int,
+                     retag: Callable[[int, object], tuple[int, object]],
+                     gained: tuple[int, int, int]) -> None:
+        """Jump ``cycles`` cycles ahead, as whole periods of a steady
+        state would move the channel: the clock and every in-flight
+        read's issue and completion cycles advance, ``retag`` maps each
+        in-flight then queued read's (address, tag) to the read standing
+        in its place after the jump, and ``gained`` adds to
+        :meth:`counters`.  Burst, gap and credit state recur."""
+        self.cycle += cycles
+        in_flight = deque()
+        for read in self._in_flight:
+            address, tag = retag(read.address, read.tag)
+            in_flight.append(CompletedRead(
+                address, tag, read.issued_cycle + cycles,
+                read.completed_cycle + cycles))
+        self._in_flight = in_flight
+        self._queue = deque(retag(address, tag)
+                            for address, tag in self._queue)
+        words, busy, stalls = gained
+        self.words_served += words
+        self.busy_cycles += busy
+        self.stall_cycles += stalls
 
     def step(self) -> Sequence[CompletedRead]:
         """Advance one I/O clock cycle; return reads completing this cycle

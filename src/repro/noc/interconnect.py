@@ -24,7 +24,7 @@ each delivery counts once per slice its node stands for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 
 from repro.errors import ConfigurationError, SimulationError
@@ -73,8 +73,17 @@ class NocStats:
                 if self.delivered else 0.0)
 
 
+#: The :class:`NocStats` counters, each a sum over cycles.
+_NOC_COUNTERS = tuple(stat.name for stat in fields(NocStats)
+                      if not stat.name.startswith("_"))
+
+
 class Interconnect:
     """A steppable NoC instance over an arbitrary :class:`Topology`."""
+
+    #: Whether two inputs may request one output, so that the
+    #: arbiters' head decides grants (:meth:`timing_signature`).
+    _contended = True
 
     def __init__(self, topology: Topology,
                  buffer_depth: int = DEFAULT_DEPTH,
@@ -340,6 +349,50 @@ class Interconnect:
         for router in self._switching:
             router.advance_idle(cycles)
 
+    #: :meth:`state_dict` entries :meth:`timing_signature` leaves out.
+    SIGNATURE_EXEMPT = {
+        "cycle": "position: the clock the signature is relative to",
+        "stats": "statistics: a jump adds their per-period gain",
+        "link_retries": "faults: only an injector's link stage "
+                        "writes it",
+        "link_blocked_until": "faults: only an injector's link stage "
+                              "writes it",
+    }
+
+    def timing_signature(self, ops: dict[int, int]) -> dict:
+        """The fabric's timing state, keyed like :meth:`state_dict`:
+        the values of each switching router's
+        :meth:`Router.timing_signature` relative to the clock and to
+        ``ops[node]``, the operation of the PE at its node (without
+        the arbiters' head where no grant is ever contended)."""
+        cycle = self.cycle
+        routers = []
+        for router in self._switching:
+            signature = router.timing_signature(cycle, ops[router.node_id])
+            if not self._contended:
+                del signature["arbiters"]
+            routers.append(tuple(signature.values()))
+        return {"routers": tuple(routers)}
+
+    def counters(self) -> tuple:
+        """The statistics, then each switching router's grant counts,
+        in :meth:`fast_forward`'s order."""
+        return (tuple(getattr(self.stats, name) for name in _NOC_COUNTERS),
+                tuple(router.counters() for router in self._switching))
+
+    def fast_forward(self, cycles: int, ops: int, gained: tuple) -> None:
+        """Jump ``cycles`` cycles and ``ops`` operations ahead, as whole
+        periods of a steady state would: the clock advances, each
+        switching router fast-forwards (:meth:`Router.fast_forward`),
+        and ``gained`` adds to :meth:`counters`."""
+        self.cycle += cycles
+        stats_gained, router_gained = gained
+        for name, gain in zip(_NOC_COUNTERS, stats_gained, strict=True):
+            setattr(self.stats, name, getattr(self.stats, name) + gain)
+        for router, gain in zip(self._switching, router_gained,
+                                strict=True):
+            router.fast_forward(cycles, ops, gain)
+
     @property
     def in_fabric(self) -> int:
         """Packets currently inside the fabric, O(1).
@@ -438,6 +491,12 @@ class FoldedInterconnect(Interconnect):
     actually resident, and ``injected == delivered`` once the pass ends.
     A folded pass runs hook-free, so deliveries emit no trace events.
     """
+
+    #: Every packet stays in its node: data goes from the MEM input to
+    #: the PE output, write-backs from the PE input to the MEM output.
+    #: No output ever has two requesters, so the arbiters' rotating head
+    #: never decides a grant.
+    _contended = False
 
     def __init__(self, topology: Topology, weights: list[int],
                  **kwargs) -> None:

@@ -114,6 +114,20 @@ class Packet:
         if self.op_id < 0:
             raise ConfigurationError(f"negative op_id {self.op_id}")
 
+    def timing_key(self, op: int, cycle: int) -> tuple:
+        """The packet as a steady-state signature sees it: OP-ID
+        relative to operation ``op``, MAC-ID, kind, source, destination
+        and age at ``cycle``.  Payload and neuron tag are data."""
+        return (self.op_id - op, self.mac_id, self.kind, self.src,
+                self.dst, self.inject_cycle - cycle)
+
+    def shifted(self, ops: int, cycles: int) -> Packet:
+        """A copy ``ops`` operations and ``cycles`` cycles later (a
+        steady-state jump moves every packet in flight this way)."""
+        return Packet(self.src, self.dst, self.mac_id, self.op_id + ops,
+                      self.kind, self.payload, self.neuron,
+                      self.inject_cycle + cycles, self.crc)
+
     @property
     def op_id_field(self) -> int:
         """The 8-bit wire encoding of the OP-ID (§V-B: modulo 256)."""

@@ -101,6 +101,48 @@ class Router:
         """Account ``cycles`` idle cycles of arbiter rotation at once."""
         self._rotations += cycles
 
+    #: :meth:`state_dict` entries :meth:`timing_signature` leaves out
+    #: (none: its ``arbiters`` entry is the shared head; the per-port
+    #: grant counts are statistics, :meth:`counters`).
+    SIGNATURE_EXEMPT: dict[str, str] = {}
+
+    def timing_signature(self, cycle: int, op: int) -> dict:
+        """The router's timing state, keyed like :meth:`state_dict`:
+        every buffered packet by :meth:`~repro.noc.Packet.timing_key`
+        relative to operation ``op`` and ``cycle``, by port position
+        (empty buffers left out), and the arbiters' shared priority
+        head."""
+        return {
+            "inputs": tuple((port, tuple(packet.timing_key(op, cycle)
+                                         for packet in fifo))
+                            for port, fifo in enumerate(self._input_fifos)
+                            if fifo),
+            "outputs": tuple((port, tuple(packet.timing_key(op, cycle)
+                                          for packet in fifo))
+                             for port, fifo
+                             in enumerate(self._output_fifos) if fifo),
+            "arbiters": self._rotations % len(self.ports),
+        }
+
+    def counters(self) -> tuple[int, ...]:
+        """The per-port grant counts, in :meth:`fast_forward`'s order."""
+        return tuple(self._grants)
+
+    def fast_forward(self, cycles: int, ops: int,
+                     gained: tuple[int, ...]) -> None:
+        """Jump ``cycles`` cycles ahead, as whole periods of a steady
+        state would: the arbiters rotate, every buffered packet moves
+        by :meth:`~repro.noc.Packet.shifted`, and ``gained`` adds to
+        the grant counts."""
+        self._rotations += cycles
+        for fifo in self._input_fifos + self._output_fifos:
+            if fifo:
+                moved = [packet.shifted(ops, cycles) for packet in fifo]
+                fifo.clear()
+                fifo.extend(moved)
+        self._grants = [grants + gain for grants, gain
+                        in zip(self._grants, gained, strict=True)]
+
     def _fill_route(self, packet: Packet) -> int:
         """Route-table miss: ask ``route`` once, check the answer names a
         port of this router, and keep its index for the destination."""

@@ -50,10 +50,11 @@ SMOKE_PIN = {
 MLP_PIN = (12685, 397)
 
 #: With skip-ahead on, how many of those cycles the engine steps (calls
-#: to ``Interconnect.step``) rather than jumps: the smoke conv layer,
-#: then ``mnist_mlp(16)``'s two descriptors.  Bit-identity alone would
-#: not notice a change that stops the clock jump.
-STEPPED_PIN = {"smoke_conv": 354, "mnist_mlp": (2371, 66)}
+#: to ``Interconnect.step``) rather than jumps, over idle spans or
+#: whole steady-state periods: the smoke conv layer, then
+#: ``mnist_mlp(16)``'s two descriptors.  Bit-identity alone would not
+#: notice a change that stops either jump.
+STEPPED_PIN = {"smoke_conv": 354, "mnist_mlp": (103, 66)}
 
 #: Seeded all-to-all traffic: sha256 of the ejection sequence, the
 #: folded NocStats, per-router switched packets and arbiter grants.

@@ -556,8 +556,9 @@ def test_pass_reading_its_output_region_folds_only_timing_only():
     never depend on what it reads, still folds."""
     cfg = config().with_(sim_memoize=True)
     for functional in (True, False):
+        assert (mlp_hidden_plan(cfg, functional).slice_classes(cfg)
+                == [list(range(16))])
         plan = mlp_hidden_plan(cfg, functional)
-        assert plan.slice_classes(cfg) == [list(range(16))]
         for node, stream in enumerate(plan.vault_emissions):
             first_output = min(address for channel, address
                                in plan.out_addresses.values()

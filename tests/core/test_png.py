@@ -14,6 +14,7 @@ from repro.core.png import (
     EmissionRecord,
     NeurosequenceGenerator,
     PNGRegisters,
+    RegisterStream,
 )
 from repro.errors import ConfigurationError, ProtocolError
 from repro.memory.vault import VaultChannel
@@ -111,6 +112,37 @@ class TestAddressGeneratorFSM:
         events = list(AddressGenerator(registers).events())
         pairs = {(e.neuron, e.connection) for e in events}
         assert len(events) == len(pairs) == 16 * 9
+
+
+class TestRegisterStreamSeek:
+    """A steady-state jump rebuilds records from the counters and
+    re-seeks the stream: every record, position and tail must equal
+    what iterating from the start gives, ragged last group included."""
+
+    @pytest.mark.parametrize("registers", [
+        conv_registers(width=7, height=6, kernel=3, n_mac=4),
+        PNGRegisters(n_neurons=6, n_connections=5, n_mac=4,
+                     image_width=5, addr_last=7, weight_base=100),
+    ], ids=["local", "fully-connected"])
+    def test_seek_matches_iteration(self, registers):
+        tags = tuple(("n", neuron) for neuron in range(registers.n_neurons))
+        stream = RegisterStream(registers, dst=3, neurons=tags)
+        records = list(stream)
+        assert len(records) == len(stream)
+        for index, record in enumerate(records):
+            assert stream.op_of(index) == record.op_id
+            assert stream.record(record.op_id, record.mac_id,
+                                 record.kind) == record
+            assert list(stream.records(index)) == records[index:]
+            first = stream.position(record.op_id)
+            assert records[first].op_id == record.op_id
+            assert first == 0 or records[first - 1].op_id < record.op_id
+        assert list(stream.records(len(records))) == []
+
+    def test_local_terms_computed_once(self):
+        stream = RegisterStream(conv_registers(), dst=0,
+                                neurons=tuple(range(36)))
+        assert stream.local_terms() is stream.local_terms()
 
 
 def make_agent(emissions, expected=0, lut=None, sink=None, data=None,
