@@ -265,10 +265,14 @@ class StreamReport:
         cold_host_seconds: wall-clock host time of the cold phase
             (compile + timing simulation).
         warm_host_seconds: wall-clock host time of the warm phase (all
-            frames through the functional path).
+            frames through the functional path, in chunks).
         memo: folded :class:`repro.memo.MemoStats` counters when a
             persistent memo store served the cold phase, else None.
-        outputs: per-frame output tensors, in stream order.
+        outputs: per-frame output tensors, in stream order.  The warm
+            phase runs the frames through ``Network.forward`` in
+            chunks and writes them into one ``(frames, *output_shape)``
+            block; each entry is a row of it (a view sharing its
+            buffer), so keeping any one output keeps the whole block.
     """
 
     network_name: str

@@ -14,11 +14,46 @@ from repro.core import (
     RunContext,
     StreamReport,
 )
+from repro.core.simulator import stream_chunk
 from repro.errors import ConfigurationError
 from repro.experiments import ext_stream
 from repro.experiments.runner import main as runner_main
+from repro.fixedpoint import quantize_float
+from repro.nn import Network, models
+from repro.nn.activations import ActivationLUT
 
 CONFIG = NeurocubeConfig.hmc_15nm()
+
+
+def _with_luts(network: Network) -> Network:
+    for layer in network.layers:
+        if not isinstance(layer.activation, ActivationLUT):
+            layer.activation = ActivationLUT(layer.activation)
+    return network
+
+
+def _scene_front_end() -> Network:
+    scene = _with_luts(models.scene_labeling_convnn(
+        24, 24, kernel=3, conv_maps=(4, 8, 8), hidden_units=32))
+    return Network(scene.layers[:5], input_shape=scene.input_shape,
+                   name="scene_front_end")
+
+
+def _frame_by_frame(network: Network, frames) -> list[np.ndarray]:
+    return [network.forward(quantize_float(frame, CONFIG.qformat)[None])[0]
+            for frame in frames]
+
+
+def _counts(network: Network) -> list[int]:
+    """Frame counts around the warm phase's chunk boundaries."""
+    c = stream_chunk(network.input_shape)
+    return sorted({1, max(1, c - 1), c, c + 1, 2 * c + 3})
+
+
+def _frames(network: Network, count: int) -> list[np.ndarray]:
+    rng = np.random.default_rng(count)
+    return [rng.uniform(-1.0, 1.0, network.input_shape)
+            for _ in range(count)]
 
 
 class TestRunStream:
@@ -61,6 +96,21 @@ class TestRunStream:
         for a, b in zip(cold.outputs, warm.outputs, strict=True):
             assert np.array_equal(a, b)
 
+    def test_misshaped_frame_rejected_before_the_cold_phase(
+            self, monkeypatch):
+        def no_compile(*args, **kwargs):
+            raise AssertionError("the cold phase ran")
+
+        monkeypatch.setattr("repro.core.simulator.compile_inference",
+                            no_compile)
+        net = ext_stream.stream_network(CONFIG)
+        frames = ext_stream.frame_stream(4)
+        frames[1] = frames[1][0]
+        frames[3] = frames[3][0]
+        with pytest.raises(ConfigurationError,
+                           match=r"frame 1 has shape \(16, 16\)"):
+            NeurocubeSimulator(CONFIG).run_stream(net, frames)
+
     def test_zero_warm_time_raises(self):
         report = StreamReport(network_name="n", f_clk_hz=1e9, frames=1,
                               cold=None)
@@ -68,6 +118,53 @@ class TestRunStream:
             report.warm_frames_per_second
         with pytest.raises(ConfigurationError):
             report.warm_speedup
+
+
+class TestWarmBatching:
+    """The batched warm phase equals one ``forward`` per frame."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: ext_stream.stream_network(CONFIG),
+        _scene_front_end,
+        lambda: _with_luts(models.mnist_mlp(64)),
+    ], ids=["stream_convpool", "scene_front_end", "mnist_mlp"])
+    def test_bit_identical_across_chunk_boundaries(self, build):
+        net = build()
+        for count in _counts(net):
+            frames = _frames(net, count)
+            stream = NeurocubeSimulator(CONFIG).run_stream(net, frames)
+            assert len(stream.outputs) == count
+            for streamed, alone in zip(stream.outputs,
+                                       _frame_by_frame(net, frames),
+                                       strict=True):
+                assert np.array_equal(streamed, alone)
+
+    def test_lstm_within_a_few_ulps_of_frame_by_frame(self):
+        # The recurrent state is not quantised, so batched matmuls may
+        # round differently from frame-by-frame ones in the last bits.
+        net = models.small_lstm()
+        frames = _frames(net, stream_chunk(net.input_shape) + 1)
+        stream = NeurocubeSimulator(CONFIG).run_stream(net, frames)
+        for streamed, alone in zip(stream.outputs,
+                                   _frame_by_frame(net, frames),
+                                   strict=True):
+            np.testing.assert_allclose(streamed, alone, rtol=0,
+                                       atol=4 * np.finfo(np.float64).eps)
+
+    def test_outputs_are_rows_of_one_block(self):
+        net = ext_stream.stream_network(CONFIG)
+        stream = NeurocubeSimulator(CONFIG).run_stream(
+            net, ext_stream.frame_stream(3))
+        assert isinstance(stream.outputs, list)
+        base = stream.outputs[0].base
+        assert base is not None
+        assert base.shape == (3, *net.output_shape)
+        assert all(row.base is base for row in stream.outputs)
+
+    def test_chunk_sizes(self):
+        assert stream_chunk((3, 240, 320)) == 1
+        assert stream_chunk((3, 24, 24)) == 9
+        assert stream_chunk((1, 16, 16)) == 64
 
 
 class TestExperiment:
