@@ -69,115 +69,45 @@ def nclint_main(argv: list[str] | None = None) -> int:
     return 1 if violations else 0
 
 
-def _parse_cube_counts(spec: str) -> list[int]:
-    counts = []
-    for part in spec.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        count = int(part)
-        if count < 1:
-            raise ValueError(f"cube count must be >= 1, got {count}")
-        counts.append(count)
-    if not counts:
-        raise ValueError(f"no cube counts in {spec!r}")
-    return counts
-
-
 def nccheck_main(argv: list[str] | None = None) -> int:
-    """Statically verify compiled neurosequence plans and shard plans."""
+    """Statically verify compiled neurosequence plans."""
     parser = argparse.ArgumentParser(
         prog="nccheck",
         description="Static verifier for compiled PassPlans (checks "
-                    "NC201-NC2xx) and multi-cube shard plans (checks "
-                    "NC301-NC3xx; see docs/static_analysis.md).")
+                    "NC201-NC2xx; see docs/static_analysis.md).")
     parser.add_argument("--self-test", action="store_true",
                         help="seed a violation for every plan check and "
-                             "every shard check and verify each fires "
-                             "(the CI mode)")
+                             "verify each fires (the CI mode)")
     parser.add_argument("--demo", action="store_true",
                         help="compile a small conv/pool/fc network and "
                              "verify every descriptor of its inference "
                              "and training programs")
-    parser.add_argument("--cubes", metavar="N[,N...]",
-                        help="shard the ext_shard workload across each "
-                             "listed cube count and statically verify "
-                             "every plan (NC301-NC306); e.g. "
-                             "--cubes 1,2,4")
     parser.add_argument("--json", metavar="PATH", dest="json_path",
                         help="also write the JSON report here "
                              "(the CI artifact)")
     parser.add_argument("--list-checks", action="store_true",
-                        help="print the check catalogues and exit")
+                        help="print the check catalogue and exit")
     args = parser.parse_args(argv)
 
-    from repro.analysis import shardcheck
-
     if args.list_checks:
-        for entry in (nccheck.CHECK_CATALOGUE
-                      + shardcheck.SHARD_CHECK_CATALOGUE):
+        for entry in nccheck.CHECK_CATALOGUE:
             print(f"{entry.code}: {entry.title}")
             print(f"    {entry.guarantee}")
         return 0
 
     if args.self_test:
         failures = nccheck.self_test()
-        shard_failures = shardcheck.self_test()
-        checks = (nccheck.CHECK_CATALOGUE
-                  + shardcheck.SHARD_CHECK_CATALOGUE)
+        checks = nccheck.CHECK_CATALOGUE
         report = {"kind": "nccheck-selftest",
                   "checks": [vars(e) for e in checks],
-                  "failures": failures + shard_failures}
+                  "failures": failures}
         if args.json_path:
             nccheck.write_report(report, args.json_path)
-        for failure in failures + shard_failures:
+        for failure in failures:
             print(f"nccheck self-test FAILED: {failure}")
-        print(f"nccheck self-test: {len(checks)} checks "
-              f"({len(nccheck.CHECK_CATALOGUE)} plan + "
-              f"{len(shardcheck.SHARD_CHECK_CATALOGUE)} shard), "
-              f"{len(failures) + len(shard_failures)} failure(s)")
-        return 1 if failures or shard_failures else 0
-
-    if args.cubes:
-        from repro.core.config import NeurocubeConfig
-        from repro.core.multicube import MultiCubeConfig
-        from repro.core.shard import shard_network
-        from repro.experiments.ext_shard import shard_workload
-
-        try:
-            counts = _parse_cube_counts(args.cubes)
-        except ValueError as error:
-            parser.error(str(error))
-        network = shard_workload()
-        cube = NeurocubeConfig.hmc_15nm()
-        reports = []
-        bad = 0
-        for count in counts:
-            cluster = MultiCubeConfig(cube=cube, n_cubes=count)
-            plan = shard_network(network, cluster, validate=False)
-            report = shardcheck.report_shard_plan(
-                plan, cluster, label=f"{network.name}@{count}cube")
-            reports.append(report)
-            bad += report["violation_count"]
-            print(f"  {network.name} on {count} cube(s): "
-                  f"{report['violation_count']} violation(s) across "
-                  f"{len(report['checks'])} check(s), "
-                  f"{report['exchanges']} exchange(s)")
-            for check in report["checks"]:
-                if check["status"] == "skipped":
-                    print(f"    {check['code']} skipped: "
-                          f"{check['skipped']}")
-                for violation in check["violations"]:
-                    print(f"    {violation['code']} "
-                          f"{violation['message']}")
-        if args.json_path:
-            nccheck.write_report(
-                {"kind": "ncshardcheck-report-set",
-                 "cube_counts": counts, "violation_count": bad,
-                 "reports": reports}, args.json_path)
-        print(f"nccheck: {bad} shard-plan violation(s) across "
-              f"{len(counts)} cube count(s)")
-        return 1 if bad else 0
+        print(f"nccheck self-test: {len(checks)} checks, "
+              f"{len(failures)} failure(s)")
+        return 1 if failures else 0
 
     if args.demo:
         from repro.core.compiler import compile_inference, compile_training
@@ -210,6 +140,6 @@ def nccheck_main(argv: list[str] | None = None) -> int:
         return 1 if bad else 0
 
     parser.print_usage()
-    print("nccheck: nothing to do (pass --self-test, --demo, "
-          "--cubes or --list-checks)")
+    print("nccheck: nothing to do (pass --self-test, --demo or "
+          "--list-checks)")
     return 2

@@ -30,6 +30,7 @@ from repro.core.config import NeurocubeConfig
 from repro.errors import ConfigurationError
 from repro.memory.specs import HMC_EXT
 from repro.nn.network import Network
+from repro.noc.cubelink import CubeLinkModel
 
 #: SerDes links per cube (§VII: "4 links (SERDES)").
 LINKS_PER_CUBE = 4
@@ -44,8 +45,10 @@ class MultiCubeConfig:
     Attributes:
         cube: the per-cube configuration.
         n_cubes: number of cubes.
-        links_per_cube: external SerDes links per cube.
-        link_bandwidth: per-link bandwidth, bytes/s (HMC-Ext channel).
+        links_per_cube: external SerDes links per cube, at most the
+            paper's :data:`LINKS_PER_CUBE`.
+        link_bandwidth: per-link bandwidth, bytes/s, at most the
+            Table-I HMC-Ext channel figure.
         cube_capacity_bytes: per-cube vault DRAM capacity budget in
             bytes, or None for unlimited.  When set, the sharded
             partitioner (:func:`repro.core.shard.shard_network`) refuses
@@ -63,10 +66,16 @@ class MultiCubeConfig:
         if self.n_cubes < 1:
             raise ConfigurationError(
                 f"n_cubes must be >= 1, got {self.n_cubes}")
-        if self.links_per_cube < 1:
-            raise ConfigurationError("links_per_cube must be >= 1")
-        if self.link_bandwidth <= 0:
-            raise ConfigurationError("link_bandwidth must be positive")
+        if not 1 <= self.links_per_cube <= LINKS_PER_CUBE:
+            raise ConfigurationError(
+                f"links_per_cube must be in [1, {LINKS_PER_CUBE}] "
+                f"(§VII: '4 links (SERDES)'), got {self.links_per_cube}")
+        if not 0 < self.link_bandwidth <= HMC_EXT.peak_bandwidth:
+            raise ConfigurationError(
+                f"link_bandwidth must be positive and at most the "
+                f"Table-I HMC-Ext channel figure "
+                f"({HMC_EXT.peak_bandwidth / 1e9:.1f} GB/s), got "
+                f"{self.link_bandwidth / 1e9:.1f} GB/s")
         if (self.cube_capacity_bytes is not None
                 and self.cube_capacity_bytes <= 0):
             raise ConfigurationError(
@@ -81,6 +90,13 @@ class MultiCubeConfig:
     def cube_link_bandwidth(self) -> float:
         """Aggregate outbound bandwidth of one cube, bytes/s."""
         return self.link_bandwidth * self.links_per_cube
+
+    def link_model(self) -> CubeLinkModel:
+        """A fresh inter-cube link model (empty ledger) for this cluster."""
+        return CubeLinkModel(
+            n_cubes=self.n_cubes, links_per_cube=self.links_per_cube,
+            link_bandwidth=self.link_bandwidth, latency_s=LINK_LATENCY_S,
+            f_clk_hz=self.cube.f_pe_hz)
 
 
 @dataclass
@@ -172,16 +188,9 @@ class MultiCubeModel:
     def comm_bytes(self, desc) -> float:
         """Bytes each cube must exchange for one descriptor.
 
-        Public because the static shard-plan verifier
-        (:mod:`repro.analysis.shardcheck`, NC302) holds the executable
-        partitioner's per-cube exchange byte counts to exactly these
-        semantics — the analytic and measured communication figures can
-        never drift apart.
+        The sharded partitioner (:func:`repro.core.shard.shard_network`)
+        uses the same semantics for its per-cube exchange bytes.
         """
-        return self._comm_bytes(desc)
-
-    def _comm_bytes(self, desc) -> float:
-        """Bytes each cube must exchange for one descriptor."""
         n = self.config.n_cubes
         if n == 1:
             return 0.0
@@ -199,7 +208,7 @@ class MultiCubeModel:
         return inputs * item_bytes * (n - 1) / n
 
     def _comm_cycles(self, desc) -> float:
-        bytes_out = self._comm_bytes(desc)
+        bytes_out = self.comm_bytes(desc)
         if bytes_out == 0.0:
             return 0.0
         seconds = (bytes_out / self.config.cube_link_bandwidth

@@ -14,7 +14,7 @@ Three pieces:
   descriptor becomes one per-cube :class:`LayerDescriptor` (same PNG
   vocabulary, reduced geometry, freshly derived vault layout) plus, for
   every descriptor after the first, a :class:`CubeLinkExchange` record
-  whose per-cube byte counts mirror ``MultiCubeModel._comm_bytes``
+  whose per-cube byte counts mirror ``MultiCubeModel.comm_bytes``
   semantics exactly.  When ``MultiCubeConfig.cube_capacity_bytes`` is
   set, plans whose per-cube footprint exceeds it are refused — a
   workload can *require* sharding.
@@ -50,15 +50,10 @@ import numpy as np
 
 from repro.core.compiler import compile_inference
 from repro.core.config import NeurocubeConfig
-from repro.core.context import (
-    RunContext,
-    RunRecord,
-    resolve,
-    wants_validation,
-)
+from repro.core.context import RunContext, RunRecord, resolve
 from repro.core.layerdesc import LayerDescriptor
 from repro.core.metrics import LayerStats, RunReport
-from repro.core.multicube import LINK_LATENCY_S, MultiCubeConfig
+from repro.core.multicube import MultiCubeConfig
 from repro.core.parallel import ParallelPassExecutor
 from repro.errors import ConfigurationError, MappingError
 from repro.faults.checkpoint import CheckpointSpec
@@ -111,7 +106,7 @@ class CubeLinkExchange:
         layer: name of the consuming descriptor.
         kind: "halo" (conv/pool row refresh) or "all_gather" (fc).
         sent_bytes: per-cube outbound payload, mirroring
-            ``MultiCubeModel._comm_bytes`` semantics — halo rows to each
+            ``MultiCubeModel.comm_bytes`` semantics — halo rows to each
             neighbour for conv/pool, the owned input shard to every
             other cube for fc.
     """
@@ -295,7 +290,7 @@ def _exchange_bytes(desc: LayerDescriptor, n: int,
                     item_bytes: int) -> tuple[str, list[int]]:
     """Per-cube outbound bytes for the exchange feeding ``desc``.
 
-    Mirrors ``MultiCubeModel._comm_bytes``: conv/pool cubes refresh a
+    Mirrors ``MultiCubeModel.comm_bytes``: conv/pool cubes refresh a
     ``kernel - 1``-row halo with each neighbour (edge cubes have one
     neighbour, interior cubes two — the analytic model charges every
     cube the interior rate); fc cubes all-gather, each sending its
@@ -320,6 +315,31 @@ def _exchange_bytes(desc: LayerDescriptor, n: int,
                           for share in shares]
 
 
+def _check_capacity(plan: ShardPlan, config: MultiCubeConfig) -> None:
+    """Refuse a plan whose cube footprint exceeds ``cube_capacity_bytes``.
+
+    The message names the first cube over budget, the bytes over, and
+    the heaviest layer on that cube — the one to shard further.
+    """
+    capacity = config.cube_capacity_bytes
+    if capacity is None:
+        return
+    for cube, total in enumerate(plan.per_cube_bytes):
+        if total <= capacity:
+            continue
+        heaviest = max(
+            plan.layers,
+            key=lambda entry: entry.descriptors[cube].layout.total_bytes)
+        heaviest_bytes = heaviest.descriptors[cube].layout.total_bytes
+        raise MappingError(
+            f"network {plan.network_name!r} does not fit: cube {cube} "
+            f"needs {total / 1e6:.2f} MB against a capacity of "
+            f"{capacity / 1e6:.2f} MB on {plan.n_cubes} cube(s) — "
+            f"{(total - capacity) / 1e6:.2f} MB over budget; heaviest "
+            f"layer {heaviest.name!r} holds {heaviest_bytes / 1e6:.2f} "
+            f"MB; shard across more cubes")
+
+
 def shard_network(network: Network, config: MultiCubeConfig,
                   duplicate: bool = True,
                   validate: bool | None = None) -> ShardPlan:
@@ -332,26 +352,18 @@ def shard_network(network: Network, config: MultiCubeConfig,
     executor does too).  Raises :class:`repro.errors.MappingError` when
     a layer is too small for the cube count or — with
     ``cube_capacity_bytes`` set — when any cube's DRAM footprint
-    exceeds its capacity (the message carries the NC303 report: the
-    violating cube, its heaviest layer, and the bytes over budget).
+    exceeds its capacity (the message names the violating cube, its
+    heaviest layer, and the bytes over budget).
 
     Args:
         network: a built :class:`repro.nn.Network`.
         config: the target cluster.
         duplicate: passed through to the single-cube compiler.
-        validate: statically verify the finished plan with
-            :mod:`repro.analysis.shardcheck` (checks NC301-NC306)
-            before returning, raising
-            :class:`repro.errors.PlanCheckError` on any violation; None
-            (the default) follows the ambient run context's
-            ``validate`` — the same switch the compile hooks follow, so
-            the runner's ``--validate`` flag covers shard plans too.
+        validate: statically verify the base program's pass plans with
+            :mod:`repro.analysis.nccheck` while compiling it; None (the
+            default) follows the ambient run context's ``validate``.
     """
     n = config.n_cubes
-    validate = wants_validation(validate)
-    # The single-cube compile hook runs on the *base* program; when the
-    # shard hook is live the whole plan (shards included) is verified
-    # below, so let the compiler follow the same resolved setting.
     program = compile_inference(network, config.cube, duplicate,
                                 validate=validate)
     item_bytes = config.cube.qformat.total_bits // 8
@@ -380,26 +392,7 @@ def shard_network(network: Network, config: MultiCubeConfig,
     plan = ShardPlan(network_name=network.name, n_cubes=n,
                      duplicate=duplicate, layers=tuple(entries),
                      per_cube_bytes=per_cube)
-    if validate:
-        # Lazy import: repro.analysis depends on this module's plan
-        # types, so a module-level import would be circular.  The full
-        # NC3xx sweep includes the NC303 capacity check, so an
-        # over-budget plan fails here with the structured report.
-        from repro.analysis.shardcheck import check_shard_plan
-
-        check_shard_plan(plan, config,
-                         label=f"shard plan for {network.name!r}")
-    elif config.cube_capacity_bytes is not None:
-        # Validate off: keep the MappingError path as the backstop, but
-        # let the static NC303 check author the diagnosis (violating
-        # cube, heaviest layer, bytes over budget).
-        from repro.analysis.shardcheck import capacity_violations
-
-        over = capacity_violations(plan, config)
-        if over:
-            raise MappingError(
-                f"network {network.name!r} does not fit: "
-                f"{over[0].message}")
+    _check_capacity(plan, config)
     return plan
 
 
@@ -625,8 +618,8 @@ class ShardedSimulator:
         (LSTMs lower to five — use :meth:`run_timing` for those) and,
         for fc layers, a :class:`~repro.nn.layers.Dense` instance
         (other fc-kind layers are timing-only here too).  ``validate``
-        statically verifies the shard plan (NC301-NC306) before any
-        cube process is spawned; None follows the run context.
+        statically verifies the base program's pass plans while
+        compiling it; None follows the run context.
         """
         # Host wall-clock only; never feeds any simulated result.
         # nclint: allow(NC101) host-side timing
@@ -718,13 +711,8 @@ class ShardedSimulator:
                            f_clk_hz=self.config.cube.f_pe_hz,
                            peak_gops=self.config.total_peak_gops,
                            source="cycle")
-        links = CubeLinkModel(
-            n_cubes=plan.n_cubes,
-            links_per_cube=self.config.links_per_cube,
-            link_bandwidth=self.config.link_bandwidth,
-            latency_s=LINK_LATENCY_S,
-            f_clk_hz=self.config.cube.f_pe_hz)
-        return _RunState(plan=plan, report=report, links=links,
+        return _RunState(plan=plan, report=report,
+                         links=self.config.link_model(),
                          executor=ParallelPassExecutor(self.workers),
                          ctx=ctx, injector=injector)
 

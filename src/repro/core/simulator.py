@@ -1044,9 +1044,12 @@ class NeurocubeSimulator:
         returned report is the cluster-level fold; the full
         :class:`~repro.core.shard.ShardRunReport` is available through
         :class:`~repro.core.shard.ShardedSimulator` directly.
-        ``validate`` statically verifies the compiled program (or the
-        sharded plan, NC301-NC306, before any cube runs); None follows
-        the run context's ``validate``.
+        ``validate`` statically verifies the compiled program (on every
+        cube count); None follows the run context's ``validate``.
+        Functional runs need one descriptor per layer: a layer that
+        lowers to several (an LSTM) raises
+        :class:`~repro.errors.MappingError` — run its descriptors
+        timing-only with :meth:`run_descriptor` or :meth:`run_stream`.
         """
         from repro.fixedpoint import quantize_float
 
@@ -1069,7 +1072,16 @@ class NeurocubeSimulator:
         with ctx.phase("compile"):
             program = compile_inference(network, self.config, duplicate,
                                         validate=validate)
-        descriptors = {d.layer_index: d for d in program.descriptors}
+        descriptors: dict[int, LayerDescriptor] = {}
+        for desc in program.descriptors:
+            if desc.layer_index in descriptors:
+                raise MappingError(
+                    f"{network.name!r}: layer "
+                    f"{network.layers[desc.layer_index].name!r} lowers "
+                    f"to multiple descriptors; functional execution "
+                    f"needs one descriptor per layer — run them "
+                    f"timing-only with run_descriptor or run_stream")
+            descriptors[desc.layer_index] = desc
         current = quantize_float(np.asarray(x, dtype=np.float64),
                                  self.config.qformat)
         report = RunReport(network_name=network.name,
@@ -1114,7 +1126,9 @@ class NeurocubeSimulator:
         """Simulate a stream of frames: timing once, data per frame.
 
         The *cold* phase compiles the network and cycle-simulates every
-        compute layer timing-only — memoized, and persisted when a memo
+        compiled descriptor timing-only, in program order (a layer that
+        lowers to several, like an LSTM's four gates and cell update,
+        runs all of them) — memoized, and persisted when a memo
         store is resolved, so a later stream over the same shapes
         replays timing from disk.  The *warm* phase then pushes the
         frames through the functional fixed-point path only, which is
@@ -1166,17 +1180,10 @@ class NeurocubeSimulator:
         ctx = self._resolve()
         with ctx.phase("compile"):
             program = compile_inference(network, self.config, duplicate)
-        descriptors = {d.layer_index: d for d in program.descriptors}
         cold = RunReport(network_name=network.name,
                          f_clk_hz=self.config.f_pe_hz,
                          peak_gops=self.config.peak_gops, source="cycle")
-        for index, layer in enumerate(network.layers):
-            if isinstance(layer, Flatten):
-                continue
-            desc = descriptors.get(index)
-            if desc is None:
-                raise MappingError(
-                    f"layer {layer.name!r} missing from program")
+        for desc in program.descriptors:
             run = self.run_descriptor(desc, ctx=ctx)
             cold.layers.append(run.to_stats())
             cold.host_seconds += run.host_seconds

@@ -81,10 +81,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument(
         "--validate", action="store_true",
         help="statically verify every compiled PNG program "
-             "(repro.analysis.nccheck) and every multi-cube shard plan "
-             "(repro.analysis.shardcheck, NC301-NC306) before "
-             "simulation; a malformed plan fails fast with a "
-             "PlanCheckError instead of deadlocking mid-run")
+             "(repro.analysis.nccheck) before simulation; a malformed "
+             "plan fails fast with a PlanCheckError instead of "
+             "deadlocking mid-run")
     run_parser.add_argument(
         "--trace-dir", default=".",
         help="directory for --trace output files (default: cwd)")

@@ -109,10 +109,8 @@ class CubeLinkModel:
 
         The slowest cube's frame delivery over the per-cube payloads —
         the exact integer the sharded executor pays at each exchange
-        rendezvous when no link fault fires.  A pure cube-order fold
-        (``max`` over :meth:`delivery_cycles`), so it is permutation-
-        invariant; the static verifier (``ncshardcheck`` NC305) pins
-        the executor's barrier arithmetic against it.
+        rendezvous when no link fault fires: ``max`` over
+        :meth:`delivery_cycles`, so it is permutation-invariant.
         """
         return max((self.delivery_cycles(n) for n in sent_bytes),
                    default=0)

@@ -11,6 +11,7 @@ import pytest
 
 from repro import nn
 from repro.core import NeurocubeConfig, NeurocubeSimulator, compile_inference
+from repro.errors import MappingError
 from repro.fixedpoint import quantize_float
 from repro.nn.activations import ActivationLUT, Identity, Sigmoid, Tanh
 
@@ -149,6 +150,11 @@ class TestWholeNetwork:
         assert report.source == "cycle"
         assert report.throughput_gops > 0
         assert report.utilization < 1.0
+
+    def test_multi_descriptor_layer_raises_mapping_error(self, simulator):
+        net = nn.models.small_lstm(inputs=16, hidden_units=32, steps=4)
+        with pytest.raises(MappingError, match="lowers to multiple"):
+            simulator.run_network(net, np.zeros((4, 16)))
 
 
 class TestTimingBehaviour:

@@ -13,6 +13,7 @@ from repro.core import (
     NeurocubeSimulator,
     RunContext,
     StreamReport,
+    compile_inference,
 )
 from repro.core.simulator import stream_chunk
 from repro.errors import ConfigurationError
@@ -110,6 +111,25 @@ class TestRunStream:
         with pytest.raises(ConfigurationError,
                            match=r"frame 1 has shape \(16, 16\)"):
             NeurocubeSimulator(CONFIG).run_stream(net, frames)
+
+    @pytest.mark.parametrize("build", [
+        lambda: ext_stream.stream_network(CONFIG),
+        models.small_lstm,
+    ], ids=["stream_convpool", "small_lstm"])
+    def test_cold_phase_runs_every_descriptor(self, build):
+        """In program order, even where one layer lowers to several
+        descriptors (an LSTM's four gates and its cell update)."""
+        net = build()
+        sim = NeurocubeSimulator(CONFIG)
+        program = compile_inference(net, CONFIG)
+        runs = [sim.run_descriptor(desc) for desc in program.descriptors]
+        stream = sim.run_stream(net, _frames(net, 2))
+        assert [layer.name for layer in stream.cold.layers] == [
+            desc.name for desc in program.descriptors]
+        assert stream.cycles_per_frame == sum(run.cycles for run in runs)
+        if net.name == "small_lstm":
+            assert len(stream.cold.layers) == 5
+            assert stream.cycles_per_frame == 6991
 
     def test_zero_warm_time_raises(self):
         report = StreamReport(network_name="n", f_clk_hz=1e9, frames=1,
