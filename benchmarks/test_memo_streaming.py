@@ -21,6 +21,7 @@ from repro.core import (
     RunContext,
     compile_inference,
 )
+from repro.core.simulator import stream_chunk
 from repro.experiments import ext_stream
 from repro.memo import MemoStore
 from repro.nn import models
@@ -64,12 +65,15 @@ def test_persistent_memo_warm_speedup(tmp_path):
 def test_streaming_frames_per_second(tmp_path):
     """Warm-stream throughput: the functional fast path must beat
     per-frame cycle simulation by at least 10x (measured in the
-    hundreds to thousands) with bit-identical outputs.  This is the acceptance gate for the
-    streaming pipeline — timing simulated once per distinct layer
-    shape, every frame replayed through the numpy substrate."""
+    hundreds to thousands) with bit-identical outputs on every frame.
+    This is the acceptance gate for the streaming pipeline — timing
+    simulated once per distinct layer shape, every frame replayed
+    through the numpy substrate.  The warm phase streams a full chunk
+    and a partial one, so the printed rate times more than one chunk's
+    stack, quantise and forward."""
     config = NeurocubeConfig.hmc_15nm()
     net = ext_stream.stream_network(config)
-    frames = ext_stream.frame_stream(4)
+    frames = ext_stream.frame_stream(stream_chunk(net.input_shape) + 6)
 
     reference = NeurocubeSimulator(config)
     start = time.perf_counter()

@@ -273,6 +273,9 @@ class StreamReport:
             chunks and writes them into one ``(frames, *output_shape)``
             block; each entry is a row of it (a view sharing its
             buffer), so keeping any one output keeps the whole block.
+        outputs_sha256: SHA-256 of that block's float64 bytes: every
+            output value, in stream order, in one string a JSON report
+            can compare exactly.
     """
 
     network_name: str
@@ -283,6 +286,7 @@ class StreamReport:
     warm_host_seconds: float = 0.0
     memo: object | None = None
     outputs: list = field(default_factory=list)
+    outputs_sha256: str = ""
 
     @property
     def cycles_per_frame(self) -> float:

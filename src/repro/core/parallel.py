@@ -30,10 +30,11 @@ between tasks whose passes provably coincide, in two steps:
   conv layer, or the maps of a pooling layer — run one PNG program on
   their own data, so they run as one batch.  When the lead map's
   passes fold into node-slice classes, only the lead's pass is
-  simulated per sub-pass and replayed for each map, and every other
-  map's write-backs are evaluated from its own plan and vault image
-  (:func:`repro.core.fold.evaluate`).  Otherwise every map of the
-  batch is simulated on its own.
+  simulated per sub-pass and replayed for each map, and the other
+  maps, the follower maps, are evaluated together on the lead's
+  schedule, one evaluation per sub-pass
+  (:func:`repro.core.fold.evaluate_maps`).  Otherwise every map of
+  the batch is simulated on its own.
 """
 
 from __future__ import annotations
@@ -219,16 +220,16 @@ def run_map_batch(config: NeurocubeConfig, desc: LayerDescriptor,
     lead's first plan folds into node-slice classes
     (:meth:`~repro.core.scheduler.PassPlan.slice_classes`): per
     sub-pass, only the lead's pass is simulated, its outcome is
-    replayed for every map, and every other map's write-backs are
-    evaluated from its own plan and vault image
-    (:func:`repro.core.fold.evaluate`), its later sub-passes preloading
-    its own partial sums.  The decision is made once, before any pass
-    runs; a batch that does not share runs each map's chain on its
-    own, so no pass is ever simulated twice.  A batch of one is a map's
-    own chain.  Sub-passes run serially: only the final one goes
-    through the activation LUT — exactly the serial simulator's
-    schedule, so every map's outputs and statistics match its own
-    simulation bit for bit.  Returns one :class:`MapOutcome` per task.
+    replayed for every map, and the follower maps' write-backs are
+    evaluated together from their own data on the lead's schedule
+    (:func:`_evaluate_followers`), each map's later sub-passes
+    preloading its own partial sums.  The decision is made once,
+    before any pass runs; a batch that does not share runs each map's
+    chain on its own, so no pass is ever simulated twice.  A batch of
+    one is a map's own chain.  Sub-passes run serially: only the final
+    one goes through the activation LUT — exactly the serial
+    simulator's schedule, so every map's outputs and statistics match
+    its own simulation bit for bit.  Returns one :class:`MapOutcome` per task.
 
     ``ctx`` carries the run's hooks into every sub-pass.  Each traced
     pass's trace rides back on its :class:`PassOutcome` with a local
@@ -258,21 +259,20 @@ def run_map_batch(config: NeurocubeConfig, desc: LayerDescriptor,
                 for task in batch]
     shared = _run_chain(simulator, desc, lut, functional, lead, ctx,
                         label_base, first)
+    followers = batch[1:]
+    outputs = (_evaluate_followers(config, desc, lut, followers, first,
+                                   classes, shared.output.shape)
+               if functional else [None] * len(followers))
     return [shared] + [
-        MapOutcome(index=task.index, passes=shared.passes,
-                   output=(_evaluate_chain(simulator, desc, lut, task,
-                                           first, classes)
-                           if functional else None))
-        for task in batch[1:]]
+        MapOutcome(index=task.index, passes=shared.passes, output=output)
+        for task, output in zip(followers, outputs, strict=True)]
 
 
 def _sub_pass_plan(config: NeurocubeConfig, desc: LayerDescriptor,
                    lut: ActivationLUT | None, task: MapTask, j: int,
-                   partial_sums: np.ndarray | None, like=None):
+                   partial_sums: np.ndarray | None):
     """The plan of sub-pass ``j`` of ``task``: preloaded with the spec's
-    bias, or with the previous sub-pass's ``partial_sums``; ``like`` is
-    a plan whose schedule it shares
-    (:func:`~repro.core.scheduler.build_conv_pass`)."""
+    bias, or with the previous sub-pass's ``partial_sums``."""
     # Imported here, not at module top: the scheduler imports nothing
     # from this module, but keeping the executor import-light lets the
     # memo store depend on the task/outcome types without cycles.
@@ -282,7 +282,7 @@ def _sub_pass_plan(config: NeurocubeConfig, desc: LayerDescriptor,
     return build_conv_pass(
         desc, config, spec.input_tensor, spec.kernel,
         spec.bias if partial_sums is None else partial_sums.ravel(),
-        lut if spec.final else None, mode=task.mode, like=like)
+        lut if spec.final else None, mode=task.mode)
 
 
 def _run_chain(simulator, desc: LayerDescriptor, lut: ActivationLUT | None,
@@ -308,23 +308,44 @@ def _run_chain(simulator, desc: LayerDescriptor, lut: ActivationLUT | None,
                       output=output)
 
 
-def _evaluate_chain(simulator, desc: LayerDescriptor,
-                    lut: ActivationLUT | None, task: MapTask, like,
-                    classes: list[list[int]]) -> np.ndarray:
-    """One map's output, evaluated sub-pass by sub-pass from its own
-    plans (on the schedule of ``like``, whose node-slice ``classes``
-    they share) by :func:`repro.core.fold.evaluate`: each later
-    sub-pass preloads the map's own partial sums."""
-    from repro.core.fold import evaluate
+def _evaluate_followers(config: NeurocubeConfig, desc: LayerDescriptor,
+                        lut: ActivationLUT | None,
+                        followers: tuple[MapTask, ...], plan, classes,
+                        shape: tuple[int, ...]) -> np.ndarray:
+    """The outputs of a shared batch's follower maps, ``(maps, *shape)``,
+    evaluated together on the schedule of the lead's first ``plan``,
+    whose node-slice ``classes`` they share
+    (:func:`repro.core.fold.evaluate_maps`).
 
-    config = simulator.config
-    output = None
-    for j in range(len(task.sub_passes)):
-        plan = _sub_pass_plan(config, desc, lut, task, j, output,
-                              like=like)
-        output = simulator.assemble_output(
-            desc, plan, evaluate(plan, classes, config.qformat))
-    return output
+    Per sub-pass, the input is laid into vault images once when every
+    map reads the same one (the input-map block of a convolution), else
+    one image row per map (pooling); each map brings its own kernel and
+    preloads its bias, then its own partial sums.
+    """
+    from repro.core.fold import evaluate_maps
+    from repro.core.scheduler import conv_kernel, conv_vault_images
+    from repro.fixedpoint import from_float, to_float
+
+    fmt = config.qformat
+    values = np.empty((len(followers), plan.total_neurons))
+    values[:] = [[task.sub_passes[0].bias] for task in followers]
+    for specs in zip(*(task.sub_passes for task in followers),
+                     strict=True):
+        inputs = [spec.input_tensor for spec in specs]
+        if all(np.array_equal(tensor, inputs[0]) for tensor in inputs[1:]):
+            inputs = inputs[:1]
+        images = conv_vault_images(desc, config, np.stack(inputs),
+                                   plan.expected_writebacks)
+        kernels = [conv_kernel(desc, followers[0].mode, spec.kernel)
+                   for spec in specs]
+        raw = evaluate_maps(
+            plan, classes, images, values,
+            (None if kernels[0] is None
+             else from_float(np.stack(kernels), fmt).reshape(
+                 len(kernels), -1)),
+            fmt, lut if specs[0].final else None)
+        values = to_float(raw, fmt)
+    return values.reshape(len(followers), *shape)
 
 
 def share_batches(tasks: list[MapTask]) -> list[list[int]]:

@@ -193,6 +193,7 @@ class PassPlan:
         if config.n_channels != n_pe or len(self.pe_groups) != n_pe:
             return None
         classes: dict[tuple, list[int]] = {}
+        kernel = None
         for node in range(n_pe):
             stream = self.vault_emissions[node]
             if not (stream or self.pe_groups[node]
@@ -212,6 +213,12 @@ class PassPlan:
                             or home[0] != node or not 0 <= home[1] < size):
                         return None
                     lowest = min(lowest, home[1])
+                # Every slice's values come from one resident kernel.
+                if kernel is None:
+                    kernel = group.weights
+                elif (group.weights is not kernel
+                      and group.weights != kernel):
+                    return None
                 shapes.append((len(group.slots), group.n_connections,
                                group.mode, group.weights_resident,
                                group.shared_state))
@@ -289,8 +296,7 @@ def build_conv_pass(desc: LayerDescriptor, config: NeurocubeConfig,
                     kernel_weights: np.ndarray | None,
                     bias: float | np.ndarray,
                     lut: ActivationLUT | None,
-                    mode: str = "mac",
-                    like: PassPlan | None = None) -> PassPlan:
+                    mode: str = "mac") -> PassPlan:
     """Schedule one pass of a locally connected layer (one output map).
 
     Args:
@@ -307,11 +313,6 @@ def build_conv_pass(desc: LayerDescriptor, config: NeurocubeConfig,
         lut: activation LUT for write-backs (None on intermediate
             sub-passes: the raw partial sum is stored).
         mode: "mac" or "max" (max pooling).
-        like: a plan this function built for the same layer, mode and
-            input shape.  The new plan shares its emission schedules,
-            output addresses and write-back counts, which depend on
-            nothing else, and builds only its own vault images, weights
-            and preloads.
     """
     layout = desc.layout
     if not isinstance(layout, ConvLayout):
@@ -335,15 +336,10 @@ def build_conv_pass(desc: LayerDescriptor, config: NeurocubeConfig,
     n_channels = config.n_channels
     stored = list(layout.stored_tiles)
     vault_sizes = [stored_size(tile, in_maps) for tile in stored]
-    raw_input = (from_float(input_tensor, config.qformat)
-                 if functional else None)
 
     weights = None
+    kernel_weights = conv_kernel(desc, mode, kernel_weights)
     if mode == "mac":
-        # Average pooling rides the MAC datapath with constant 1/k^2
-        # coefficients; weighted layers use the pass's kernel.
-        if kernel_weights is None and desc.kind == "pool":
-            kernel_weights = np.full((1, k, k), 1.0 / (k * k))
         if functional and kernel_weights is None:
             raise MappingError(f"{desc.name}: functional conv pass needs "
                                f"kernel weights")
@@ -354,34 +350,26 @@ def build_conv_pass(desc: LayerDescriptor, config: NeurocubeConfig,
 
     # ---- PE ownership, write-back addresses and schedules --------------
     n_pe = config.n_pe
-    if like is None:
-        owned = pe_output_rects(desc, n_pe)
-        out_addresses: dict[NeuronTag, tuple[int, int]] = {}
-        expected = [0] * n_channels
-        pe_neurons: list[list[NeuronTag]] = [[] for _ in range(n_pe)]
-        for pe, rect in enumerate(owned):
-            if rect is None:
-                continue
-            home = config.channel_of_pe(pe)
-            tags = [(0, oy * out_w + ox) for oy in range(rect.y0, rect.y1)
-                    for ox in range(rect.x0, rect.x1)]
-            first = vault_sizes[home] + expected[home]
-            for offset, tag in enumerate(tags):
-                out_addresses[tag] = (home, first + offset)
-            expected[home] += len(tags)
-            pe_neurons[pe] = tags
-        if feeds_own_pe_only(desc, config, owned):
-            emissions = _register_streams(desc, config, pe_neurons, owned)
-        else:
-            emissions = _listed_conv_emissions(config, stored, owned,
-                                               stride, k, n_conn, out_w)
+    owned = pe_output_rects(desc, n_pe)
+    out_addresses: dict[NeuronTag, tuple[int, int]] = {}
+    expected = [0] * n_channels
+    pe_neurons: list[list[NeuronTag]] = [[] for _ in range(n_pe)]
+    for pe, rect in enumerate(owned):
+        if rect is None:
+            continue
+        home = config.channel_of_pe(pe)
+        tags = [(0, oy * out_w + ox) for oy in range(rect.y0, rect.y1)
+                for ox in range(rect.x0, rect.x1)]
+        first = vault_sizes[home] + expected[home]
+        for offset, tag in enumerate(tags):
+            out_addresses[tag] = (home, first + offset)
+        expected[home] += len(tags)
+        pe_neurons[pe] = tags
+    if feeds_own_pe_only(desc, config, owned):
+        emissions = _register_streams(desc, config, pe_neurons, owned)
     else:
-        out_addresses = like.out_addresses
-        expected = list(like.expected_writebacks)
-        emissions = list(like.vault_emissions)
-        pe_neurons = [[slot.neuron for group in groups
-                       for slot in group.slots]
-                      for groups in like.pe_groups]
+        emissions = _listed_conv_emissions(config, stored, owned,
+                                           stride, k, n_conn, out_w)
 
     # ---- groups, with one accumulator preload per neuron ---------------
     preload = np.empty(out_h * out_w)
@@ -399,13 +387,13 @@ def build_conv_pass(desc: LayerDescriptor, config: NeurocubeConfig,
             shared_state=False, weights=weights)
             for chunk in _chunk(tags, config.n_mac)])
 
-    vault_data = []
-    for channel, tile in enumerate(stored):
-        array = np.zeros(vault_sizes[channel] + expected[channel],
-                         dtype=np.int64)
-        if functional:
-            array[:vault_sizes[channel]] = stored_image(raw_input, tile)
-        vault_data.append(array)
+    if functional:
+        vault_data = [image[0] for image in conv_vault_images(
+            desc, config, input_tensor[np.newaxis], expected)]
+    else:
+        vault_data = [np.zeros(size + space, dtype=np.int64)
+                      for size, space in zip(vault_sizes, expected,
+                                             strict=True)]
 
     return PassPlan(
         vault_emissions=emissions,
@@ -414,6 +402,43 @@ def build_conv_pass(desc: LayerDescriptor, config: NeurocubeConfig,
         lut=lut, total_neurons=out_h * out_w,
         stream_items=out_h * out_w * n_conn,
         timing_only=not functional and np.ndim(bias) == 0)
+
+
+def conv_kernel(desc: LayerDescriptor, mode: str,
+                kernel_weights: np.ndarray | None) -> np.ndarray | None:
+    """The real-valued kernel a conv or pooling pass keeps resident:
+    the pass's own, or for average pooling (which rides the MAC
+    datapath) the constant ``1/k^2`` coefficients; None for max mode or
+    a missing kernel."""
+    if mode != "mac":
+        return None
+    if kernel_weights is None and desc.kind == "pool":
+        k = desc.kernel
+        return np.full((1, k, k), 1.0 / (k * k))
+    return kernel_weights
+
+
+def conv_vault_images(desc: LayerDescriptor, config: NeurocubeConfig,
+                      inputs: np.ndarray,
+                      expected: list[int]) -> list[np.ndarray]:
+    """Every vault's memory image of a conv or pooling pass, for one or
+    more maps at once.
+
+    ``inputs`` is ``(maps, C_in, H, W)``, real-valued (quantised here);
+    vault ``v``'s image has one row per map: its stored tile of the
+    map's input, input map by input map, then ``expected[v]`` zero
+    items of output space.
+    """
+    raw = from_float(inputs, config.qformat)
+    maps = len(raw)
+    planes = raw.reshape(-1, *raw.shape[2:])
+    images = []
+    for tile, space in zip(desc.layout.stored_tiles, expected, strict=True):
+        stored = stored_image(planes, tile).reshape(maps, -1)
+        image = np.zeros((maps, stored.shape[1] + space), dtype=np.int64)
+        image[:, :stored.shape[1]] = stored
+        images.append(image)
+    return images
 
 
 def _listed_conv_emissions(config: NeurocubeConfig, stored: list[Rect],

@@ -38,6 +38,7 @@ simulator on scaled-down layers (see :mod:`repro.core.calibration`).
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import time
 from dataclasses import dataclass, field
 
@@ -1204,4 +1205,5 @@ class NeurocubeSimulator:
             frames=len(frames), cold=cold,
             cold_host_seconds=cold_done - started,
             warm_host_seconds=warm_done - cold_done,
-            memo=cold.memo, outputs=list(block))
+            memo=cold.memo, outputs=list(block),
+            outputs_sha256=hashlib.sha256(block.tobytes()).hexdigest())

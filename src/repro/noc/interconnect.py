@@ -18,8 +18,8 @@ buffers directly (bound once at construction), counting each push into
 operations addressed by node and port.
 
 :class:`FoldedInterconnect` is the fabric of a pass simulated one node
-slice per timing class: only the representatives' routers switch, and
-each delivery counts once per slice its node stands for.
+slice per timing class: only the representatives have routers, no links
+join them, and each delivery counts once per slice its node stands for.
 """
 
 from __future__ import annotations
@@ -85,6 +85,10 @@ class Interconnect:
     #: arbiters' head decides grants (:meth:`timing_signature`).
     _contended = True
 
+    #: Whether packets may cross links between nodes, so that the
+    #: fabric wires its routers together.
+    _linked = True
+
     def __init__(self, topology: Topology,
                  buffer_depth: int = DEFAULT_DEPTH,
                  local_rate: int = 2, tracer=None,
@@ -102,18 +106,19 @@ class Interconnect:
         self.stats = NocStats()
         # Each router fills its route table from the topology's routing
         # function (the one definition nccheck's NC205 walk also uses).
-        self.routers = [
-            Router(node, topology.link_ports(node),
-                   partial(topology.next_port, node), buffer_depth,
-                   local_rate=local_rate)
-            for node in range(topology.n_nodes)
-        ]
-        # The routers each cycle switches (every one here; a folded
-        # fabric narrows it to its representative nodes).
-        self._switching = self.routers
+        # A node the fabric does not simulate has no router (None).
+        self.routers: list[Router | None] = [None] * topology.n_nodes
+        for node in self._simulated_nodes():
+            self.routers[node] = Router(
+                node, topology.link_ports(node),
+                partial(topology.next_port, node), buffer_depth,
+                local_rate=local_rate)
+        # The routers each cycle switches: every one that was built.
+        self._switching = [router for router in self.routers
+                           if router is not None]
         # Precompute link hookups: (node, out port) -> (node, in port).
         self._links: list[tuple[Router, PortKey, Router, PortKey]] = []
-        for router in self.routers:
+        for router in self._switching if self._linked else ():
             for port in topology.link_ports(router.node_id):
                 target, in_port = topology.link_target(router.node_id, port)
                 self._links.append(
@@ -142,6 +147,10 @@ class Interconnect:
         # cycle its next transmission attempt is allowed (backoff).
         self._link_retries = [0] * len(self._links)
         self._link_blocked_until = [0] * len(self._links)
+
+    def _simulated_nodes(self) -> range | list[int]:
+        """The nodes whose routers the fabric builds: every node."""
+        return range(self.topology.n_nodes)
 
     # ------------------------------------------------------------------
     # edge interfaces
@@ -434,7 +443,7 @@ class Interconnect:
         return {
             "cycle": self.cycle,
             "stats": replace(self.stats),
-            "routers": [router.state_dict() for router in self.routers],
+            "routers": [router.state_dict() for router in self._switching],
             "link_retries": list(self._link_retries),
             "link_blocked_until": list(self._link_blocked_until),
         }
@@ -442,7 +451,7 @@ class Interconnect:
     def load_state(self, state: dict) -> None:
         self.cycle = state["cycle"]
         self.stats = replace(state["stats"])
-        for router, payload in zip(self.routers, state["routers"],
+        for router, payload in zip(self._switching, state["routers"],
                                    strict=True):
             router.load_state(payload)
         self._link_retries = list(state["link_retries"])
@@ -453,12 +462,12 @@ class Interconnect:
     @property
     def busy(self) -> bool:
         """True while any packet is resident in any router."""
-        return any(router.busy for router in self.routers)
+        return any(router.busy for router in self._switching)
 
     @property
     def occupancy(self) -> int:
         """Total packets currently inside the fabric."""
-        return sum(router.occupancy for router in self.routers)
+        return sum(router.occupancy for router in self._switching)
 
     def link_occupancies(self) -> list[tuple[str, int]]:
         """Per-link buffered packets: upstream output + downstream input.
@@ -481,15 +490,18 @@ class FoldedInterconnect(Interconnect):
     """The fabric of a pass that simulates one slice per timing class.
 
     ``weights[node]`` is how many identical node slices ``node`` stands
-    for, 0 for a node that is not simulated.  Only the routers of
-    weighted nodes switch, so every packet must stay inside its node:
-    the caller folds only passes whose traffic is local.  Each packet
-    delivered at a node counts ``weights[node]`` times in the delivered,
-    lateral and latency totals, so the statistics equal the full
-    fabric's.  ``injected`` takes the members' copies of a packet when
-    it is delivered, which keeps :attr:`in_fabric` the count of packets
-    actually resident, and ``injected == delivered`` once the pass ends.
-    A folded pass runs hook-free, so deliveries emit no trace events.
+    for, 0 for a node that is not simulated.  Only the weighted nodes
+    get routers (:attr:`routers` holds None at the others), and no
+    links join them: the caller folds only passes whose traffic is
+    local, and a packet that leaves its node anyway raises
+    :class:`~repro.errors.SimulationError` at the link stage, so the
+    pass re-runs in full.  Each packet delivered at a node counts
+    ``weights[node]`` times in the delivered, lateral and latency
+    totals, so the statistics equal the full fabric's.  ``injected``
+    takes the members' copies of a packet when it is delivered, which
+    keeps :attr:`in_fabric` the count of packets actually resident, and
+    ``injected == delivered`` once the pass ends.  A folded pass runs
+    hook-free, so deliveries emit no trace events.
     """
 
     #: Every packet stays in its node: data goes from the MEM input to
@@ -497,14 +509,21 @@ class FoldedInterconnect(Interconnect):
     #: No output ever has two requesters, so the arbiters' rotating head
     #: never decides a grant.
     _contended = False
+    _linked = False
 
     def __init__(self, topology: Topology, weights: list[int],
                  **kwargs) -> None:
-        super().__init__(topology, **kwargs)
         self._weights = weights
-        self._switching = [router for router, weight
-                           in zip(self.routers, weights, strict=True)
-                           if weight]
+        super().__init__(topology, **kwargs)
+
+    def _simulated_nodes(self) -> list[int]:
+        return [node for node, weight in enumerate(self._weights)
+                if weight]
+
+    def _step_links(self) -> None:
+        raise SimulationError(
+            f"folded pass: {self.link_resident} packets left their node "
+            f"at cycle {self.cycle}")
 
     def record_delivery(self, node: int, packet: Packet) -> None:
         weight = self._weights[node]

@@ -45,7 +45,7 @@ from repro.core import (
     RunContext,
     compile_inference,
 )
-from repro.core import scheduler
+from repro.core import fold, scheduler
 from repro.core.config import SIM_WORKERS_ENV
 from repro.core.pe import ProcessingElement
 from repro.core.png import RegisterStream
@@ -450,6 +450,71 @@ def test_pool_maps_share_the_first_maps_pass(kind, pass_labels):
         pass_labels.clear()
         np.testing.assert_array_equal(simulate(cfg, w).output, expected)
         assert pass_labels == labels
+
+
+def test_follower_blocks_split_maps_rows_and_connections(monkeypatch,
+                                                         pass_labels):
+    """With evaluator blocks of three elements, the follower maps of a
+    shared conv (two and four sub-passes) and of a four-map max and
+    average pool are evaluated in blocks that split their maps, rows
+    and connections; the outputs still equal every map simulated on
+    its own."""
+    monkeypatch.setattr(fold, "_BLOCK", 3)
+    shapes: list[tuple[int, int, int]] = []
+    evaluate = fold.evaluate
+
+    def recording(streams, images, group, preload, *args):
+        shapes.append((*preload.shape, group.n_connections))
+        return evaluate(streams, images, group, preload, *args)
+
+    monkeypatch.setattr(fold, "evaluate", recording)
+    for w, sub_passes in (
+            (workload([conv_layer(4, 5)], (10, 7, 7), True, seed=9), 2),
+            (workload([conv_layer(3, 7)], (16, 9, 9), True, seed=12), 4),
+            (pool(MaxPool2D, 4, seed=10), 1),
+            (pool(AvgPool2D, 4, seed=10), 1)):
+        name = w.net.layers[0].name
+        shapes.clear()
+        pass_labels.clear()
+        shared = simulate(config().with_(sim_memoize=True), w).output
+        assert pass_labels == [f"{name}.m0.s{j}" for j in range(sub_passes)]
+        assert any(maps > 1 and rows > 1 and connections > 3
+                   for maps, rows, connections in shapes)
+        assert np.array_equal(shared, simulate(config(), w).output)
+
+
+def test_lateral_packet_reruns_a_folded_pass_in_full(monkeypatch):
+    """A pass wrongly taken to fold, whose vaults feed other nodes'
+    PEs, raises at the first packet that leaves its node; the pass then
+    runs in full and gives the unfolded result."""
+    cfg = config().with_(sim_memoize=True)
+    net = models.single_conv_layer(12, 12, 3, qformat=None)
+    desc = compile_inference(net, cfg, duplicate=False).descriptors[0]
+    plan = build_conv_pass(desc, cfg, None, None, 0.0, None)
+    monkeypatch.setattr(scheduler.PassPlan, "slice_classes",
+                        lambda self, config: [list(range(16))])
+    attempts: list[tuple[bool, str]] = []
+    simulate_pass = NeurocubeSimulator._simulate
+
+    def recording(self, plan, *args):
+        folded = args[-1] is not None
+        try:
+            result = simulate_pass(self, plan, *args)
+        except SimulationError as error:
+            attempts.append((folded, str(error)))
+            raise
+        attempts.append((folded, "ok"))
+        return result
+
+    monkeypatch.setattr(NeurocubeSimulator, "_simulate", recording)
+    result = NeurocubeSimulator(cfg).run_pass(plan)
+    assert [folded for folded, _ in attempts] == [True, False]
+    assert "left their node" in attempts[0][1]
+    reference = NeurocubeSimulator(config()).run_pass(
+        build_conv_pass(desc, cfg, None, None, 0.0, None))
+    assert result.cycles == reference.cycles
+    assert result.outputs == reference.outputs
+    assert result.interconnect.stats == reference.interconnect.stats
 
 
 def smoke_conv_plan(config, functional=False):

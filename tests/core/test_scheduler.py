@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core import compile_inference
-from repro.core.scheduler import build_conv_pass, build_fc_pass
+from repro.core.scheduler import (build_conv_pass, build_fc_pass,
+                                  conv_vault_images)
 from repro.fixedpoint import from_float
 from repro.nn import models
 from repro.noc.packet import PacketKind
@@ -92,23 +93,21 @@ class TestConvPass:
         assert all(np.all(data[:10] == 0) or len(data) >= 0
                    for data in plan.vault_data)
 
-    def test_like_shares_the_schedule(self, config, conv_setup):
-        """A plan built ``like`` another map's shares its schedule
-        objects and equals the plan built from scratch."""
+    def test_vault_images_hold_every_maps_plan_image(self, config,
+                                                     conv_setup):
+        """One ``conv_vault_images`` call lays out several maps' inputs
+        at once: row ``m`` of each vault's image is the image the plan
+        of map ``m`` holds."""
         desc, x, kernel = conv_setup
-        lead = build_conv_pass(desc, config, x, kernel, 0.5, None)
-        args = (desc, config, -x, -kernel, np.arange(100.0), None)
-        fresh = build_conv_pass(*args)
-        shared = build_conv_pass(*args, like=lead)
-        assert shared.out_addresses is lead.out_addresses
-        assert all(got is want for got, want in zip(
-            shared.vault_emissions, lead.vault_emissions, strict=True))
-        assert shared.pe_groups == fresh.pe_groups
-        assert shared.expected_writebacks == fresh.expected_writebacks
-        assert shared.structural_hash() == fresh.structural_hash()
-        for got, want in zip(shared.vault_data, fresh.vault_data,
-                             strict=True):
-            np.testing.assert_array_equal(got, want)
+        inputs = np.stack([x, -x, 0.5 * x])
+        plans = [build_conv_pass(desc, config, tensor, kernel, 0.0, None)
+                 for tensor in inputs]
+        images = conv_vault_images(desc, config, inputs,
+                                   plans[0].expected_writebacks)
+        for vault, image in enumerate(images):
+            assert image.shape == (3, len(plans[0].vault_data[vault]))
+            for row, plan in zip(image, plans, strict=True):
+                np.testing.assert_array_equal(row, plan.vault_data[vault])
 
 
 class TestFcPass:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -138,6 +139,19 @@ class TestRunStream:
             report.warm_frames_per_second
         with pytest.raises(ConfigurationError):
             report.warm_speedup
+
+
+class TestOutputsDigest:
+    def test_digest_covers_every_output_value(self):
+        """The digest is the SHA-256 of every output value in stream
+        order; streams that differ in one frame differ in it."""
+        net = ext_stream.stream_network(CONFIG)
+        frames = _frames(net, 3)
+        streams = [NeurocubeSimulator(CONFIG).run_stream(net, batch)
+                   for batch in (frames, frames[:2] + [-frames[2]])]
+        assert streams[0].outputs_sha256 == hashlib.sha256(
+            np.stack(streams[0].outputs).tobytes()).hexdigest()
+        assert streams[0].outputs_sha256 != streams[1].outputs_sha256
 
 
 class TestWarmBatching:

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.faults import FaultConfig, FaultInjector
 from repro.noc import (
     FullyConnected,
@@ -14,6 +14,7 @@ from repro.noc import (
     PacketKind,
     Port,
 )
+from repro.noc.interconnect import FoldedInterconnect
 from repro.obs import Tracer
 
 
@@ -239,3 +240,32 @@ class TestLinkResidentCount:
         if injector is not None:
             assert fabric.stats.dropped > 0
             assert injector.stats.link_silent_corruptions > 0
+
+
+class TestFolded:
+    """A folded fabric builds the routers of its weighted nodes only."""
+
+    WEIGHTS = [3, 0, 0, 0, 0, 2] + [0] * 10
+
+    def test_only_weighted_nodes_have_routers(self):
+        fabric = FoldedInterconnect(Mesh2D(4, 4), self.WEIGHTS)
+        assert [node for node, router in enumerate(fabric.routers)
+                if router is not None] == [0, 5]
+        assert fabric.link_occupancies() == []
+        assert fabric.inject(5, packet(5, 5))
+        assert fabric.busy and fabric.occupancy == 1
+        delivered = []
+        for _ in range(10):
+            fabric.step()
+            delivered.extend(fabric.eject(5))
+        assert len(delivered) == 1
+        assert not fabric.busy and fabric.occupancy == 0
+        # Node 5 stands for two slices: the delivery counts twice.
+        assert fabric.stats.delivered == fabric.stats.injected == 2
+
+    def test_packet_leaving_its_node_raises(self):
+        fabric = FoldedInterconnect(Mesh2D(4, 4), self.WEIGHTS)
+        assert fabric.inject(0, packet(0, 1))
+        with pytest.raises(SimulationError, match="left their node"):
+            for _ in range(10):
+                fabric.step()
