@@ -268,11 +268,12 @@ class StreamReport:
             frames through the functional path, in chunks).
         memo: folded :class:`repro.memo.MemoStats` counters when a
             persistent memo store served the cold phase, else None.
-        outputs: per-frame output tensors, in stream order.  The warm
-            phase runs the frames through ``Network.forward`` in
-            chunks and writes them into one ``(frames, *output_shape)``
-            block; each entry is a row of it (a view sharing its
-            buffer), so keeping any one output keeps the whole block.
+        outputs: the ``(frames, *output_shape)`` float64 block of
+            every frame's output, in stream order (None until a run
+            sets it).  The warm phase runs the frames through
+            ``Network.forward`` in chunks and writes them into this one
+            block; ``outputs[i]`` is frame ``i``'s output, and ``len``,
+            iteration and ``zip`` walk the frames.
         outputs_sha256: SHA-256 of that block's float64 bytes: every
             output value, in stream order, in one string a JSON report
             can compare exactly.
@@ -285,7 +286,7 @@ class StreamReport:
     cold_host_seconds: float = 0.0
     warm_host_seconds: float = 0.0
     memo: object | None = None
-    outputs: list = field(default_factory=list)
+    outputs: object | None = None
     outputs_sha256: str = ""
 
     @property

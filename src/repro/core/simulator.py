@@ -1142,8 +1142,9 @@ class NeurocubeSimulator:
         (:data:`STREAM_CHUNK_BYTES` of input): each chunk is stacked,
         quantised and passed through ``network.forward`` once, and its
         rows are written into one preallocated output block.  The
-        report's ``outputs`` are that block's rows, views sharing its
-        buffer.
+        report's ``outputs`` is that ``(frames, *output_shape)`` block
+        itself: indexing, ``len``, iteration and ``zip`` give one
+        frame's output per row, and no per-frame view objects are kept.
 
         Batching changes no value in the Q1.7.8 domain: every product
         of two Q1.7.8 values is a multiple of 2**-16 below 2**14 in
@@ -1205,5 +1206,5 @@ class NeurocubeSimulator:
             frames=len(frames), cold=cold,
             cold_host_seconds=cold_done - started,
             warm_host_seconds=warm_done - cold_done,
-            memo=cold.memo, outputs=list(block),
+            memo=cold.memo, outputs=block,
             outputs_sha256=hashlib.sha256(block.tobytes()).hexdigest())

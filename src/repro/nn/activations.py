@@ -13,6 +13,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.fixedpoint import Q_1_7_8, QFormat, from_float, to_float
+from repro.fixedpoint.array import _rounded
 
 
 class Activation:
@@ -143,8 +144,15 @@ class ActivationLUT(Activation):
         return self._table[clipped + self._offset]
 
     def forward(self, y: np.ndarray) -> np.ndarray:
-        """Quantise ``y`` to the LUT domain, look up, return real values."""
-        return to_float(self.lookup_raw(from_float(y, self.fmt)), self.fmt)
+        """Quantise ``y`` to the LUT domain, look up, return real values.
+
+        Equal to ``to_float(lookup_raw(from_float(y)))`` in one pass: the
+        rounded raw values are already clipped to the table's domain, so
+        they index it directly.
+        """
+        raw = _rounded(y, self.fmt)
+        raw += self._offset
+        return to_float(self._table[raw.astype(np.intp)], self.fmt)
 
     def derivative(self, y: np.ndarray) -> np.ndarray:
         """Derivative of the underlying smooth activation.

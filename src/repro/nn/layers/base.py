@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.fixedpoint import QFormat, quantize_float
-from repro.nn.activations import Activation, Identity
+from repro.nn.activations import Activation, ActivationLUT, Identity
 
 #: Connectivity classes recognised by the Neurocube compiler (paper §II-A):
 #: ``local`` — 2D-neighbourhood connections (conv, cellular nets);
@@ -103,11 +103,18 @@ class Layer:
         raise NotImplementedError
 
     def _activate(self, y: np.ndarray, training: bool) -> np.ndarray:
-        """Apply activation (and fixed-point rounding) to pre-activations."""
+        """Apply activation (and fixed-point rounding) to pre-activations.
+
+        An :class:`ActivationLUT` in the layer's own format already
+        returns values on its grid, where rounding is the identity, so
+        its output is not rounded again.
+        """
         if training:
             self._y = y
         out = self.activation.forward(y)
-        if self.qformat is not None:
+        if self.qformat is not None and not (
+                isinstance(self.activation, ActivationLUT)
+                and self.activation.fmt == self.qformat):
             out = quantize_float(out, self.qformat)
         return out
 

@@ -55,16 +55,32 @@ class _Pool2D(Layer):
 class MaxPool2D(_Pool2D):
     """Max pooling with a square non-overlapping window."""
 
+    def _window_max(self, x: np.ndarray) -> np.ndarray:
+        """Elementwise maximum of the ``s*s`` strided window slices.
+
+        Equal to ``self._tile(x).max(axis=(3, 5))`` (``max`` is exact),
+        but each step is one elementwise ``np.maximum`` into a 4-D
+        array rather than a reduction over two axes of a 6-D view.
+        """
+        _, out_h, out_w = self.output_shape
+        s = self.size
+        y = x[:, :, :out_h * s:s, :out_w * s:s].copy()
+        for dy in range(s):
+            for dx in range(s):
+                if dy or dx:
+                    np.maximum(y, x[:, :, dy:out_h * s:s, dx:out_w * s:s],
+                               out=y)
+        return y
+
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         self._require_built()
         x = np.asarray(x, dtype=np.float64)
-        tiles = self._tile(x)
-        y = tiles.max(axis=(3, 5))
+        y = self._window_max(x)
         if training:
             self._x = x
             # Mask of the winning elements; ties split gradient evenly.
             expanded = y[:, :, :, None, :, None]
-            winners = (tiles == expanded).astype(np.float64)
+            winners = (self._tile(x) == expanded).astype(np.float64)
             self._mask = winners / winners.sum(axis=(3, 5), keepdims=True)
         return self._activate(y, training)
 

@@ -6,11 +6,12 @@ timing-only LSTM; a conv -> pool -> flatten -> dense network) and a
 config (mesh or fully connected NoC, HMC or DDR3, 2- or 16-deep
 buffers, 64/32/16-entry cache sub-banks).  The reference is lock-step,
 one worker, no memo, untraced and fault-free; its outputs equal
-``net.forward`` (sub-passed convs within one LSB of partial-sum
-storage).  Skip-ahead, in-process and persistent memo, two workers,
-traced, rate-0 faults, checkpoint resume and 1-/2-cube shards must all
-equal it; deadlocks raise the same error text in every mode.  Memo on a
-draw simulates one node slice per timing class of each duplicated pass
+``net.forward`` (sub-passed convs store partial sums as Q1.7.8 and
+differ by 1 LSB at 2 sub-passes, up to 2 LSB measured at 4).
+Skip-ahead, in-process and persistent memo, two workers, traced, rate-0
+faults, checkpoint resume and 1-/2-cube shards must all equal it;
+deadlocks raise the same error text in every mode.  Memo on a draw
+simulates one node slice per timing class of each duplicated pass
 (``PassPlan.slice_classes``), functional or timing-only.  Memo on a
 functional draw also runs the maps of a conv or pooling layer on the
 first map's passes, the other maps evaluated from their own vault

@@ -2,8 +2,10 @@
 
 These are the strongest correctness tests in the repository: real
 Q1.7.8 data flows vault -> PNG -> NoC -> PE -> MAC -> LUT -> write-back,
-and the result must equal the functional layer bit for bit (sub-passed
-convolutions tolerate one LSB from partial-sum storage).
+and the result must equal the functional layer bit for bit.  Sub-passed
+convolutions store each partial sum as Q1.7.8, which the float reference
+does not: 1 LSB at 2 sub-passes, and up to 2 LSB measured at 4 (the
+paper's conv3).
 """
 
 import numpy as np
@@ -75,6 +77,24 @@ class TestConvParity:
         run = simulator.run_descriptor(desc, net.layers[0], x[0])
         error = np.abs(run.output - net.forward(x)[0]).max()
         assert error <= config.qformat.resolution
+
+    def test_four_sub_pass_conv_within_two_lsb(self, simulator, config,
+                                               rng):
+        """16 maps x 7x7 (the paper's conv3 fan-in) -> 4 sub-passes;
+        each of the 3 stored partial sums rounds once, and up to 2 LSB
+        was measured on the paper-scale conv3.  This draw reaches 2 LSB,
+        so the 2-sub-pass bound of one LSB does not carry over."""
+        net = nn.Network([nn.Conv2D(1, 7, activation=lut(Tanh()),
+                                    qformat=config.qformat)],
+                         input_shape=(16, 20, 20), seed=7)
+        x = quantized_input(rng, (1, 16, 20, 20), config, scale=0.3)
+        program = compile_inference(net, config)
+        desc = program.descriptors[0]
+        assert desc.sub_passes == 4
+        run = simulator.run_descriptor(desc, net.layers[0], x[0])
+        error = np.abs(run.output - net.forward(x)[0]).max()
+        assert config.qformat.resolution < error
+        assert error <= 2 * config.qformat.resolution
 
 
 class TestPoolParity:

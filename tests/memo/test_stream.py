@@ -189,11 +189,14 @@ class TestWarmBatching:
         net = ext_stream.stream_network(CONFIG)
         stream = NeurocubeSimulator(CONFIG).run_stream(
             net, ext_stream.frame_stream(3))
-        assert isinstance(stream.outputs, list)
-        base = stream.outputs[0].base
-        assert base is not None
-        assert base.shape == (3, *net.output_shape)
-        assert all(row.base is base for row in stream.outputs)
+        block = stream.outputs
+        assert isinstance(block, np.ndarray)
+        assert block.shape == (3, *net.output_shape)
+        assert block.dtype == np.float64
+        assert len(block) == 3
+        assert all(row.base is block for row in block)
+        assert stream.outputs_sha256 == hashlib.sha256(
+            block.tobytes()).hexdigest()
 
     def test_chunk_sizes(self):
         assert stream_chunk((3, 240, 320)) == 1
