@@ -23,12 +23,13 @@ _NONDETERMINISTIC_PREFIXES = (
 
 _OBS_ALLOWED_MODULES = frozenset({
     # The tracer-hook protocol: agents accept an optional Tracer built
-    # from the run context's TraceOptions.  repro.obs.live is the same
-    # shape for telemetry — the context's LiveTelemetry bills host
-    # phases through opaque timer hooks.  Everything else in repro.obs
-    # (counters, exporters, manifests) is presentation-layer.
+    # from the run context's TraceOptions.  repro.obs.attribution is
+    # the post-run verdict step run_network and the sharded executor
+    # append to their reports; it reads a finished report, never a
+    # running pass.  Everything else in repro.obs (counters, exporters,
+    # manifests) is presentation-layer.
     "repro.obs.tracer",
-    "repro.obs.live",
+    "repro.obs.attribution",
 })
 
 _TRACER_EXPR_RE = re.compile(r"^(self\.)?_?tracer$")
@@ -97,10 +98,11 @@ class ObsLayering(Rule):
     title = "cycle model imports repro.obs only via the tracer protocol"
     rationale = (
         "Observability must stay optional and one-directional: agents "
-        "accept a Tracer (repro.obs.tracer) and the run context "
-        "carries live telemetry (repro.obs.live).  Importing "
-        "exporters, counters or manifests from the cycle model would "
-        "invert the layering and drag I/O into the hot loop.")
+        "accept a Tracer (repro.obs.tracer), and finished reports get "
+        "their bottleneck verdicts from repro.obs.attribution.  "
+        "Importing exporters, counters or manifests from the cycle "
+        "model would invert the layering and drag I/O into the hot "
+        "loop.")
 
     def check(self, ctx: ModuleContext) -> Iterator[tuple[int, int, str]]:
         for line, col, module in _imported_modules(ctx.tree):
@@ -460,29 +462,30 @@ class NoAdhocPersistence(Rule):
                        f"through CheckpointStore or MemoStore instead")
 
 
-#: The one module allowed to read the monotonic clock: live telemetry's
-#: phase timers.  Everything else — including host-side tooling — must
-#: take timing through those timers so phase accounting stays complete
-#: and a grep for monotonic() has exactly one hit.
-_PHASE_TIMING_MODULE = "repro.obs.live"
+#: The one module allowed to read the monotonic clock: the run
+#: context's phase timers.  Everything else — including host-side
+#: tooling — must take timing through those timers so phase accounting
+#: stays complete and a grep for monotonic() has exactly one hit.
+_PHASE_TIMING_MODULE = "repro.core.context"
 
 _MONOTONIC_CALLS = ("time.monotonic", "time.monotonic_ns")
 
 
 @register
 class NoAdhocPhaseTiming(Rule):
-    """NC110: ``time.monotonic`` only inside ``repro.obs.live``."""
+    """NC110: ``time.monotonic`` only inside ``repro.core.context``."""
 
     code = "NC110"
-    title = "host-phase timing only via repro.obs.live timers"
+    title = "host-phase timing only via the run context's phase timers"
     rationale = (
         "Scattered time.monotonic() calls fragment host-phase "
-        "accounting: a phase timed outside LiveTelemetry never reaches "
-        "the phase_seconds metric, the manifest's phases block, or the "
-        "OpenMetrics export, so the breakdown silently under-reports.  "
-        "All host timing goes through repro.obs.live phase timers "
-        "(RunContext.phase / LiveTelemetry.phase); only that module "
-        "may read the monotonic clock.")
+        "accounting: a phase timed outside the run context's timers "
+        "never reaches RunContext.phases or the manifest's phases "
+        "block, and escapes the nesting rule that keeps phases "
+        "disjoint, so the breakdown silently under- or over-reports.  "
+        "All host-phase timing goes through RunContext.phase / "
+        "phase_factory; only repro.core.context may read the "
+        "monotonic clock.")
 
     def applies_to(self, ctx: ModuleContext) -> bool:
         # Unlike the NC10x rules this applies to *every* module, not
@@ -500,14 +503,13 @@ class NoAdhocPhaseTiming(Rule):
                         yield (node.lineno, node.col_offset,
                                f"import of time.{alias.name} in "
                                f"{ctx.module}; time host phases via "
-                               f"repro.obs.live timers instead")
+                               f"RunContext.phase instead")
             elif isinstance(node, ast.Call):
                 name = _dotted_name(node.func)
                 if name in _MONOTONIC_CALLS:
                     yield (node.lineno, node.col_offset,
                            f"ad-hoc '{name}()' in {ctx.module}; time "
-                           f"host phases via repro.obs.live timers "
-                           f"(RunContext.phase / LiveTelemetry.phase) "
+                           f"host phases via RunContext.phase "
                            f"instead")
 
 

@@ -3,29 +3,32 @@
 Neurocube's host programs a layer's PNG configuration once, before the
 layer runs (paper §V).  The simulator treats its run-level hooks the
 same way: a :class:`RunContext` bundles trace options, the fault
-configuration, the checkpoint policy, the persistent memo store, live
-telemetry and the static-verification switch, and a run resolves it
-once, when ``run_descriptor``, ``run_network`` or ``run_stream`` is
-entered.  From there the one object travels down to every pass.
+configuration, the checkpoint policy, the persistent memo store and the
+static-verification switch, and a run resolves it once, when
+``run_descriptor``, ``run_network`` or ``run_stream`` is entered.  From
+there the one object travels down to every pass.
 
 Entered as a context manager, a context is *ambient*: every simulator
 run in the block that was not given explicit hooks uses it, and records
-itself in the context's run log.  This is how the experiment runner's
-flags and ``ncprof record`` work.  Contexts nest and the innermost wins.
+itself in the context's run log and bills its host seconds to the
+context's phases (compile, simulate, memo_io, checkpoint,
+trace_export).  This is how the experiment runner's flags and ``ncprof
+record`` work.  Contexts nest and the innermost wins.
 :func:`resolve` keeps one precedence for every hook: the simulator's
 own argument, then ``config.faults`` (faults only), then the ambient
 context.
 
 A context never crosses a process boundary whole.
-:meth:`RunContext.for_worker` strips the memo store and live telemetry,
-which are parent-process state, and starts an empty run log; the parent
-records whatever comes back, in a fixed order.
+:meth:`RunContext.for_worker` strips the memo store, which is
+parent-process state, and starts an empty run log and empty phases; the
+parent records whatever comes back, in a fixed order.
 """
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
+import functools
+import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -41,7 +44,6 @@ if TYPE_CHECKING:
     from repro.core.layerdesc import LayerDescriptor
     from repro.core.metrics import LayerStats
     from repro.memo.store import MemoStats, MemoStore
-    from repro.obs.live import LiveTelemetry
 
 _STACK: list[RunContext] = []
 
@@ -57,6 +59,38 @@ def wants_validation(validate: bool | None) -> bool:
         return validate
     ambient = current_context()
     return ambient is not None and ambient.validate
+
+
+def _monotonic() -> float:
+    """Host wall-clock seconds; never feeds any simulated result."""
+    return time.monotonic()  # nclint: allow(NC101) host-side timing
+
+
+class _PhaseTimer:
+    """Context manager billing its span to one phase of a phases dict.
+
+    What timers nested inside it bill to the same dict is taken out of
+    its span (a memo load inside a run is ``memo_io``, not also
+    ``simulate``), so no second is billed twice and the phases sum to
+    at most the wall time they cover.
+    """
+
+    __slots__ = ("_phases", "_name", "_billed", "_start")
+
+    def __init__(self, phases: dict[str, float], name: str) -> None:
+        self._phases = phases
+        self._name = name
+
+    def __enter__(self) -> _PhaseTimer:
+        self._billed = sum(self._phases.values())
+        self._start = _monotonic()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        span = _monotonic() - self._start
+        phases = self._phases
+        inner = sum(phases.values()) - self._billed
+        phases[self._name] = phases.get(self._name, 0.0) + span - inner
 
 
 @dataclass(frozen=True)
@@ -151,22 +185,25 @@ class RunContext:
         memo: a :class:`MemoDir` (ambient contexts) or, once resolved,
             the run's :class:`~repro.memo.store.MemoStore`; None keeps
             memoization in-process.
-        live: :class:`~repro.obs.live.LiveTelemetry` fed with phase
-            times and per-run metrics, or None.
         validate: statically verify compiled programs and shard plans
             whose ``validate=`` argument is None.
         runs: the run log: one :class:`RunRecord` per descriptor run,
             in execution order.
+        phases: host seconds per phase (``compile``, ``simulate``,
+            ``memo_io``, ``checkpoint``, ``trace_export``), billed by
+            :meth:`phase` timers; disjoint, so their sum is at most the
+            wall time the timers span.
     """
 
     trace: TraceOptions | None = None
     faults: FaultConfig | None = None
     checkpoint: CheckpointSpec | None = None
     memo: MemoDir | MemoStore | None = None
-    live: LiveTelemetry | None = None
     validate: bool = False
     runs: list[RunRecord] = field(default_factory=list, compare=False,
                                   repr=False)
+    phases: dict[str, float] = field(default_factory=dict, compare=False,
+                                     repr=False)
 
     def __enter__(self) -> RunContext:
         _STACK.append(self)
@@ -182,29 +219,19 @@ class RunContext:
 
     def for_worker(self) -> RunContext:
         """This context as it may cross a process boundary."""
-        return dataclasses.replace(self, memo=None, live=None, runs=[])
+        return dataclasses.replace(self, memo=None, runs=[], phases={})
 
-    def record(self, run: RunRecord) -> None:
-        """Append one finished run to the log and feed live telemetry."""
-        self.runs.append(run)
-        if self.live is not None:
-            self.live.observe_layer(run)
+    def phase(self, name: str) -> _PhaseTimer:
+        """Context manager billing its span to the host phase ``name``."""
+        return _PhaseTimer(self.phases, name)
 
-    def phase(self, name: str):
-        """Context manager billing its span to a host phase (or not)."""
-        if self.live is None:
-            return contextlib.nullcontext()
-        return self.live.phase(name)
-
-    def phase_factory(self, name: str) -> Callable | None:
-        """Zero-arg phase-timer factory, or None without live telemetry.
+    def phase_factory(self, name: str) -> Callable[[], _PhaseTimer]:
+        """Zero-arg factory of :meth:`phase` timers.
 
         The shape the ``timer=`` hooks of the memo and checkpoint
-        stores expect, so the stores import nothing from repro.obs.
+        stores expect, so the stores know nothing of run contexts.
         """
-        if self.live is None:
-            return None
-        return self.live.phase_factory(name)
+        return functools.partial(_PhaseTimer, self.phases, name)
 
     # -- the run log ----------------------------------------------------
 
@@ -254,7 +281,8 @@ def resolve(config: NeurocubeConfig, trace: TraceOptions | None = None,
     back to ``config.faults`` before the ambient context; every other
     hook falls back to the ambient context directly.  A :class:`MemoDir`
     resolves to its store for ``config``.  The result shares the
-    ambient context's run log, so runs recorded into it land there.
+    ambient context's run log and phases, so the runs and host seconds
+    recorded into it land there.
     """
     ambient = current_context() or RunContext()
     memo = _first(memo, ambient.memo)

@@ -86,9 +86,9 @@ class RunReport:
             stays below :mod:`repro.memo` in the layering.
         attribution: per-layer bottleneck verdicts
             (:class:`repro.obs.attribution.LayerAttribution`) when the
-            run was observed (tracing or live telemetry on), else
-            empty.  Duck-typed (``format``/``to_dict``) for the same
-            layering reason as ``memo``.
+            run was traced, else empty.  Duck-typed
+            (``format``/``to_dict``) for the same layering reason as
+            ``memo``.
     """
 
     network_name: str

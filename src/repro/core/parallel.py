@@ -494,7 +494,7 @@ class ParallelPassExecutor:
 
         With ``ctx``, each call also gets ``ctx=``: the context itself
         in-process, its :meth:`~RunContext.for_worker` form in a pool
-        (memo store and live telemetry are parent-process state).
+        (the memo store is parent-process state).
         """
         inline = self.workers == 1 or len(tasks) <= 1
         if ctx is not None:

@@ -65,10 +65,6 @@ from repro.memory.layout import conv_layout, fc_layout
 from repro.nn.layers import Dense, Flatten
 from repro.nn.network import Network
 from repro.noc.cubelink import CubeLinkModel, CubeLinkStats
-from repro.obs.live import intercube_attribution
-
-#: Per-cube link occupancy metric family (see METRIC_FAMILIES).
-LINK_OCCUPANCY_METRIC = "neurocube_intercube_link_occupancy"
 
 
 # ----------------------------------------------------------------------
@@ -722,9 +718,11 @@ class ShardedSimulator:
 
         worker = partial(run_cube_job, self._cube_config,
                          ctx=state.ctx.for_worker())
-        outcomes = state.executor.map(worker, jobs)
-        for outcome in outcomes:
-            state.ctx.record(outcome.run)
+        # Cube jobs bill their own, discarded phases; the parent's
+        # wait for them is its simulate time.
+        with state.ctx.phase("simulate"):
+            outcomes = state.executor.map(worker, jobs)
+        state.ctx.runs.extend(outcome.run for outcome in outcomes)
         return outcomes
 
     def _cube_layer(self, entry: ShardedLayer, layer, cube: int):
@@ -956,6 +954,10 @@ class ShardedSimulator:
                     state.fault_stats = FaultStats()
                 state.fault_stats.merge(run.fault_stats)
         if exchange_cycles >= compute:
+            # Imported here: repro.obs.attribution builds on
+            # repro.core.analytic.
+            from repro.obs.attribution import intercube_attribution
+
             state.report.attribution.append(intercube_attribution(
                 base.name, base.kind, exchange_cycles, compute))
 
@@ -964,16 +966,7 @@ class ShardedSimulator:
             if state.fault_stats is None:
                 state.fault_stats = FaultStats()
             state.fault_stats.merge(state.injector.stats)
-        link_stats = state.links.stats()
-        shard_report = ShardRunReport(
+        return ShardRunReport(
             plan=state.plan, report=state.report,
             cube_layers=state.cube_layers, exchanges=state.exchanges,
-            fault_stats=state.fault_stats, link=link_stats)
-        live = state.ctx.live
-        if live is not None and state.plan.n_cubes > 1:
-            total = int(state.report.total_cycles)
-            for cube in range(state.plan.n_cubes):
-                live.registry.set_gauge(
-                    LINK_OCCUPANCY_METRIC,
-                    link_stats.occupancy(cube, total), cube=str(cube))
-        return shard_report
+            fault_stats=state.fault_stats, link=state.links.stats())

@@ -73,7 +73,6 @@ from repro.nn.layers import Flatten, MaxPool2D
 from repro.nn.network import Network
 from repro.noc.interconnect import FoldedInterconnect, Interconnect
 from repro.noc.topology import FullyConnected, Mesh2D
-from repro.obs.live import attribute_report
 from repro.obs.tracer import Trace, TraceOptions, Tracer
 
 
@@ -605,8 +604,8 @@ class NeurocubeSimulator:
         every = 0
         checkpoint = ctx.checkpoint
         if checkpoint is not None:
-            # Phase timing is parent-process only: a worker's context
-            # carries no live telemetry, so the store runs timer-free.
+            # A worker's context bills its own phases, which stay in
+            # the worker: phases time the parent process only.
             store = CheckpointStore(checkpoint.directory,
                                     timer=ctx.phase_factory("checkpoint"),
                                     keep_last=checkpoint.keep_last)
@@ -825,11 +824,17 @@ class NeurocubeSimulator:
             ctx: an already-resolved context, used as is; None resolves
                 this simulator's hooks against the ambient context.
         """
+        if ctx is None:
+            ctx = self._resolve()
+        with ctx.phase("simulate"):
+            return self._run_descriptor(desc, layer, input_tensor, ctx)
+
+    def _run_descriptor(self, desc: LayerDescriptor, layer,
+                        input_tensor: np.ndarray | None,
+                        ctx: RunContext) -> LayerRun:
         # Host wall-clock only (LayerRun.host_seconds); never feeds any
         # simulated result.  nclint: allow(NC101) host-side timing
         started = time.perf_counter()
-        if ctx is None:
-            ctx = self._resolve()
         functional = layer is not None and input_tensor is not None
         # Degraded mode: with nonzero fault rates some neurons may never
         # write back (exhausted retries on their write-back path);
@@ -842,10 +847,9 @@ class NeurocubeSimulator:
             lut = act if isinstance(act, ActivationLUT) else ActivationLUT(act)
         memo = ctx.memo
         if memo is not None:
-            # Bill the store's disk I/O to the memo_io phase (None
-            # clears the hook without live telemetry).  Parent-side
-            # only: the executor calls load/store in this process, the
-            # store object is never shipped to workers.
+            # Bill the store's disk I/O to the memo_io phase.
+            # Parent-side only: the executor calls load/store in this
+            # process, the store object is never shipped to workers.
             memo.timer = ctx.phase_factory("memo_io")
         memo_before = memo.stats.copy() if memo is not None else None
         accum = _RunAccumulator()
@@ -911,7 +915,7 @@ class NeurocubeSimulator:
             if run.degraded:
                 meta["degraded_results"] = len(run.degraded)
             run.trace.meta.update(meta)
-        ctx.record(RunRecord(
+        ctx.runs.append(RunRecord(
             descriptor=desc, config=self.config, stats=run.to_stats(),
             host_seconds=run.host_seconds, macs_fired=run.macs_fired,
             trace=run.trace, fault_stats=run.fault_stats,
@@ -1102,13 +1106,16 @@ class NeurocubeSimulator:
             report.degraded.extend(run.degraded)
             self._fold_memo_stats(report, run)
             current = run.output
-        if ctx.trace is not None or ctx.live is not None:
-            # Observed runs get the post-run bottleneck verdicts; the
-            # bare path skips the analysis entirely (same guard
-            # convention as tracing — results are identical either way,
-            # attribution only *reads* the report).
-            report.attribution = attribute_report(
-                report, self.config, program.descriptors)
+        if ctx.trace is not None:
+            # Traced runs get the post-run bottleneck verdicts; the
+            # bare path skips the analysis entirely (results are
+            # identical either way, attribution only *reads* the
+            # report).  Imported here: repro.obs.attribution builds on
+            # repro.core.analytic.
+            from repro.obs.attribution import attribute_layers
+
+            report.attribution = attribute_layers(
+                report.layers, program.descriptors, self.config)
         return current, report
 
     @staticmethod

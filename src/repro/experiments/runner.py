@@ -40,13 +40,9 @@ capable experiments (``ext_shard``) across N cubes, one process per
 cube with conservative link-time sync — bit-identical to the same
 shards run serially (the experiment asserts it).
 
-With ``--heartbeat N``, the context carries a
-:class:`repro.obs.LiveTelemetry`: host phases (compile /
-simulate / memo-I/O / checkpoint / trace-export) are timed, a heartbeat
-snapshot is taken every N simulated cycles, and a phase summary is
-printed to stderr.  Combined with ``--trace``, a
-``heartbeats_<id>.jsonl`` and an OpenMetrics ``metrics_<id>.txt`` land
-next to the trace, and the manifest embeds the phase breakdown.
+The context always times host phases (compile / simulate / memo-I/O /
+checkpoint / trace-export); with ``--trace`` the manifest embeds them
+under ``phases``.
 """
 
 from __future__ import annotations
@@ -123,12 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="shard multi-cube-capable experiments (ext_shard) across "
              "N cubes: one process per cube with conservative link-time "
              "sync, bit-identical to the same shards run serially")
-    run_parser.add_argument(
-        "--heartbeat", type=int, default=0, metavar="N",
-        help="live telemetry: time host phases and snapshot metrics "
-             "every N simulated cycles (0: off); with --trace, writes "
-             "heartbeats_<id>.jsonl and OpenMetrics metrics_<id>.txt "
-             "next to the trace")
     sub.add_parser(
         "report",
         help="regenerate the paper-vs-measured summary (EXPERIMENTS.md "
@@ -244,24 +234,18 @@ def _run_experiment(experiment, args, faults, checkpoint):
     trace directory.
     """
     from repro.core.context import MemoDir, RunContext
-    from repro.obs import LiveTelemetry, TraceOptions
+    from repro.obs import TraceOptions
 
     exp_id = experiment.exp_id
     out_dir = None
     if args.trace:
         out_dir = pathlib.Path(args.trace_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-    live = None
-    if args.heartbeat:
-        live = LiveTelemetry(
-            heartbeat_cycles=args.heartbeat,
-            heartbeat_path=(str(out_dir / f"heartbeats_{exp_id}.jsonl")
-                            if out_dir is not None else None))
     memo = (MemoDir(args.memo_dir, max_bytes=args.memo_max_bytes)
             if args.memo_dir is not None else None)
     with RunContext(trace=TraceOptions() if args.trace else None,
                     faults=faults, checkpoint=checkpoint, memo=memo,
-                    live=live, validate=args.validate) as ctx:
+                    validate=args.validate) as ctx:
         result = experiment.run()
     if faults is not None:
         _fault_summary(exp_id, ctx)
@@ -270,8 +254,6 @@ def _run_experiment(experiment, args, faults, checkpoint):
               file=sys.stderr)
     if out_dir is not None:
         _write_artifacts(exp_id, ctx, out_dir)
-    elif live is not None:
-        _live_summary(exp_id, live)
     return result, memo.total_stats() if memo is not None else None
 
 
@@ -286,20 +268,10 @@ def _fault_summary(exp_id: str, ctx) -> None:
           file=sys.stderr)
 
 
-def _live_summary(exp_id: str, live) -> None:
-    """Print a live telemetry's phase/heartbeat summary to stderr."""
-    phases = ", ".join(f"{name}={seconds:.3f}s" for name, seconds
-                       in live.phase_breakdown().items())
-    print(f"[live] {exp_id}: {live.cycles} cycles, "
-          f"{len(live.heartbeats)} heartbeat(s), "
-          f"phases {phases or 'none'}", file=sys.stderr)
-
-
 def _write_artifacts(exp_id: str, ctx, out_dir: pathlib.Path) -> None:
-    """Write a traced experiment's trace, manifest and metrics."""
+    """Write a traced experiment's trace and manifest."""
     from repro.obs import manifest_from_context, write_manifest, write_trace
 
-    live = ctx.live
     if ctx.runs:
         trace_path = out_dir / f"trace_{exp_id}.json"
         with ctx.phase("trace_export"):
@@ -307,16 +279,10 @@ def _write_artifacts(exp_id: str, ctx, out_dir: pathlib.Path) -> None:
         print(f"[trace] wrote {trace_path} "
               f"({ctx.total_cycles} cycles, "
               f"{len(ctx.runs)} runs)", file=sys.stderr)
-    manifest = manifest_from_context(
-        exp_id, ctx,
-        phases=live.phase_breakdown() if live is not None else None)
+    manifest = manifest_from_context(exp_id, ctx)
     manifest_path = out_dir / f"manifest_{exp_id}.json"
     write_manifest(manifest, str(manifest_path))
     print(f"[trace] wrote {manifest_path}", file=sys.stderr)
-    if live is not None:
-        metrics_path = out_dir / f"metrics_{exp_id}.txt"
-        live.write_openmetrics(str(metrics_path))
-        _live_summary(exp_id, live)
 
 
 if __name__ == "__main__":

@@ -77,9 +77,9 @@ class CheckpointStore:
         directory: where snapshot files live (created on demand).
         timer: optional zero-arg callable returning a context manager;
             when set, every :meth:`save`/:meth:`load` wraps its disk
-            I/O in one (how live telemetry bills the ``checkpoint``
-            phase without this module importing the obs layer).  Host-
-            side only — it never affects snapshot contents.
+            I/O in one (how the run context bills the ``checkpoint``
+            phase; the store knows nothing of phases).  Host-side
+            only — it never affects snapshot contents.
         keep_last: retain only the newest K snapshots per label; every
             :meth:`save` prunes older ones afterwards.  0 disables
             pruning.  The just-saved (newest) snapshot is exempt, so a

@@ -214,10 +214,10 @@ class MemoStore:
     Attributes:
         timer: optional zero-arg callable returning a context manager;
             when set, every :meth:`load`/:meth:`store` wraps its disk
-            I/O in one (how live telemetry bills the ``memo_io`` phase
-            without this module importing the obs layer).  The
-            simulator sets/clears it per run; it is host-side only and
-            never affects what is loaded or stored.
+            I/O in one (how the run context bills the ``memo_io``
+            phase; the store knows nothing of phases).  The
+            simulator sets it per run; it is host-side only and never
+            affects what is loaded or stored.
     """
 
     def __init__(self, directory: str | Path, config: NeurocubeConfig,

@@ -2,18 +2,18 @@
 
 Cycle-level tracing with typed event spans, sampled time-series
 counters, packet-latency histograms, Chrome-trace/CSV exporters,
-per-run JSON manifests, live telemetry (phase timers, heartbeats,
-OpenMetrics snapshots) and per-layer bottleneck attribution — see
-``docs/observability.md`` for the event taxonomy, the manifest schema,
-the stable OpenMetrics names, and how to open traces in Perfetto.
+per-run JSON manifests (with the run context's host-phase seconds) and
+per-layer bottleneck attribution — see ``docs/observability.md`` for
+the event taxonomy, the manifest schema, and how to open traces in
+Perfetto.
 
 The package has three entry points:
 
 * explicit — ``NeurocubeSimulator(config, trace=TraceOptions())``;
 * ambient — ``with RunContext(trace=TraceOptions()) as ctx: ...``
   (:mod:`repro.core.context`) traces and records every descriptor run
-  in the block (how the runner's ``--trace`` works); its ``live=``
-  hook takes a :class:`LiveTelemetry` for phase timers and heartbeats;
+  in the block (how the runner's ``--trace`` works), and its
+  ``phases`` hold the block's host seconds per phase;
 * CLI — ``tools/ncprof.py record | summary | export | diff |
   attribute``.
 
@@ -30,12 +30,6 @@ from repro.obs.export import (
     write_counters_csv,
     write_events_csv,
     write_trace,
-)
-from repro.obs.live import (
-    METRIC_FAMILIES,
-    PHASES,
-    LiveTelemetry,
-    MetricsRegistry,
 )
 from repro.obs.manifest import (
     MANIFEST_VERSION,
@@ -70,14 +64,10 @@ __all__ = [
     "CACHE_PARK",
     "CounterSeries",
     "LatencyHistogram",
-    "LiveTelemetry",
     "MANIFEST_VERSION",
-    "METRIC_FAMILIES",
-    "MetricsRegistry",
     "MAC_FIRE",
     "NOC_DELIVER",
     "NOC_HOP",
-    "PHASES",
     "PNG_INJECT",
     "SKIP_AHEAD",
     "SPAN_KINDS",

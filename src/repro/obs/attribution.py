@@ -218,3 +218,26 @@ def attribute_layers(layers, descriptors, config) -> list[
             predicted_bound=breakdown["bound"], stall_share=stall_share,
             shares=shares, top_counters=top, roofline=roof))
     return out
+
+
+def intercube_attribution(name, kind, exchange_cycles,
+                          compute_cycles) -> LayerAttribution:
+    """Attribution row for an exchange-bound multi-cube sharded layer.
+
+    :mod:`repro.core.shard` emits it for layers whose inter-cube link
+    barrier costs at least as much as the slowest cube's compute.
+    """
+    total = exchange_cycles + compute_cycles
+    return LayerAttribution(
+        name=name, kind=kind, verdict="intercube-link-bound",
+        measured_cycles=float(total),
+        predicted_cycles=float(compute_cycles),
+        gap=(exchange_cycles / compute_cycles if compute_cycles
+             else 0.0),
+        predicted_bound="intercube_link",
+        stall_share=0.0,
+        shares={"intercube_link": (exchange_cycles / total if total
+                                   else 0.0),
+                "compute": compute_cycles / total if total else 0.0},
+        top_counters=(("intercube_exchange_cycles",
+                       float(exchange_cycles)),))

@@ -141,14 +141,13 @@ def build_manifest(label: str, *, config=None, layers=(), seed=None,
     return manifest
 
 
-def manifest_from_context(label: str, ctx, extra=None,
-                          phases: dict | None = None) -> dict:
+def manifest_from_context(label: str, ctx, extra=None) -> dict:
     """Build a manifest from a finished run context's run log.
 
     ``ctx`` is a :class:`repro.core.context.RunContext`.  When it
     recorded any runs, per-layer bottleneck attribution is computed and
     embedded — the manifest carries the verdicts that explain its own
-    numbers.
+    numbers.  The context's host-phase seconds go under ``"phases"``.
     """
     layers = [run.stats for run in ctx.runs]
     trace = ctx.merged_trace() if ctx.runs else None
@@ -163,7 +162,7 @@ def manifest_from_context(label: str, ctx, extra=None,
     return build_manifest(label, config=ctx.config, layers=layers,
                           host_seconds=ctx.total_host_seconds,
                           trace=trace, extra=extra,
-                          attribution=attribution, phases=phases)
+                          attribution=attribution, phases=ctx.phases)
 
 
 def write_manifest(manifest: dict, path: str) -> None:

@@ -8,16 +8,16 @@ Usage (installed as the ``ncprof`` console script; from a checkout use
 ``python tools/ncprof.py`` with the same arguments)::
 
     ncprof record [--out DIR] [--label NAME] [--size N] [--workers N]
-                  [--sample-interval N] [--no-counters] [--heartbeat N]
+                  [--sample-interval N] [--no-counters]
     ncprof summary trace_or_manifest.json
     ncprof export trace.json --format chrome|csv [--out PATH]
     ncprof diff manifest_a.json manifest_b.json
     ncprof attribute manifest.json [--json]
 
 ``record`` simulates a small traced conv layer end to end and writes
-the native trace plus its manifest (plus an OpenMetrics snapshot and
-heartbeat JSONL with ``--heartbeat``) — the CI observability smoke
-path.  ``attribute`` prints a manifest's per-layer bottleneck verdicts.
+the native trace plus its manifest, with the run's host-phase seconds
+and attribution verdicts — the CI observability smoke path.
+``attribute`` prints a manifest's per-layer bottleneck verdicts.
 ``summary``, ``diff`` and ``attribute`` validate every manifest they
 read and exit 2 on one that is unreadable, not a manifest, or of an
 unsupported schema version.
@@ -56,8 +56,6 @@ def cmd_record(args: argparse.Namespace) -> int:
     from repro.core import NeurocubeConfig, NeurocubeSimulator, RunContext
     from repro.nn import models
 
-    from repro.obs.live import LiveTelemetry
-
     config = NeurocubeConfig.hmc_15nm()
     if args.workers is not None:
         config = dataclasses.replace(config, sim_workers=args.workers)
@@ -66,31 +64,19 @@ def cmd_record(args: argparse.Namespace) -> int:
                            sample_interval=args.sample_interval)
     out_dir = pathlib.Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    heartbeat_path = (out_dir / f"heartbeats_{args.label}.jsonl"
-                      if args.heartbeat else None)
-    live = LiveTelemetry(
-        heartbeat_cycles=args.heartbeat,
-        heartbeat_path=(str(heartbeat_path)
-                        if heartbeat_path is not None else None))
-    with RunContext(trace=options, live=live) as ctx:
+    with RunContext(trace=options) as ctx:
         NeurocubeSimulator(config).run_network(
             net, np.zeros((1, args.size, args.size)))
     trace_path = out_dir / f"trace_{args.label}.json"
     manifest_path = out_dir / f"manifest_{args.label}.json"
-    with live.phase("trace_export"):
+    with ctx.phase("trace_export"):
         write_trace(ctx.merged_trace(), str(trace_path))
-    manifest = manifest_from_context(args.label, ctx,
-                                     phases=live.phase_breakdown())
+    manifest = manifest_from_context(args.label, ctx)
     write_manifest(manifest, str(manifest_path))
     print(f"ncprof: recorded {ctx.total_cycles} cycles over "
           f"{len(ctx.runs)} layer run(s)")
     print(f"ncprof: wrote {trace_path}")
     print(f"ncprof: wrote {manifest_path}")
-    if args.heartbeat:
-        metrics_path = out_dir / f"metrics_{args.label}.txt"
-        live.write_openmetrics(str(metrics_path))
-        print(f"ncprof: wrote {metrics_path} "
-              f"({len(live.heartbeats)} heartbeat(s))")
     for entry in manifest.get("attribution", []):
         print(f"ncprof: {entry['name']} -> {entry['verdict']}")
     return 0
@@ -251,10 +237,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="cycles between counter samples")
     record.add_argument("--no-counters", action="store_true",
                         help="record events only")
-    record.add_argument("--heartbeat", type=int, default=0,
-                        help="live-telemetry heartbeat period in cycles "
-                             "(0 disables; also writes an OpenMetrics "
-                             "snapshot and heartbeat JSONL)")
     record.set_defaults(func=cmd_record)
 
     summary = sub.add_parser(

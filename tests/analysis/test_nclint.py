@@ -71,7 +71,7 @@ def test_nc102_fires_on_exporter_import():
 def test_nc102_allows_tracer_protocol():
     assert "NC102" not in codes(
         "from repro.obs.tracer import Tracer\n"
-        "from repro.obs.live import LiveTelemetry\n")
+        "from repro.obs.attribution import attribute_layers\n")
 
 
 # -- NC103: nn -> core ban -------------------------------------------------

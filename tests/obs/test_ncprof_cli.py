@@ -39,6 +39,14 @@ def test_record_writes_trace_and_manifest(recorded):
     assert manifest["totals"]["cycles"] > 0
 
 
+def test_record_manifest_holds_host_phases(recorded):
+    manifest = json.loads((recorded / "manifest_t.json").read_text())
+    assert {"compile", "simulate"} <= set(manifest["phases"])
+    assert set(manifest["phases"]) <= {"compile", "simulate", "memo_io",
+                                       "checkpoint", "trace_export"}
+    assert manifest["attribution"]
+
+
 def test_summary_of_trace(ncprof, recorded, capsys):
     assert ncprof.main(["summary", str(recorded / "trace_t.json")]) == 0
     out = capsys.readouterr().out
