@@ -11,7 +11,7 @@ analytic performance model for paper-scale networks.
 from repro.core.config import NeurocubeConfig
 from repro.core.layerdesc import LayerDescriptor, NeurocubeProgram, Phase
 from repro.core.compiler import compile_inference, compile_training
-from repro.core.context import MemoDir, RunContext, RunRecord
+from repro.core.context import MemoDir, RunContext
 from repro.core.mac import MACUnit
 from repro.core.png import AddressGenerator, PNGRegisters, NeurosequenceGenerator
 from repro.core.host import (
@@ -23,11 +23,10 @@ from repro.core.parallel import (
     MapOutcome,
     MapTask,
     ParallelPassExecutor,
-    PassOutcome,
     SubPassSpec,
 )
 from repro.core.pe import ProcessingElement
-from repro.core.simulator import LayerRun, NeurocubeSimulator
+from repro.core.simulator import LayerRun, NeurocubeSimulator, PassResult
 from repro.core.analytic import AnalyticModel
 from repro.core.metrics import LayerStats, RunReport, StreamReport
 from repro.core.calibration import CalibrationResult, calibrate
@@ -56,7 +55,6 @@ __all__ = [
     "compile_training",
     "MemoDir",
     "RunContext",
-    "RunRecord",
     "MACUnit",
     "PNGRegisters",
     "AddressGenerator",
@@ -67,7 +65,7 @@ __all__ = [
     "ParallelPassExecutor",
     "MapTask",
     "MapOutcome",
-    "PassOutcome",
+    "PassResult",
     "SubPassSpec",
     "AnalyticModel",
     "LayerStats",

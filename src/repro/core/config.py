@@ -12,7 +12,6 @@ import os
 from dataclasses import dataclass, field, replace
 
 from repro.errors import ConfigurationError
-from repro.faults.config import FaultConfig
 from repro.fixedpoint import Q_1_7_8, QFormat
 from repro.memory.specs import (
     DDR3,
@@ -95,10 +94,6 @@ class NeurocubeConfig:
             passes see their own fault salt); checkpointed runs never
             share a pass between several maps, and traced, faulted
             (rate 0 included) and checkpointed passes never fold.
-        faults: optional :class:`repro.faults.FaultConfig` — when set,
-            every pass runs with deterministic fault injection and the
-            retry/timeout protocols (see docs/fault_injection.md).
-            None disables the machinery entirely (the hook-free path).
     """
 
     memory_spec: MemorySpec = HMC_INT
@@ -119,7 +114,6 @@ class NeurocubeConfig:
     sim_workers: int = 1
     sim_skip_ahead: bool = True
     sim_memoize: bool = True
-    faults: FaultConfig | None = None
 
     def __post_init__(self) -> None:
         if self.sim_workers < 1:

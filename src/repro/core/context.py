@@ -15,8 +15,9 @@ context's phases (compile, simulate, memo_io, checkpoint,
 trace_export).  This is how the experiment runner's flags and ``ncprof
 record`` work.  Contexts nest and the innermost wins.
 :func:`resolve` keeps one precedence for every hook: the simulator's
-own argument, then ``config.faults`` (faults only), then the ambient
-context.
+own argument, then the ambient context.  The run log holds each
+descriptor run's :class:`~repro.core.simulator.LayerRun` without its
+output, so it never pins a layer's output tensor.
 
 A context never crosses a process boundary whole.
 :meth:`RunContext.for_worker` strips the memo store, which is
@@ -41,8 +42,7 @@ from repro.obs.tracer import Trace, TraceOptions
 
 if TYPE_CHECKING:
     from repro.core.config import NeurocubeConfig
-    from repro.core.layerdesc import LayerDescriptor
-    from repro.core.metrics import LayerStats
+    from repro.core.simulator import LayerRun
     from repro.memo.store import MemoStats, MemoStore
 
 _STACK: list[RunContext] = []
@@ -91,41 +91,6 @@ class _PhaseTimer:
         phases = self._phases
         inner = sum(phases.values()) - self._billed
         phases[self._name] = phases.get(self._name, 0.0) + span - inner
-
-
-@dataclass(frozen=True)
-class RunRecord:
-    """One descriptor run, as recorded in a context's run log.
-
-    Attributes:
-        descriptor: the compiled descriptor the run executed.
-        config: the single-cube configuration it ran on.
-        stats: the run's :class:`~repro.core.metrics.LayerStats` row.
-        host_seconds: wall-clock host time of the run.
-        macs_fired: MAC operations executed.
-        trace: the run's merged trace, or None when untraced.
-        fault_stats: fault counters, or None without an injector.
-        degraded: :class:`repro.faults.DegradedResult` records.
-        memo_stats: counters against the run's memo store, or None.
-    """
-
-    descriptor: LayerDescriptor
-    config: NeurocubeConfig
-    stats: LayerStats
-    host_seconds: float
-    macs_fired: int = 0
-    trace: Trace | None = None
-    fault_stats: FaultStats | None = None
-    degraded: tuple = ()
-    memo_stats: MemoStats | None = None
-
-    @property
-    def label(self) -> str:
-        return self.descriptor.name
-
-    @property
-    def cycles(self) -> int:
-        return self.stats.cycles
 
 
 class MemoDir:
@@ -187,8 +152,9 @@ class RunContext:
             memoization in-process.
         validate: statically verify compiled programs and shard plans
             whose ``validate=`` argument is None.
-        runs: the run log: one :class:`RunRecord` per descriptor run,
-            in execution order.
+        runs: the run log: one :class:`~repro.core.simulator.LayerRun`
+            per descriptor run, in execution order, each with
+            ``output=None``.
         phases: host seconds per phase (``compile``, ``simulate``,
             ``memo_io``, ``checkpoint``, ``trace_export``), billed by
             :meth:`phase` timers; disjoint, so their sum is at most the
@@ -200,7 +166,7 @@ class RunContext:
     checkpoint: CheckpointSpec | None = None
     memo: MemoDir | MemoStore | None = None
     validate: bool = False
-    runs: list[RunRecord] = field(default_factory=list, compare=False,
+    runs: list[LayerRun] = field(default_factory=list, compare=False,
                                   repr=False)
     phases: dict[str, float] = field(default_factory=dict, compare=False,
                                      repr=False)
@@ -275,14 +241,12 @@ def resolve(config: NeurocubeConfig, trace: TraceOptions | None = None,
             faults: FaultConfig | None = None,
             checkpoint: CheckpointSpec | None = None,
             memo: MemoStore | None = None) -> RunContext:
-    """Settle a run's hooks: explicit argument, config, ambient context.
+    """Settle a run's hooks: explicit argument, then ambient context.
 
-    The explicit arguments are a simulator's own hooks.  Faults fall
-    back to ``config.faults`` before the ambient context; every other
-    hook falls back to the ambient context directly.  A :class:`MemoDir`
-    resolves to its store for ``config``.  The result shares the
-    ambient context's run log and phases, so the runs and host seconds
-    recorded into it land there.
+    The explicit arguments are a simulator's own hooks.  A
+    :class:`MemoDir` resolves to its store for ``config``.  The result
+    shares the ambient context's run log and phases, so the runs and
+    host seconds recorded into it land there.
     """
     ambient = current_context() or RunContext()
     memo = _first(memo, ambient.memo)
@@ -290,5 +254,5 @@ def resolve(config: NeurocubeConfig, trace: TraceOptions | None = None,
         memo = memo.store_for(config)
     return dataclasses.replace(
         ambient, trace=_first(trace, ambient.trace),
-        faults=_first(faults, config.faults, ambient.faults),
+        faults=_first(faults, ambient.faults),
         checkpoint=_first(checkpoint, ambient.checkpoint), memo=memo)

@@ -101,6 +101,19 @@ class RunReport:
     memo: object | None = None
     attribution: list = field(default_factory=list)
 
+    def add(self, run) -> None:
+        """Fold in one descriptor run (a
+        :class:`~repro.core.simulator.LayerRun`): its row, host seconds,
+        degraded records and memo counters."""
+        self.layers.append(run.to_stats())
+        self.host_seconds += run.host_seconds
+        self.degraded.extend(run.degraded)
+        if run.memo_stats is not None:
+            if self.memo is None:
+                self.memo = run.memo_stats.copy()
+            else:
+                self.memo.merge(run.memo_stats)
+
     @property
     def total_ops(self) -> int:
         return sum(layer.ops for layer in self.layers)

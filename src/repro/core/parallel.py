@@ -12,7 +12,7 @@ the full sub-pass chain of a blocked convolution, because sub-passes are
 sequentially dependent (each preloads the previous partial sums) and
 must stay serial *within* a worker.  Workers run *batches* of tasks
 (:func:`run_map_batch`) and return one :class:`MapOutcome` per task,
-whose per-pass statistics snapshots the caller folds in task order, so
+whose per-pass results the caller folds in task order, so
 a parallel run produces bit-identical outputs, cycle counts and
 statistics to a serial one.
 
@@ -42,6 +42,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -50,6 +51,9 @@ from repro.core.context import RunContext
 from repro.core.layerdesc import LayerDescriptor
 from repro.faults.rng import pass_salt
 from repro.nn.activations import ActivationLUT
+
+if TYPE_CHECKING:
+    from repro.core.simulator import PassResult
 
 
 @dataclass(frozen=True)
@@ -90,53 +94,18 @@ class MapTask:
 
 
 @dataclass(frozen=True)
-class PassOutcome:
-    """Picklable reduction of one pass's results.
-
-    ``PassResult`` itself holds the live :class:`Interconnect` (whose
-    routing closures cannot cross a process boundary), so workers ship
-    this snapshot instead.
-
-    Attributes:
-        cycles: reference cycles to layer-done.
-        delivered: NoC packets delivered.
-        lateral: delivered packets that crossed at least one link.
-        total_latency: summed inject-to-eject latency.
-        pe_stats: per-PE statistics (``PEStats``).
-        png_stats: per-PNG statistics (``PNGStats``).
-        trace: the pass's :class:`repro.obs.Trace` (local clock starting
-            at 0) when tracing was enabled, else None.  The parent
-            offsets it into the run-global clock while folding, so
-            parallel and serial runs merge to identical traces.
-        fault_stats: the pass's :class:`repro.faults.FaultStats` when a
-            fault injector was active, else None.
-        degraded: the pass's :class:`repro.faults.DegradedResult`
-            records (both are plain picklable dataclasses).
-    """
-
-    cycles: int
-    delivered: int
-    lateral: int
-    total_latency: int
-    pe_stats: tuple
-    png_stats: tuple
-    trace: object | None = None
-    fault_stats: object | None = None
-    degraded: tuple = ()
-
-
-@dataclass(frozen=True)
 class MapOutcome:
     """What one worker returns for one :class:`MapTask`.
 
     Attributes:
         index: the task's map index.
-        passes: per-sub-pass outcomes, in execution order.
+        passes: per-sub-pass results, in execution order, each without
+            its write-back dict.
         output: the map's assembled output (functional mode) or None.
     """
 
     index: int
-    passes: tuple[PassOutcome, ...]
+    passes: tuple[PassResult, ...]
     output: np.ndarray | None
 
 
@@ -196,19 +165,6 @@ def task_plan_hashes(config: NeurocubeConfig, desc: LayerDescriptor,
                  for j in range(len(task.sub_passes)))
 
 
-def snapshot_pass(result) -> PassOutcome:
-    """Reduce a ``PassResult`` to its picklable statistics snapshot."""
-    stats = result.interconnect.stats
-    return PassOutcome(
-        cycles=result.cycles, delivered=stats.delivered,
-        lateral=stats.lateral, total_latency=stats.total_latency,
-        pe_stats=tuple(result.pe_stats),
-        png_stats=tuple(result.png_stats),
-        trace=result.trace,
-        fault_stats=result.fault_stats,
-        degraded=result.degraded)
-
-
 def run_map_batch(config: NeurocubeConfig, desc: LayerDescriptor,
                   lut: ActivationLUT | None, functional: bool,
                   batch: tuple[MapTask, ...], ctx: RunContext,
@@ -232,8 +188,8 @@ def run_map_batch(config: NeurocubeConfig, desc: LayerDescriptor,
     its own simulation bit for bit.  Returns one :class:`MapOutcome` per task.
 
     ``ctx`` carries the run's hooks into every sub-pass.  Each traced
-    pass's trace rides back on its :class:`PassOutcome` with a local
-    clock the parent offsets into the run-global one.  Both the fault
+    pass's trace rides back on its ``PassResult`` with a local clock
+    the parent offsets into the run-global one.  Both the fault
     salt and the checkpoint label derive from the simulated task's
     *logical* identity — ``(label_base, task.index, sub-pass)`` —
     never from worker identity, so serial, parallel and resumed runs
@@ -300,10 +256,10 @@ def _run_chain(simulator, desc: LayerDescriptor, lut: ActivationLUT | None,
         result = simulator.run_pass(
             plan, ctx=ctx, fault_salt=pass_salt(task.index, j),
             pass_label=f"{label_base}.m{task.index}.s{j}")
-        passes.append(snapshot_pass(result))
         if functional:
             output = simulator.assemble_output(desc, plan, result.outputs,
                                                missing_ok=degraded_ok)
+        passes.append(replace(result, outputs=None))
     return MapOutcome(index=task.index, passes=tuple(passes),
                       output=output)
 

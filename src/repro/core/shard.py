@@ -45,12 +45,13 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.compiler import compile_inference
 from repro.core.config import NeurocubeConfig
-from repro.core.context import RunContext, RunRecord, resolve
+from repro.core.context import RunContext, resolve
 from repro.core.layerdesc import LayerDescriptor
 from repro.core.metrics import LayerStats, RunReport
 from repro.core.multicube import MultiCubeConfig
@@ -65,6 +66,9 @@ from repro.memory.layout import conv_layout, fc_layout
 from repro.nn.layers import Dense, Flatten
 from repro.nn.network import Network
 from repro.noc.cubelink import CubeLinkModel, CubeLinkStats
+
+if TYPE_CHECKING:
+    from repro.core.simulator import LayerRun
 
 
 # ----------------------------------------------------------------------
@@ -414,28 +418,13 @@ class _FcShare:
 class CubeJob:
     """One cube's work for one layer (picklable worker input)."""
 
-    cube: int
     descriptor: LayerDescriptor
     layer: object | None
     input_tensor: np.ndarray | None
 
 
-@dataclass(frozen=True)
-class CubeOutcome:
-    """What one cube returns for one layer (picklable).
-
-    ``run`` is the cube's descriptor run as its context recorded it;
-    the parent records it again, into the run's own context, in cube
-    order.
-    """
-
-    cube: int
-    output: np.ndarray | None
-    run: RunRecord
-
-
 def run_cube_job(config: NeurocubeConfig, job: CubeJob,
-                 ctx: RunContext) -> CubeOutcome:
+                 ctx: RunContext) -> LayerRun:
     """Simulate one cube's shard of one layer (worker entry point).
 
     Builds a fresh single-cube simulator per job — cubes share no
@@ -445,18 +434,16 @@ def run_cube_job(config: NeurocubeConfig, job: CubeJob,
     every worker count).  Fault salts and checkpoint labels derive from
     the shard descriptor's name (``....cubeN``), so every cube owns a
     disjoint checkpoint namespace and serial/parallel runs inject
-    identically.
+    identically.  The run travels back, output included, instead of
+    staying in the worker's log; the parent records it into the run's
+    context.
     """
     # Imported here, not at module top: the simulator imports core
     # modules that would otherwise cycle through this one.
     from repro.core.simulator import NeurocubeSimulator
 
-    run = NeurocubeSimulator(config).run_descriptor(
+    return NeurocubeSimulator(config).run_descriptor(
         job.descriptor, job.layer, job.input_tensor, ctx=ctx)
-    # The record travels back on the outcome instead of staying in the
-    # worker's log; the parent records it into the run's context.
-    return CubeOutcome(cube=job.cube, output=run.output,
-                       run=ctx.runs.pop())
 
 
 @dataclass
@@ -575,8 +562,8 @@ class ShardedSimulator:
             ``config.n_cubes``.  ``workers=1`` runs every cube in-process
             through the identical code path (the serial reference the
             equivalence suite pins the parallel mode against).
-        faults: explicit :class:`FaultConfig`; beats
-            ``config.cube.faults`` and the ambient run context.
+        faults: explicit :class:`FaultConfig`; beats the ambient run
+            context.
         checkpoint: explicit :class:`CheckpointSpec`; beats the ambient
             run context.
 
@@ -646,15 +633,14 @@ class ShardedSimulator:
             inputs = self._cube_inputs(entry, current)
             exchange_cycles = self._run_exchange(state, entry, current,
                                                  inputs)
-            jobs = [CubeJob(cube=cube,
-                            descriptor=entry.descriptors[cube],
+            jobs = [CubeJob(descriptor=entry.descriptors[cube],
                             layer=self._cube_layer(entry, layer, cube),
                             input_tensor=inputs[cube])
                     for cube in range(plan.n_cubes)]
-            outcomes = self._dispatch(state, jobs)
-            current = self._stitch(entry, outcomes)
+            runs = self._dispatch(state, jobs)
+            current = self._stitch(entry, runs)
             state.positions = self._owned_positions(entry, current)
-            self._fold_layer(state, entry, outcomes, exchange_cycles)
+            self._fold_layer(state, entry, runs, exchange_cycles)
         # nclint: allow(NC101) host-side timing
         state.report.host_seconds = time.perf_counter() - started
         return current, self._finalize(state)
@@ -678,12 +664,11 @@ class ShardedSimulator:
         for entry in plan.layers:
             exchange_cycles = self._run_exchange(state, entry, None,
                                                  None)
-            jobs = [CubeJob(cube=cube,
-                            descriptor=entry.descriptors[cube],
+            jobs = [CubeJob(descriptor=entry.descriptors[cube],
                             layer=None, input_tensor=None)
                     for cube in range(plan.n_cubes)]
-            outcomes = self._dispatch(state, jobs)
-            self._fold_layer(state, entry, outcomes, exchange_cycles)
+            runs = self._dispatch(state, jobs)
+            self._fold_layer(state, entry, runs, exchange_cycles)
         # nclint: allow(NC101) host-side timing
         state.report.host_seconds = time.perf_counter() - started
         return self._finalize(state)
@@ -713,7 +698,7 @@ class ShardedSimulator:
                          ctx=ctx, injector=injector)
 
     def _dispatch(self, state: _RunState,
-                  jobs: list[CubeJob]) -> list[CubeOutcome]:
+                  jobs: list[CubeJob]) -> list[LayerRun]:
         from functools import partial
 
         worker = partial(run_cube_job, self._cube_config,
@@ -721,9 +706,10 @@ class ShardedSimulator:
         # Cube jobs bill their own, discarded phases; the parent's
         # wait for them is its simulate time.
         with state.ctx.phase("simulate"):
-            outcomes = state.executor.map(worker, jobs)
-        state.ctx.runs.extend(outcome.run for outcome in outcomes)
-        return outcomes
+            runs = state.executor.map(worker, jobs)
+        state.ctx.runs.extend(dataclasses.replace(run, output=None)
+                              for run in runs)
+        return runs
 
     def _cube_layer(self, entry: ShardedLayer, layer, cube: int):
         """The layer object one cube's job ships (or a Dense slice)."""
@@ -897,17 +883,17 @@ class ShardedSimulator:
             np.asarray([_flip_bits(raw, (bit,))]), qformat)
 
     def _stitch(self, entry: ShardedLayer,
-                outcomes: list[CubeOutcome]) -> np.ndarray:
+                runs: list[LayerRun]) -> np.ndarray:
         """Reassemble the cubes' outputs into the full layer output."""
-        parts = [outcome.output for outcome in outcomes]
+        parts = [run.output for run in runs]
         if entry.kind == "fc":
             return np.concatenate(parts)
         return np.concatenate(parts, axis=1)
 
     def _fold_layer(self, state: _RunState, entry: ShardedLayer,
-                    outcomes: list[CubeOutcome],
+                    runs: list[LayerRun],
                     exchange_cycles: int) -> None:
-        """Fold per-cube outcomes into one cluster layer row.
+        """Fold per-cube runs into one cluster layer row.
 
         The conservative barrier: every cube has finished its shard by
         ``max(cube cycles)``, and the next layer's inputs were delivered
@@ -916,14 +902,12 @@ class ShardedSimulator:
         order, exactly as ``parallel`` folds map outcomes.
         """
         base = entry.base
-        runs = [outcome.run for outcome in outcomes]
         compute = max(run.cycles for run in runs)
         cycles = exchange_cycles + compute
-        packets = sum(run.stats.packets for run in runs)
-        lateral = sum(
-            round(run.stats.packets * run.stats.lateral_fraction)
-            for run in runs)
-        latency = sum(run.stats.packets * run.stats.mean_packet_latency
+        packets = sum(run.packets for run in runs)
+        lateral = sum(round(run.packets * run.lateral_fraction)
+                      for run in runs)
+        latency = sum(run.packets * run.mean_packet_latency
                       for run in runs)
         stats = LayerStats(
             name=base.name, kind=base.kind, phase=base.phase.value,
@@ -938,14 +922,14 @@ class ShardedSimulator:
             duplicated_bytes=sum(d.layout.duplicated_bytes
                                  for d in entry.descriptors),
             mean_packet_latency=latency / packets if packets else 0.0,
-            pe_busy_cycles=sum(r.stats.pe_busy_cycles for r in runs),
-            pe_idle_cycles=sum(r.stats.pe_idle_cycles for r in runs),
-            search_stall_cycles=sum(r.stats.search_stall_cycles
-                                    for r in runs),
-            inject_stall_cycles=sum(r.stats.inject_stall_cycles
-                                    for r in runs))
+            pe_busy_cycles=sum(run.pe_busy_cycles for run in runs),
+            pe_idle_cycles=sum(run.pe_idle_cycles for run in runs),
+            search_stall_cycles=sum(run.search_stall_cycles
+                                    for run in runs),
+            inject_stall_cycles=sum(run.inject_stall_cycles
+                                    for run in runs))
         state.report.layers.append(stats)
-        state.cube_layers.append(tuple(run.stats for run in runs))
+        state.cube_layers.append(tuple(run.to_stats() for run in runs))
         state.cluster_cycle += cycles
         for run in runs:
             state.report.degraded.extend(run.degraded)

@@ -40,13 +40,13 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.compiler import compile_inference
 from repro.core.config import NeurocubeConfig
-from repro.core.context import RunContext, RunRecord, resolve
+from repro.core.context import RunContext, resolve
 from repro.core.fold import unfold
 from repro.core.forward import SteadyState
 from repro.core.layerdesc import LayerDescriptor
@@ -55,9 +55,7 @@ from repro.core.parallel import (
     MapOutcome,
     MapTask,
     ParallelPassExecutor,
-    PassOutcome,
     SubPassSpec,
-    snapshot_pass,
 )
 from repro.core.pe import ProcessingElement
 from repro.core.png import NeurosequenceGenerator
@@ -71,25 +69,27 @@ from repro.memory.vault import VaultChannel
 from repro.nn.activations import ActivationLUT
 from repro.nn.layers import Flatten, MaxPool2D
 from repro.nn.network import Network
-from repro.noc.interconnect import FoldedInterconnect, Interconnect
+from repro.noc.interconnect import FoldedInterconnect, Interconnect, NocStats
 from repro.noc.topology import FullyConnected, Mesh2D
 from repro.obs.tracer import Trace, TraceOptions, Tracer
 
 
 @dataclass
 class PassResult:
-    """Raw outcome of one simulated pass.
+    """One simulated pass: the one record of a pass, whether it was
+    simulated here, in a worker process or loaded from a memo store.
 
     Attributes:
         cycles: reference cycles to layer-done.
-        outputs: neuron tag -> activated raw value (functional mode).
-        interconnect: the NoC instance (for its stats).  In a pass
-            folded to one node slice per timing class its statistics
-            are the full fabric's, but router-level state (buffers,
-            grants) covers the representatives' routers only.
+        outputs: neuron tag -> activated raw value (functional mode);
+            None in a pass kept after its output was assembled.
+        noc: the interconnect's :class:`~repro.noc.interconnect.NocStats`
+            at layer-done.  In a pass folded to one node slice per
+            timing class they are the full fabric's.
         pe_stats: per-PE statistics (fires, stalls, cache peaks).
         png_stats: per-PNG statistics (injections, stalls).
-        trace: the pass's :class:`repro.obs.Trace` when tracing was on.
+        trace: the pass's :class:`repro.obs.Trace` (local clock starting
+            at 0) when tracing was on.
         fault_stats: :class:`repro.faults.FaultStats` when a fault
             injector was active (even at all-zero rates), else None.
         degraded: :class:`repro.faults.DegradedResult` records for
@@ -99,8 +99,8 @@ class PassResult:
     """
 
     cycles: int
-    outputs: dict
-    interconnect: Interconnect
+    outputs: dict | None
+    noc: NocStats
     pe_stats: list
     png_stats: list
     trace: Trace | None = None
@@ -152,53 +152,16 @@ def _build_sampler(pes, vaults, interconnect):
 
 
 @dataclass
-class _RunAccumulator:
-    """Mutable per-descriptor stat accumulation across passes."""
-
-    cycles: int = 0
-    packets: int = 0
-    lateral: int = 0
-    latency: float = 0.0
-    macs_fired: int = 0
-    idle_cycles: int = 0
-    busy_cycles: int = 0
-    search_stall_cycles: int = 0
-    cache_peak: int = 0
-    inject_stall_cycles: int = 0
-    fault_stats: FaultStats | None = None
-    degraded: list = field(default_factory=list)
-
-    def fold(self, outcome: PassOutcome) -> None:
-        """Fold one pass's snapshot in; call in serial pass order so the
-        accumulated statistics are identical for serial and parallel
-        runs."""
-        self.cycles += outcome.cycles
-        if outcome.fault_stats is not None:
-            if self.fault_stats is None:
-                self.fault_stats = FaultStats()
-            self.fault_stats.merge(outcome.fault_stats)
-        self.degraded.extend(outcome.degraded)
-        self.packets += outcome.delivered
-        self.lateral += outcome.lateral
-        self.latency += outcome.total_latency
-        for pe_stats in outcome.pe_stats:
-            self.macs_fired += pe_stats.macs_fired
-            self.idle_cycles += pe_stats.idle_cycles
-            self.busy_cycles += pe_stats.busy_cycles
-            self.search_stall_cycles += pe_stats.search_stall_cycles
-            self.cache_peak = max(self.cache_peak, pe_stats.cache_peak)
-        for png_stats in outcome.png_stats:
-            self.inject_stall_cycles += png_stats.inject_stall_cycles
-
-
-@dataclass
 class LayerRun:
-    """Result of simulating one descriptor.
+    """Result of simulating one descriptor: the one record of a run,
+    returned to the caller and, without its output, kept in the run
+    context's log.
 
     Attributes:
         descriptor: what was run.
         cycles: reference-clock cycles across all passes.
-        output: assembled output tensor (functional mode) or None.
+        output: assembled output tensor (functional mode) or None; None
+            in the run log, which never pins a layer output.
         packets: NoC packets delivered.
         lateral_fraction: measured lateral (cross-node) packet fraction.
         mean_packet_latency: mean inject-to-eject latency in cycles.
@@ -218,6 +181,7 @@ class LayerRun:
             records, in serial fold order.
         memo_stats: :class:`repro.memo.MemoStats` counters this run
             accumulated against its persistent memo store, else None.
+        config: the single-cube configuration it ran on.
     """
 
     descriptor: LayerDescriptor
@@ -237,6 +201,7 @@ class LayerRun:
     fault_stats: FaultStats | None = None
     degraded: tuple = ()
     memo_stats: object | None = None
+    config: NeurocubeConfig | None = None
 
     @property
     def simulated_cycles_per_second(self) -> float:
@@ -374,9 +339,8 @@ class NeurocubeSimulator:
             results: cycle counts and outputs are bit-identical either
             way.
         faults: :class:`repro.faults.FaultConfig` enabling deterministic
-            fault injection on every pass; beats ``config.faults``.
-            None everywhere runs entirely injector-free (the
-            seed-baseline fast path).
+            fault injection on every pass.  None everywhere runs
+            entirely injector-free (the seed-baseline fast path).
         checkpoint: :class:`repro.faults.CheckpointSpec` enabling
             periodic per-pass snapshots and/or resume.
         memo: :class:`repro.memo.MemoStore` making timing-pass
@@ -710,7 +674,7 @@ class NeurocubeSimulator:
                                          png_stats, outputs, config.qformat,
                                          forwarded=bool(forwarded))
         return PassResult(cycles=cycles, outputs=outputs,
-                          interconnect=interconnect,
+                          noc=interconnect.stats,
                           pe_stats=pe_stats, png_stats=png_stats,
                           trace=(tracer.finish(cycles)
                                  if tracer is not None else None),
@@ -814,7 +778,8 @@ class NeurocubeSimulator:
         executor — in-process when ``config.effective_sim_workers`` is 1,
         over a process pool otherwise.  Outcomes are folded in task
         order, so the parallel path is bit-identical to the serial one.
-        The finished run is recorded in the context's run log.
+        The finished run is recorded in the context's run log without
+        its output.
 
         Args:
             desc: the compiled descriptor (forward phase).
@@ -852,19 +817,11 @@ class NeurocubeSimulator:
             # process, the store object is never shipped to workers.
             memo.timer = ctx.phase_factory("memo_io")
         memo_before = memo.stats.copy() if memo is not None else None
-        accum = _RunAccumulator()
-        # Per-pass traces carry local clocks starting at 0; each one is
-        # offset by the cycles accumulated *before* its fold, which is
-        # the serial fold order — so serial and parallel runs merge to
-        # identical run-global traces.
-        trace_parts: list[tuple[int, Trace]] = []
         if desc.kind == "fc":
             plan = self._fc_plan(desc, layer, input_tensor, lut)
             result = self.run_pass(plan, ctx=ctx, fault_salt=0,
                                    pass_label=f"{_label(desc)}.fc")
-            if result.trace is not None:
-                trace_parts.append((accum.cycles, result.trace))
-            accum.fold(snapshot_pass(result))
+            passes = [result]
             output = (self.assemble_output(desc, plan, result.outputs,
                                            missing_ok=degraded_ok)
                       if functional else None)
@@ -874,34 +831,53 @@ class NeurocubeSimulator:
             else:
                 tasks = self._conv_tasks(desc, layer, input_tensor)
             outcomes = self._run_tasks(desc, lut, functional, tasks, ctx)
-            for outcome in outcomes:
-                for pass_outcome in outcome.passes:
-                    if pass_outcome.trace is not None:
-                        trace_parts.append(
-                            (accum.cycles, pass_outcome.trace))
-                    accum.fold(pass_outcome)
+            passes = [result for outcome in outcomes
+                      for result in outcome.passes]
             output = (np.stack([o.output for o in outcomes], axis=0)
                       if functional else None)
+        # Passes fold in serial order, so serial and parallel runs give
+        # identical statistics.  Per-pass traces carry local clocks
+        # starting at 0; each is offset by the cycles of the passes
+        # before it, so both merge to identical run-global traces.
+        cycles = 0
+        trace_parts: list[tuple[int, Trace]] = []
+        fault_stats: FaultStats | None = None
+        for result in passes:
+            if result.trace is not None:
+                trace_parts.append((cycles, result.trace))
+            cycles += result.cycles
+            if result.fault_stats is not None:
+                if fault_stats is None:
+                    fault_stats = FaultStats()
+                fault_stats.merge(result.fault_stats)
+        pe_stats = [stats for result in passes for stats in result.pe_stats]
+        packets = sum(result.noc.delivered for result in passes)
         run = LayerRun(
-            descriptor=desc, cycles=accum.cycles, output=output,
-            packets=accum.packets,
-            lateral_fraction=(accum.lateral / accum.packets
-                              if accum.packets else 0.0),
-            mean_packet_latency=(accum.latency / accum.packets
-                                 if accum.packets else 0.0),
-            macs_fired=accum.macs_fired,
-            pe_busy_cycles=accum.busy_cycles,
-            pe_idle_cycles=accum.idle_cycles,
-            search_stall_cycles=accum.search_stall_cycles,
-            cache_peak=accum.cache_peak,
-            inject_stall_cycles=accum.inject_stall_cycles,
+            descriptor=desc, cycles=cycles, output=output, packets=packets,
+            lateral_fraction=(sum(result.noc.lateral for result in passes)
+                              / packets if packets else 0.0),
+            mean_packet_latency=(sum(result.noc.total_latency
+                                     for result in passes)
+                                 / packets if packets else 0.0),
+            macs_fired=sum(stats.macs_fired for stats in pe_stats),
+            pe_busy_cycles=sum(stats.busy_cycles for stats in pe_stats),
+            pe_idle_cycles=sum(stats.idle_cycles for stats in pe_stats),
+            search_stall_cycles=sum(stats.search_stall_cycles
+                                    for stats in pe_stats),
+            cache_peak=max((stats.cache_peak for stats in pe_stats),
+                           default=0),
+            inject_stall_cycles=sum(stats.inject_stall_cycles
+                                    for result in passes
+                                    for stats in result.png_stats),
             # nclint: allow(NC101) host-side timing
             host_seconds=time.perf_counter() - started,
             trace=(Trace.merged(trace_parts) if trace_parts else None),
-            fault_stats=accum.fault_stats,
-            degraded=tuple(accum.degraded),
+            fault_stats=fault_stats,
+            degraded=tuple(record for result in passes
+                           for record in result.degraded),
             memo_stats=(memo.stats.delta(memo_before)
-                        if memo is not None else None))
+                        if memo is not None else None),
+            config=self.config)
         if run.trace is not None:
             # Self-describing traces: exported files carry the run's
             # memo/fault/degradation counters without their manifest.
@@ -915,11 +891,7 @@ class NeurocubeSimulator:
             if run.degraded:
                 meta["degraded_results"] = len(run.degraded)
             run.trace.meta.update(meta)
-        ctx.runs.append(RunRecord(
-            descriptor=desc, config=self.config, stats=run.to_stats(),
-            host_seconds=run.host_seconds, macs_fired=run.macs_fired,
-            trace=run.trace, fault_stats=run.fault_stats,
-            degraded=run.degraded, memo_stats=run.memo_stats))
+        ctx.runs.append(dataclasses.replace(run, output=None))
         return run
 
     def _run_tasks(self, desc: LayerDescriptor, lut, functional: bool,
@@ -939,11 +911,14 @@ class NeurocubeSimulator:
                    and (ctx.faults is None or not ctx.faults.any_rate))
         # The persistent store only ever serves timing-only memoizable
         # runs (functional outcomes carry per-input outputs, which the
-        # store does not key), and never checkpointed ones: a replayed
+        # store does not key), never checkpointed ones (a replayed
         # pass writes no snapshots, so a checkpointed run must actually
-        # simulate to keep its resume contract.
+        # simulate to keep its resume contract), and never faulted
+        # ones: a rate-0 injector attaches zeroed fault counters to its
+        # passes, which the store's key does not cover either.
         if ctx.memo is not None and (not memoize or functional
-                                     or ctx.checkpoint is not None):
+                                     or ctx.checkpoint is not None
+                                     or ctx.faults is not None):
             ctx = dataclasses.replace(ctx, memo=None)
         return executor.run(self.config, desc, lut, functional, tasks,
                             ctx=ctx, memoize=memoize,
@@ -1063,11 +1038,9 @@ class NeurocubeSimulator:
             from repro.core.shard import ShardedSimulator
 
             # This simulator's own hooks become the ambient context of
-            # the sharded run.  Faults stay explicit: the cluster would
-            # otherwise prefer ``config.faults`` over them.
+            # the sharded run.
             sharded = ShardedSimulator(
-                MultiCubeConfig(cube=self.config, n_cubes=cubes),
-                faults=self.faults)
+                MultiCubeConfig(cube=self.config, n_cubes=cubes))
             with self._resolve():
                 output, shard_report = sharded.run_network(
                     network, x, duplicate, validate=validate)
@@ -1101,10 +1074,7 @@ class NeurocubeSimulator:
                 raise MappingError(
                     f"layer {layer.name!r} missing from program")
             run = self.run_descriptor(desc, layer, current, ctx=ctx)
-            report.layers.append(run.to_stats())
-            report.host_seconds += run.host_seconds
-            report.degraded.extend(run.degraded)
-            self._fold_memo_stats(report, run)
+            report.add(run)
             current = run.output
         if ctx.trace is not None:
             # Traced runs get the post-run bottleneck verdicts; the
@@ -1117,17 +1087,6 @@ class NeurocubeSimulator:
             report.attribution = attribute_layers(
                 report.layers, program.descriptors, self.config)
         return current, report
-
-    @staticmethod
-    def _fold_memo_stats(report: RunReport, run: LayerRun) -> None:
-        """Accumulate a layer's memo counters onto the report."""
-        if run.memo_stats is None:
-            return
-        if report.memo is None:
-            from repro.memo.store import MemoStats
-
-            report.memo = MemoStats()
-        report.memo.merge(run.memo_stats)
 
     def run_stream(self, network: Network, frames,
                    duplicate: bool = True) -> StreamReport:
@@ -1193,10 +1152,7 @@ class NeurocubeSimulator:
                          f_clk_hz=self.config.f_pe_hz,
                          peak_gops=self.config.peak_gops, source="cycle")
         for desc in program.descriptors:
-            run = self.run_descriptor(desc, ctx=ctx)
-            cold.layers.append(run.to_stats())
-            cold.host_seconds += run.host_seconds
-            self._fold_memo_stats(cold, run)
+            cold.add(self.run_descriptor(desc, ctx=ctx))
         # nclint: allow(NC101) host-side timing
         cold_done = time.perf_counter()
         chunk = stream_chunk(network.input_shape)

@@ -272,14 +272,16 @@ def _write_artifacts(exp_id: str, ctx, out_dir: pathlib.Path) -> None:
     """Write a traced experiment's trace and manifest."""
     from repro.obs import manifest_from_context, write_manifest, write_trace
 
+    trace = None
     if ctx.runs:
         trace_path = out_dir / f"trace_{exp_id}.json"
         with ctx.phase("trace_export"):
-            write_trace(ctx.merged_trace(), str(trace_path))
+            trace = ctx.merged_trace()
+            write_trace(trace, str(trace_path))
         print(f"[trace] wrote {trace_path} "
               f"({ctx.total_cycles} cycles, "
               f"{len(ctx.runs)} runs)", file=sys.stderr)
-    manifest = manifest_from_context(exp_id, ctx)
+    manifest = manifest_from_context(exp_id, ctx, trace=trace)
     manifest_path = out_dir / f"manifest_{exp_id}.json"
     write_manifest(manifest, str(manifest_path))
     print(f"[trace] wrote {manifest_path}", file=sys.stderr)

@@ -61,8 +61,9 @@ from repro.errors import ConfigurationError
 #: On-disk entry format version.  Bump whenever the entry layout, the
 #: digest recipe *or the simulator's timing behaviour* changes: the
 #: version is folded into the config fingerprint, so old entries become
-#: invisible rather than wrong.
-MEMO_VERSION = 1
+#: invisible rather than wrong.  Version 2: a map outcome's passes are
+#: :class:`~repro.core.simulator.PassResult` records.
+MEMO_VERSION = 2
 
 #: Config fields that never influence simulated results — worker counts
 #: and scheduler/memoization toggles (both proven bit-identical).
@@ -109,9 +110,7 @@ def memo_fingerprint(config: NeurocubeConfig) -> str:
 
     Two configurations share memo entries iff their fingerprints match.
     Host-side knobs (:data:`_HOST_ONLY_FIELDS`) are excluded because
-    they are proven not to change simulated results; the fault
-    configuration is *included* — a rate-0 injector attaches (zeroed)
-    fault counters to outcomes, so its presence is outcome-relevant.
+    they are proven not to change simulated results.
     """
     digest = hashlib.sha256()
     digest.update(b"memo-version:%d;" % MEMO_VERSION)

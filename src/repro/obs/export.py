@@ -71,13 +71,18 @@ def to_chrome_trace(trace: Trace) -> dict:
 def write_chrome_trace(trace: Trace, path: str) -> None:
     """Write the Chrome trace-event JSON for ``trace`` to ``path``."""
     with open(path, "w") as handle:
-        json.dump(to_chrome_trace(trace), handle)
+        handle.write(json.dumps(to_chrome_trace(trace)))
 
 
 def write_trace(trace: Trace, path: str) -> None:
-    """Write the native trace JSON (the ``ncprof`` interchange format)."""
+    """Write the native trace JSON (the ``ncprof`` interchange format).
+
+    ``json.dumps`` runs the C encoder in one call; ``json.dump`` streams
+    through the pure-Python one, about four times slower, for the same
+    bytes.
+    """
     with open(path, "w") as handle:
-        json.dump(trace.to_dict(), handle)
+        handle.write(json.dumps(trace.to_dict()))
 
 
 def load_trace(path: str) -> Trace:

@@ -141,16 +141,20 @@ def build_manifest(label: str, *, config=None, layers=(), seed=None,
     return manifest
 
 
-def manifest_from_context(label: str, ctx, extra=None) -> dict:
+def manifest_from_context(label: str, ctx, extra=None,
+                          trace=None) -> dict:
     """Build a manifest from a finished run context's run log.
 
     ``ctx`` is a :class:`repro.core.context.RunContext`.  When it
     recorded any runs, per-layer bottleneck attribution is computed and
     embedded — the manifest carries the verdicts that explain its own
     numbers.  The context's host-phase seconds go under ``"phases"``.
+    ``trace`` is the context's merged trace when the caller already
+    built it (to write it beside the manifest); None builds it here.
     """
-    layers = [run.stats for run in ctx.runs]
-    trace = ctx.merged_trace() if ctx.runs else None
+    layers = [run.to_stats() for run in ctx.runs]
+    if trace is None and ctx.runs:
+        trace = ctx.merged_trace()
     attribution = ()
     if layers:
         # Imported lazily: attribution builds on repro.core.analytic,

@@ -70,8 +70,9 @@ def cmd_record(args: argparse.Namespace) -> int:
     trace_path = out_dir / f"trace_{args.label}.json"
     manifest_path = out_dir / f"manifest_{args.label}.json"
     with ctx.phase("trace_export"):
-        write_trace(ctx.merged_trace(), str(trace_path))
-    manifest = manifest_from_context(args.label, ctx)
+        trace = ctx.merged_trace()
+        write_trace(trace, str(trace_path))
+    manifest = manifest_from_context(args.label, ctx, trace=trace)
     write_manifest(manifest, str(manifest_path))
     print(f"ncprof: recorded {ctx.total_cycles} cycles over "
           f"{len(ctx.runs)} layer run(s)")

@@ -25,11 +25,9 @@ from repro.obs import TraceOptions
 from tests.core.test_shard_equivalence import conv_input, conv_network
 
 ARG = "argument"
-CONFIG_FIELD = "config"
 CONTEXT = "context"
 
-FAULTS = {ARG: FaultConfig(seed=1), CONFIG_FIELD: FaultConfig(seed=2),
-          CONTEXT: FaultConfig(seed=3)}
+FAULTS = {ARG: FaultConfig(seed=1), CONTEXT: FaultConfig(seed=3)}
 TRACES = {ARG: TraceOptions(sample_interval=8),
           CONTEXT: TraceOptions(sample_interval=16)}
 CHECKPOINTS = {ARG: CheckpointSpec(directory="arg", every=10),
@@ -37,8 +35,8 @@ CHECKPOINTS = {ARG: CheckpointSpec(directory="arg", every=10),
 
 
 @pytest.mark.parametrize("hook, given, winner", [
-    ("faults", (ARG, CONFIG_FIELD, CONTEXT), ARG),
-    ("faults", (CONFIG_FIELD, CONTEXT), CONFIG_FIELD),
+    ("faults", (ARG, CONTEXT), ARG),
+    ("faults", (ARG,), ARG),
     ("faults", (CONTEXT,), CONTEXT),
     ("faults", (), None),
     ("trace", (ARG, CONTEXT), ARG),
@@ -50,14 +48,12 @@ CHECKPOINTS = {ARG: CheckpointSpec(directory="arg", every=10),
     ("memo", (), None),
 ])
 def test_resolve_precedence(tmp_path, hook, given, winner):
-    """Simulator argument, then ``config.faults``, then the context."""
+    """Simulator argument, then the context, for every hook."""
     config = NeurocubeConfig.hmc_15nm()
     values = {"faults": FAULTS, "trace": TRACES,
               "checkpoint": CHECKPOINTS,
               "memo": {ARG: MemoStore(tmp_path / "arg", config),
                        CONTEXT: MemoDir(tmp_path / "ctx")}}[hook]
-    if CONFIG_FIELD in given:
-        config = config.with_(faults=values[CONFIG_FIELD])
     ambient = RunContext(**{hook: values[CONTEXT]}
                          if CONTEXT in given else {})
     explicit = {hook: values[ARG]} if ARG in given else {}
@@ -112,10 +108,31 @@ def test_sharded_run_log_is_worker_count_independent():
     serial, parallel = logs
     assert len(serial.runs) == 6
     assert serial.total_cycles == 4_834
-    assert ([(run.label, run.stats) for run in serial.runs]
-            == [(run.label, run.stats) for run in parallel.runs])
+    assert ([run.to_stats() for run in serial.runs]
+            == [run.to_stats() for run in parallel.runs])
     assert (serial.merged_trace().to_dict()
             == parallel.merged_trace().to_dict())
+
+
+def test_run_log_holds_runs_without_outputs(monkeypatch):
+    """The run log never pins a layer output; the runs the simulator
+    returns keep theirs."""
+    returned = []
+    run_descriptor = NeurocubeSimulator.run_descriptor
+
+    def recording(self, *args, **kwargs):
+        returned.append(run_descriptor(self, *args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(NeurocubeSimulator, "run_descriptor", recording)
+    with RunContext() as ctx:
+        NeurocubeSimulator(NeurocubeConfig()).run_network(
+            conv_network(), conv_input())
+    assert len(ctx.runs) == len(returned) == 3
+    assert all(run.output is None for run in ctx.runs)
+    assert all(run.output is not None for run in returned)
+    assert ([run.to_stats() for run in ctx.runs]
+            == [run.to_stats() for run in returned])
 
 
 # -- host phases -----------------------------------------------------------

@@ -80,10 +80,24 @@ def vaults(monkeypatch) -> list[VaultChannel]:
     return built
 
 
+@pytest.fixture
+def fabrics(monkeypatch) -> list[Interconnect]:
+    """Every interconnect a pass builds, in construction order."""
+    built: list[Interconnect] = []
+    init = Interconnect.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(Interconnect, "__init__", recording)
+    return built
+
+
 @pytest.mark.parametrize("build", [
     mnist_hidden_plan, lstm_gate_plan, mlp_output_functional_plan,
     long_group_conv_plan])
-def test_forwarded_pass_equals_stepping(build, vaults):
+def test_forwarded_pass_equals_stepping(build, vaults, fabrics):
     runs = {}
     for mode, memoize, skip_ahead in (("forwarded", True, True),
                                       ("lock-step", True, False),
@@ -93,19 +107,19 @@ def test_forwarded_pass_equals_stepping(build, vaults):
         plan = build(cfg)
         result = NeurocubeSimulator(cfg).run_pass(plan)
         runs[mode] = (result, plan, {vault.vault_id: vault.counters()
-                                     for vault in vaults})
-    forwarded, plan, vault_counters = runs["forwarded"]
+                                     for vault in vaults}, fabrics[-1])
+    forwarded, plan, vault_counters, fabric = runs["forwarded"]
     assert forwarded.forwarded > 0
     assert runs["lock-step"][0].forwarded == 0
     if not plan.timing_only:
         assert len(set(forwarded.outputs.values())) > 1
     for mode in ("lock-step", "unfolded"):
-        result, other_plan, other_vaults = runs[mode]
+        result, other_plan, other_vaults, other_fabric = runs[mode]
         assert forwarded.cycles == result.cycles, mode
         assert forwarded.outputs == result.outputs, mode
         assert forwarded.pe_stats == result.pe_stats, mode
         assert forwarded.png_stats == result.png_stats, mode
-        assert forwarded.interconnect.stats == result.interconnect.stats, mode
+        assert forwarded.noc == result.noc, mode
         for got, want in zip(plan.vault_data, other_plan.vault_data,
                              strict=True):
             np.testing.assert_array_equal(got, want, err_msg=mode)
@@ -115,8 +129,8 @@ def test_forwarded_pass_equals_stepping(build, vaults):
                                   in other_vaults.items()
                                   if vault in vault_counters}, mode
         for node in vault_counters:
-            assert (forwarded.interconnect.routers[node].counters()
-                    == result.interconnect.routers[node].counters()), mode
+            assert (fabric.routers[node].counters()
+                    == other_fabric.routers[node].counters()), mode
 
 
 def test_mode_matrix_fc_draw_jumps(monkeypatch):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from repro.core.parallel import MapTask, ParallelPassExecutor, SubPassSpec
 from repro.errors import ConfigurationError
 from repro.fixedpoint import quantize_float
 from repro.nn import models
+
+from tests.core.test_mode_matrix import functional_conv_plan
 
 
 def run_first_layer(config, net, x):
@@ -42,6 +45,13 @@ class TestParallelEquivalence:
         outcomes = ParallelPassExecutor(2).run(config, desc, None, False,
                                                tasks)
         assert [o.index for o in outcomes] == [0, 1, 2, 3, 4]
+
+    def test_functional_pass_result_survives_pickling(self, config):
+        """Workers and the memo store ship a ``PassResult`` as it is."""
+        result = NeurocubeSimulator(config).run_pass(
+            functional_conv_plan(config))
+        assert len(set(result.outputs.values())) > 1
+        assert pickle.loads(pickle.dumps(result)) == result
 
 
 class TestWorkerConfiguration:

@@ -156,16 +156,18 @@ class TestFunctionalEquivalence:
         assert all(run.trace is not None for run in ctx.runs)
 
     def test_simulator_cubes_flag_keeps_explicit_faults_first(self):
-        # Explicit faults beat config.faults on the sharded path too.
+        # Explicit faults beat the ambient context on the sharded path
+        # too.
         net, x = conv_network(), conv_input()
-        jittery = NeurocubeConfig(
-            sim_skip_ahead=True,
-            faults=FaultConfig(seed=1, vault_jitter_rate=0.5))
         _, bare = NeurocubeSimulator(SKIP_AHEAD).run_network(
             net, x, cubes=2)
-        _, explicit = NeurocubeSimulator(
-            jittery, faults=FaultConfig(seed=1)).run_network(
-            net, x, cubes=2)
+        with RunContext(faults=FaultConfig(seed=1, vault_jitter_rate=0.5)):
+            _, jittery = NeurocubeSimulator(SKIP_AHEAD).run_network(
+                net, x, cubes=2)
+            _, explicit = NeurocubeSimulator(
+                SKIP_AHEAD, faults=FaultConfig(seed=1)).run_network(
+                net, x, cubes=2)
+        assert jittery.total_cycles != bare.total_cycles
         assert explicit.total_cycles == bare.total_cycles
 
 

@@ -115,6 +115,17 @@ class TestWarmColdEquivalence:
             run = sim.run_descriptor(desc)
         assert not run.memo_stats.any
 
+    def test_faulted_runs_bypass_the_store(self, tmp_path):
+        # A rate-0 injector attaches zeroed fault counters to every
+        # pass, which the entry key does not cover.
+        from repro.faults import FaultConfig
+
+        sim = NeurocubeSimulator(CONFIG, faults=FaultConfig())
+        with RunContext(memo=MemoDir(tmp_path)):
+            run = sim.run_descriptor(conv_descriptor())
+        assert run.fault_stats is not None
+        assert not run.memo_stats.any
+
     def test_no_store_resolved_leaves_stats_none(self):
         run = timing_run(CONFIG, conv_descriptor())
         assert run.memo_stats is None

@@ -39,7 +39,7 @@ def traced(tmp_path_factory):
     with RunContext(trace=TraceOptions(sample_interval=32)) as sess:
         NeurocubeSimulator(config).run_descriptor(
             program.descriptors[0])
-    stats = [run.stats for run in sess.runs]
+    stats = [run.to_stats() for run in sess.runs]
     return config, sess, program.descriptors, stats
 
 

@@ -156,6 +156,16 @@ class TestChromeExport:
 
 
 class TestNativeAndCsvExport:
+    def test_written_files_are_json_dumps_bytes(self, session, tmp_path):
+        """Both writers encode in one ``json.dumps`` call: the files are
+        exactly its bytes."""
+        trace = session.merged_trace()
+        native, chrome = tmp_path / "trace.json", tmp_path / "chrome.json"
+        write_trace(trace, str(native))
+        write_chrome_trace(trace, str(chrome))
+        assert native.read_text() == json.dumps(trace.to_dict())
+        assert chrome.read_text() == json.dumps(to_chrome_trace(trace))
+
     def test_native_roundtrip(self, session, tmp_path):
         trace = session.merged_trace()
         path = tmp_path / "trace.json"
